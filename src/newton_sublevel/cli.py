@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import __version__
 from .adapt import to_superadapted
 from .exact_poly import (
     PuiseuxPoly,
@@ -54,11 +55,10 @@ from .measure_lab import (
 )
 from .newton import bisectrix_classify, newton_distance, newton_polygon_of
 from .resolve import ResolveParams, decomposition_to_json, resolve, verify_chart
-from .roots import isolate_real_roots, refine_root
+from .roots import derivative, isolate_real_roots, poly_value, refine_root
 from .stability import mixture_csv, mixture_sweep, stability_sweep, sweep_csv
 
 REPORT_SCHEMA = "newton-sublevel/report/1"
-_VERSION = "0.1.0"
 
 __all__ = [
     "ParseError",
@@ -413,7 +413,7 @@ class ReportEnvelope:
             "input": self.inputs,
             "config": self.config,
             "results": self.results,
-            "versions": {"newton-sublevel": _VERSION},
+            "versions": {"newton-sublevel": __version__},
         }
 
 
@@ -846,38 +846,31 @@ def _random_vdc_instance(rng: np.random.Generator, k: int):
         coeffs = [Fraction(int(c)) for c in rng.integers(-9, 10, size=deg + 1)]
         if coeffs[-1] == 0:
             coeffs[-1] = Fraction(int(rng.integers(1, 10)))
-        dk = list(coeffs)
+        dk = coeffs
         for _ in range(k):
-            dk = [i * dk[i] for i in range(1, len(dk))]
-        if not dk or all(c == 0 for c in dk):
+            dk = derivative(dk)
+        if not dk:
             continue
-        lo_v = _horner_frac(dk, Fraction(0))
-        hi_v = _horner_frac(dk, Fraction(1))
+        lo_v = poly_value(dk, Fraction(0))
+        hi_v = poly_value(dk, Fraction(1))
         if lo_v == 0 or hi_v == 0 or (lo_v > 0) != (hi_v > 0):
             continue
         if any(r.lo < 1 and r.hi > 0 for r in isolate_real_roots(dk)):
             continue
         # min of |f^(k)| sits at an endpoint or a critical point of f^(k)
         cand = [abs(lo_v), abs(hi_v)]
-        dk1 = [i * dk[i] for i in range(1, len(dk))]
-        if any(c != 0 for c in dk1):
+        dk1 = derivative(dk)
+        if dk1:
             for r in isolate_real_roots(dk1):
                 if r.hi <= 0 or r.lo >= 1:
                     continue
                 rr = refine_root(r, Fraction(1, 2**40))
-                cand.append(abs(_horner_frac(dk, rr.midpoint())))
+                cand.append(abs(poly_value(dk, rr.midpoint())))
         fk_min = min(cand)
         if fk_min <= 0:
             continue
         c = fk_min / math.factorial(k) * Fraction(1023, 1024)
         return coeffs, c
-
-
-def _horner_frac(cs: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * t + c
-    return acc
 
 
 def _cmd_check_vdc(out: Path, cfg: Dict[str, object], opts: Dict[str, object]) -> int:

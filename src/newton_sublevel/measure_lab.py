@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exact_poly import PuiseuxPoly, eval_rational
-from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen,
-                    isolate_real_roots, refine_root)
+from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
+                    isolate_real_roots, poly_value, refine_root)
 
 _BLOCK = 1 << 16          # Monte Carlo block size; fixed so threading cannot reorder sums
 _ROOT_WIDTH = Fraction(1, 2 ** 60)
@@ -264,8 +264,10 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
             return MeasureSample(epsilon, 0.0, area, n, "MC")
         phat = k_sub / k_in
         estimate = area * phat
-        if k_sub == 0:
-            stderr = area * 3.0 / k_in  # rule-of-three upper scale for empty counts
+        if k_sub == 0 or k_sub == k_in:
+            # rule-of-three scale for empty and full counts, where the
+            # binomial formula would claim an error of 0
+            stderr = area * 3.0 / k_in
         else:
             stderr = area * math.sqrt(phat * (1.0 - phat) / k_in)
         return MeasureSample(epsilon, estimate, stderr, n, "MC")
@@ -484,17 +486,6 @@ def vdc_sublevel_bound(k: int, c, epsilon, interval_length) -> float:
     return min(L, 4.0 * c ** (-1.0 / k) * epsilon ** (1.0 / k))
 
 
-def _dcoeffs(cs: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    return tuple(cs[i] * i for i in range(1, len(cs)))
-
-
-def _poly_value(cs: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * t + c
-    return acc
-
-
 def _roots_in_interval(cs, lo: Fraction, hi: Fraction) -> List[Fraction]:
     """Refined positions of the real roots of cs inside [lo, hi]."""
     cs = tuple(cs)
@@ -502,12 +493,30 @@ def _roots_in_interval(cs, lo: Fraction, hi: Fraction) -> List[Fraction]:
         return []
     out = []
     for r in isolate_real_roots(cs, domain="all"):
+        if r.hi < lo or r.lo >= hi:
+            continue  # the refined midpoint would lie outside [lo, hi] too
         if r.exact_value is None:
             r = refine_root(r, _ROOT_WIDTH)
         pos = r.midpoint()
         if lo <= pos <= hi:
             out.append(pos)
     return out
+
+
+def _sublevel_length(cs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction,
+                     eps_q: Fraction) -> Fraction:
+    """|{t in [lo, hi]: |f(t)| < eps}|: cut at the roots of f -+ eps, then sum
+    the sub-intervals whose midpoint lies in the sublevel set."""
+    cuts = {lo, hi}
+    for sign in (eps_q, -eps_q):
+        shifted = (cs[0] + sign,) + cs[1:] if cs else (sign,)
+        cuts.update(_roots_in_interval(shifted, lo, hi))
+    pts = sorted(cuts)
+    measured = Fraction(0)
+    for t0, t1 in zip(pts, pts[1:]):
+        if abs(poly_value(cs, (t0 + t1) / 2)) < eps_q:
+            measured += t1 - t0
+    return measured
 
 
 def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
@@ -530,10 +539,10 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
 
     dk = cs
     for _ in range(k):
-        dk = _dcoeffs(dk)
+        dk = derivative(dk)
     gate = c_q * math.factorial(k)
     mid = (lo + hi) / 2
-    hyp_ok = bool(dk) and abs(_poly_value(dk, mid)) >= gate
+    hyp_ok = bool(dk) and abs(poly_value(dk, mid)) >= gate
     if hyp_ok:
         # |f^(k)| >= c k! on the closed interval: each of f^(k) -+ c k! is
         # identically zero or root-free there (touching minima are rejected
@@ -542,7 +551,7 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
             shifted = (dk[0] + sign * gate,) + tuple(dk[1:])
             if all(cc == 0 for cc in shifted):
                 continue
-            if _poly_value(shifted, lo) == 0 or _poly_value(shifted, hi) == 0:
+            if poly_value(shifted, lo) == 0 or poly_value(shifted, hi) == 0:
                 hyp_ok = False
                 break
             if len(shifted) > 1 and count_roots_halfopen(shifted, lo, hi) > 0:
@@ -552,15 +561,7 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
         raise ValueError(
             f"derivative hypothesis violated: |f^({k})| >= c*{k}! fails on the interval")
 
-    cuts = {lo, hi}
-    for sign in (eps_q, -eps_q):
-        shifted = (cs[0] + sign,) + cs[1:] if cs else (sign,)
-        cuts.update(_roots_in_interval(shifted, lo, hi))
-    pts = sorted(cuts)
-    measured = Fraction(0)
-    for t0, t1 in zip(pts, pts[1:]):
-        if abs(_poly_value(cs, (t0 + t1) / 2)) < eps_q:
-            measured += t1 - t0
+    measured = _sublevel_length(cs, lo, hi, eps_q)
     bound = vdc_sublevel_bound(k, c_q, eps_q, hi - lo)
     measured_f = float(measured)
     return {"measured": measured_f, "bound": bound, "ok": measured_f <= bound}
@@ -595,10 +596,10 @@ def slice_domination_check(g: PuiseuxPoly, a, alpha, beta: int, m, N, x0,
             ymax = Fraction(N_f * float(xq) ** m_f).limit_denominator(10 ** 12)
         dk = cs
         for _ in range(beta):
-            dk = _dcoeffs(dk)
+            dk = derivative(dk)
         gate_f = a_f * math.factorial(beta) * float(xq) ** al_f
         gate = Fraction(gate_f).limit_denominator(10 ** 15)
-        certified = bool(dk) and abs(_poly_value(dk, ymax / 2)) > gate
+        certified = bool(dk) and abs(poly_value(dk, ymax / 2)) > gate
         if certified:
             for sign in (Fraction(1), Fraction(-1)):
                 shifted = (dk[0] + sign * gate,) + dk[1:]
@@ -609,15 +610,7 @@ def slice_domination_check(g: PuiseuxPoly, a, alpha, beta: int, m, N, x0,
             all_ok = False
             rows.append({"x": float(xq), "certified": False, "ok": False})
             continue
-        cuts = {Fraction(0), ymax}
-        for sign in (eps_q, -eps_q):
-            shifted = (cs[0] + sign,) + cs[1:]
-            cuts.update(_roots_in_interval(shifted, Fraction(0), ymax))
-        pts = sorted(cuts)
-        measured = Fraction(0)
-        for t0, t1 in zip(pts, pts[1:]):
-            if abs(_poly_value(cs, (t0 + t1) / 2)) < eps_q:
-                measured += t1 - t0
+        measured = _sublevel_length(cs, Fraction(0), ymax, eps_q)
         mono_slice = min(float(ymax),
                          (float(eps_q) / (a_f * float(xq) ** al_f)) ** (1.0 / beta))
         ok = float(measured) <= 4.0 * mono_slice * (1.0 + 1e-12)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exact_poly import (
     DEFAULT_TRUNCATION_ORDER,
@@ -42,7 +42,8 @@ from .exact_poly import (
     subst_shear,
 )
 from .newton import CompactEdge, NewtonPolygon, edge_polynomial, newton_polygon_of
-from .roots import IsolatedRoot, coeffs_of, isolate_real_roots, refine_root
+from .roots import (IsolatedRoot, coeffs_of, derivative, isolate_real_roots, poly_value,
+                    refine_root)
 
 # ---------------------------------------------------------------------------
 # parameters and result types
@@ -271,18 +272,11 @@ def _upper_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction,
 # exact range of an edge polynomial on a root-free interval
 
 
-def _horner(cs: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * t + c
-    return acc
-
-
 def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, Fraction]:
     """Rigorous [min, max] of the edge polynomial on [c1, c2] (no roots inside)."""
     cs = coeffs_of(q)
-    dcs = tuple(i * c for i, c in enumerate(cs))[1:]
-    cands = [_horner(cs, c1), _horner(cs, c2)]
+    dcs = derivative(cs)
+    cands = [poly_value(cs, c1), poly_value(cs, c2)]
     width_cap = (c2 - c1) / 10**6
     pad = Fraction(0)
     if any(dcs):
@@ -295,8 +289,8 @@ def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, F
                 r = refine_root(r, r.width / 4)
             lo = min(max(r.lo, c1), c2)
             hi = min(max(r.hi, c1), c2)
-            cands.append(_horner(cs, lo))
-            cands.append(_horner(cs, hi))
+            cands.append(poly_value(cs, lo))
+            cands.append(poly_value(cs, hi))
             pad = max(pad, slope_bound * (hi - lo))
     qmin, qmax = min(cands) - pad, max(cands) + pad
     if qmin <= 0 <= qmax:
@@ -368,7 +362,7 @@ def _polish_root(h: PuiseuxPoly, root: IsolatedRoot) -> Fraction:
             acc = acc * t + c
         return acc
 
-    t = root.approx
+    t = root.approx()
     for _ in range(80):
         d = ev(dcs, t)
         if d == 0.0:
@@ -443,7 +437,7 @@ def _root_value(r: IsolatedRoot) -> Fraction:
     rr = r
     while rr.width > Fraction(1, 10**15):
         rr = refine_root(rr, rr.width / 4)
-    return Fraction(rr.approx).limit_denominator(10**15)
+    return Fraction(rr.approx()).limit_denominator(10**15)
 
 
 @dataclass

@@ -278,6 +278,16 @@ def test_exit_2_oscillate_fractional(tmp_path):
     assert (tmp_path / "oscillate.FAILED").exists()
 
 
+def test_resolve_numeric_irrational_root_fails_cleanly(tmp_path, capsys):
+    # edge polynomial (y^2 - 2)^2: numeric mode polishes the roots +-sqrt(2)
+    # and then fails verification with exit 2, not with a traceback
+    code = run(["resolve", "(y^2 - 2*x^2)^2 + x^9", "--mode", "numeric",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "chart certification failed after 20 retries" in capsys.readouterr().err
+    assert (tmp_path / "resolve.FAILED").exists()
+
+
 # ---------------------------------------------------------------------------
 # config files
 

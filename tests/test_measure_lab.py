@@ -131,6 +131,19 @@ def test_mc_disk_matches_exact_area():
     assert s.stderr > 0
 
 
+def test_mc_full_count_has_positive_stderr():
+    # every one of the 100 000 points hits, but the set misses ~1e-6 of the
+    # triangle: the estimate is not exact, so its error must not read 0
+    tri = curved_triangle(Fraction(3), Fraction(1), 0.5)
+    eps = 0.005838
+    s = sublevel_measure(phase((3, 3, 2)), tri, eps, budget=100_000, seed=635989)
+    assert s.estimate == region_area(tri)
+    mm = monomial_measure_exact(Fraction(3), Fraction(3), 2, Fraction(3),
+                                Fraction(1), Fraction(1, 2), eps)
+    assert s.stderr > 0
+    assert abs(s.estimate - mm.value) <= 3 * s.stderr
+
+
 def test_mc_thread_invariance_bitwise():
     p = phase((1, 2, 2), (1, 5, 0))
     kw = dict(budget=3 * (1 << 16) + 123, seed=42)

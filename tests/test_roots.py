@@ -1,10 +1,11 @@
 """Exact real-root isolation: Sturm counts, multiplicities, refinement."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -13,6 +14,8 @@ from newton_sublevel import (
     refine_root,
     squarefree_factor,
 )
+from newton_sublevel.roots import (_DIVISOR_GUARD, _divmod, _rational_roots, cauchy_bound,
+                                   coeffs_of, sturm_sequence)
 
 
 def _poly_from_roots(roots_mults):
@@ -116,3 +119,208 @@ def test_zero_poly_rejected():
     with pytest.raises(ValueError):
         isolate_real_roots([Fraction(0)])
     assert isolate_real_roots([Fraction(5)]) == []
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer kernel against a Fraction reference (the
+# evaluation, bisection and divisor search it replaced), which must agree on
+# every interval, exactly
+
+
+def _ref_eval(cs, t):
+    acc = Fraction(0)
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
+
+
+def _ref_divisors(n):
+    n = abs(n)
+    return sorted(d for i in range(1, math.isqrt(n) + 1) if n % i == 0
+                  for d in {i, n // i})
+
+
+def _ref_rational_roots(cs):
+    found = []
+    work = tuple(cs)
+    k = 0
+    while work and work[0] == 0:
+        work = work[1:]
+        k += 1
+    if k:
+        found.append(Fraction(0))
+    if len(work) <= 1:
+        return found
+    denlcm = 1
+    for c in work:
+        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
+    ics = [int(c * denlcm) for c in work]
+    g = 0
+    for c in ics:
+        g = math.gcd(g, c)
+    ics = [c // g for c in ics]
+    if abs(ics[0]) > _DIVISOR_GUARD or abs(ics[-1]) > _DIVISOR_GUARD:
+        return found
+    for p in _ref_divisors(ics[0]):
+        for q in _ref_divisors(ics[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in found and _ref_eval(work, cand) == 0:
+                    found.append(cand)
+    return found
+
+
+def _ref_safe_cut(cs, lo, hi, stepped):
+    mid = (lo + hi) / 2
+    step = (hi - lo) / 64
+    while _ref_eval(cs, mid) == 0:
+        stepped.append(mid)
+        mid += step
+        step /= 3
+    return mid
+
+
+def _ref_variations(seq, t):
+    signs = [v > 0 for v in (_ref_eval(cs, t) for cs in seq) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_isolate_squarefree(cs, lo, hi, seq, stepped):
+    n = _ref_variations(seq, lo) - _ref_variations(seq, hi)
+    if n == 0:
+        return []
+    if n == 1:
+        return [(lo, hi)]
+    cut = _ref_safe_cut(cs, lo, hi, stepped)
+    return (_ref_isolate_squarefree(cs, lo, cut, seq, stepped)
+            + _ref_isolate_squarefree(cs, cut, hi, seq, stepped))
+
+
+def _ref_halve(root, stepped):
+    lo, hi, mult, exact, factor = root
+    if exact is not None:
+        return (exact - (hi - lo) / 2, exact, mult, exact, factor)
+    mid = _ref_safe_cut(factor, lo, hi, stepped)
+    if _ref_eval(factor, lo) * _ref_eval(factor, mid) < 0:
+        return (lo, mid, mult, exact, factor)
+    return (mid, hi, mult, exact, factor)
+
+
+def _ref_isolate(cs, stepped):
+    """(lo, hi, multiplicity, exact value, factor) per root, sorted."""
+    roots = []
+    for f_poly, mult in squarefree_factor(cs):
+        f = coeffs_of(f_poly)
+        rationals = _ref_rational_roots(f)
+        g = f
+        for r in rationals:
+            g, _ = _divmod(g, (-r, Fraction(1)))
+        roots += [(r - 1, r, mult, r, f) for r in rationals]
+        if len(g) > 1:
+            b = cauchy_bound(g)
+            roots += [(lo, hi, mult, None, g) for lo, hi in
+                      _ref_isolate_squarefree(g, -b, b, sturm_sequence(g), stepped)]
+    changed = True
+    while changed:
+        changed = False
+        roots.sort(key=lambda r: (r[0], r[1]))
+        for i in range(len(roots) - 1):
+            if roots[i][1] > roots[i + 1][0]:
+                roots[i] = _ref_halve(roots[i], stepped)
+                roots[i + 1] = _ref_halve(roots[i + 1], stepped)
+                changed = True
+        for i, r in enumerate(roots):
+            if r[3] is None and r[0] < 0 < r[1] and _ref_eval(r[4], Fraction(0)) != 0:
+                roots[i] = _ref_halve(r, stepped)
+                changed = True
+    return roots
+
+
+def _ref_refine(root, width, stepped):
+    while root[1] - root[0] > width:
+        root = _ref_halve(root, stepped)
+    return root
+
+
+def _assert_kernel_matches_reference(cs, widths):
+    stepped = []
+    want = _ref_isolate(cs, stepped)
+    got = isolate_real_roots(cs)
+    assert [(r.lo, r.hi, r.multiplicity, r.exact_value) for r in got] \
+        == [w[:4] for w in want]
+    for r, w in zip(got, want):
+        for width in widths:
+            tight = refine_root(r, width)
+            assert (tight.lo, tight.hi) == _ref_refine(w, width, stepped)[:2]
+    return stepped
+
+
+def _expand(roots_mults, quadratics, scale):
+    cs = [Fraction(scale)]
+    for r, m in roots_mults:
+        for _ in range(m):
+            cs = [Fraction(0)] + cs
+            for i in range(len(cs) - 1):
+                cs[i] -= r * cs[i + 1]
+    for b, c in quadratics:  # times t^2 + b t + c
+        out = [Fraction(0)] * (len(cs) + 2)
+        for i, a in enumerate(cs):
+            out[i] += c * a
+            out[i + 1] += b * a
+            out[i + 2] += a
+        cs = out
+    return cs
+
+
+_small_q = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# a root or quadratic constant beyond the divisor guard sends rational roots
+# through bisection instead of the divisor search
+_big_q = st.integers(min_value=10 ** 12, max_value=10 ** 13).map(lambda n: Fraction(n, 7))
+
+
+@st.composite
+def _factored_polys(draw):
+    roots = draw(st.lists(st.tuples(st.one_of(_small_q, _small_q, _big_q),
+                                    st.integers(1, 3)), max_size=4))
+    quads = draw(st.lists(st.tuples(st.integers(-4, 4),
+                                    st.one_of(st.integers(-12, 12), _big_q)), max_size=2))
+    scale = draw(st.sampled_from([1, -2, Fraction(3, 7), Fraction(-5, 10 ** 13)]))
+    return _expand(roots, quads, scale)
+
+
+_dense_polys = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
+                        min_size=2, max_size=7)
+_widths = st.lists(st.one_of(
+    st.integers(1, 70).map(lambda k: Fraction(1, 2 ** k)),
+    st.integers(1, 30).map(lambda k: Fraction(1, 3 ** k))), min_size=1, max_size=3)
+
+
+@given(st.one_of(_factored_polys(), _dense_polys), _widths)
+def test_kernel_matches_fraction_reference(cs, widths):
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    if len(cs) <= 1:
+        return
+    _assert_kernel_matches_reference(cs, widths)
+
+
+@given(st.one_of(_factored_polys(), _dense_polys))
+# root 1 also passes the divisibility tests as the pair (3, 3): the search must
+# report it once
+@example(_expand([(Fraction(-4, 3), 1), (Fraction(1), 1)], [(1, 3)], 1))
+def test_rational_roots_match_fraction_reference(cs):
+    while cs and cs[-1] == 0:
+        cs = cs[:-1]
+    if not cs:
+        return
+    cs = tuple(cs)
+    assert _rational_roots(cs) == _ref_rational_roots(cs)
+
+
+def test_kernel_matches_reference_on_midpoint_root():
+    # (t - 1)(t^2 - (2^44 - 1)): the constant exceeds the divisor guard, so the
+    # rational root 1 is bisected from the Cauchy bound 2^44 and lands on a
+    # midpoint, where both sides take the stepped cut
+    cs = _expand([(Fraction(1), 1)], [(0, -(2 ** 44 - 1))], 1)
+    stepped = _assert_kernel_matches_reference(cs, [Fraction(1, 2 ** 60), Fraction(1, 3 ** 20)])
+    assert Fraction(1) in stepped
+    assert all(r.exact_value is None for r in isolate_real_roots(cs))
