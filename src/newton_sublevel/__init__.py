@@ -96,10 +96,8 @@ from .measure_lab import (
 )
 from .stability import (
     ExceptionalSet,
-    MixtureRow,
     SweepRow,
     exceptional_candidates,
-    mixture_csv,
     mixture_sweep,
     stability_sweep,
     sweep_csv,

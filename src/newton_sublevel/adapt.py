@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from .exact_poly import PuiseuxPoly, poly_add, subst_shear
 from .newton import (
+    BisectrixClass,
     CompactEdge,
     bisectrix_classify,
     edge_polynomial,
@@ -63,10 +64,12 @@ class Witness:
 class SuperadaptedCheck:
     """Truthy result of is_superadapted with the offending root when false."""
 
-    def __init__(self, ok: bool, distance: Fraction, witness: Optional[Witness] = None):
+    def __init__(self, ok: bool, distance: Fraction, witness: Optional[Witness] = None,
+                 bisectrix: Optional[BisectrixClass] = None):
         self.ok = ok
         self.distance = distance
         self.witness = witness
+        self.bisectrix = bisectrix
 
     def __bool__(self) -> bool:
         return self.ok
@@ -75,28 +78,22 @@ class SuperadaptedCheck:
         return f"SuperadaptedCheck(ok={self.ok}, d={self.distance}, witness={self.witness})"
 
 
-def _bisectrix_edge(p: PuiseuxPoly) -> Optional[CompactEdge]:
-    cls = bisectrix_classify(newton_polygon_of(p))
-    return cls.edge if cls.tag == "EdgeInterior" else None
-
-
 def is_superadapted(p: PuiseuxPoly) -> SuperadaptedCheck:
     """Check the root-order condition on the bisectrix edge (roots at 0 ignored)."""
     np_ = newton_polygon_of(p)
     d = newton_distance(np_)
-    edge = _bisectrix_edge(p)
-    if edge is None:
-        return SuperadaptedCheck(True, d)
-    for x_sign in (1, -1):
-        q = edge_polynomial(p, edge, x_sign)
-        if len(q.terms) <= 1:
-            continue  # a single monomial has only the root at 0
-        for r in isolate_real_roots(q, domain="all"):
-            if r.exact_value == 0:
-                continue
-            if r.multiplicity >= d:
-                return SuperadaptedCheck(False, d, Witness(edge, x_sign, r))
-    return SuperadaptedCheck(True, d)
+    cls = bisectrix_classify(np_)
+    if cls.tag == "EdgeInterior":
+        for x_sign in (1, -1):
+            q = edge_polynomial(p, cls.edge, x_sign)
+            if len(q.terms) <= 1:
+                continue  # a single monomial has only the root at 0
+            for r in isolate_real_roots(q, domain="all"):
+                if r.exact_value == 0:
+                    continue
+                if r.multiplicity >= d:
+                    return SuperadaptedCheck(False, d, Witness(cls.edge, x_sign, r), cls)
+    return SuperadaptedCheck(True, d, bisectrix=cls)
 
 
 @dataclass(frozen=True)
@@ -121,22 +118,37 @@ class AdaptReport:
         return len(self.shears_applied)
 
 
+def _require_critical(p: PuiseuxPoly) -> None:
+    """Reject a phase whose value or gradient at the origin is nonzero."""
+    order = min((a + b for (a, b) in p.terms), default=None)
+    if order is not None and order <= 1:
+        raise ValueError("the phase must have a critical point at the origin "
+                         f"(no constant or linear term); its lowest order is {order}")
+
+
+def _index_from_check(chk: SuperadaptedCheck) -> GrowthIndex:
+    at_vertex = chk.bisectrix.tag == "Vertex"
+    return GrowthIndex(j=Fraction(1) / chk.distance, p=1 if at_vertex else 0,
+                       morse_hyperbolic=bool(at_vertex and chk.distance == 1))
+
+
 def to_superadapted(p: PuiseuxPoly, max_iter: int = 64) -> AdaptReport:
     """Shear until superadapted; error when the reduction leaves this model.
 
-    Raises ValueError when the offending edge has nonintegral reciprocal
-    slope (the branch is y ~ r*x^m with fractional m, so no polynomial
-    shear in these variables reaches adapted coordinates) or when the root
-    is irrational (an algebraic shear would be required).
+    Raises ValueError up front when a term has order <= 1 (the origin is not
+    a critical point), when the offending edge has nonintegral reciprocal
+    slope (the branch is y ~ r*x^m with fractional m, so no polynomial shear
+    in these variables reaches adapted coordinates) or when the root is
+    irrational (an algebraic shear would be required).
     """
+    _require_critical(p)
     original = p
     steps: List[ShearStep] = []
     for _ in range(max_iter):
         chk = is_superadapted(p)
         if chk.ok:
-            idx = growth_index(p)
             return AdaptReport(original=original, final=p,
-                               shears_applied=tuple(steps), index=idx)
+                               shears_applied=tuple(steps), index=_index_from_check(chk))
         w = chk.witness
         m = w.edge.m
         if m.denominator != 1:
@@ -156,17 +168,12 @@ def to_superadapted(p: PuiseuxPoly, max_iter: int = 64) -> AdaptReport:
 
 
 def growth_index(p: PuiseuxPoly) -> GrowthIndex:
-    """Growth index (j, p) of a superadapted phase."""
+    """Growth index (j, p) of a superadapted phase with a critical point at the origin."""
+    _require_critical(p)
     chk = is_superadapted(p)
     if not chk.ok:
         raise ValueError("phase is not superadapted; reduce with to_superadapted first")
-    d = chk.distance
-    if d == 0:
-        raise ValueError("phase does not vanish at the origin")
-    cls = bisectrix_classify(newton_polygon_of(p))
-    at_vertex = cls.tag == "Vertex"
-    return GrowthIndex(j=Fraction(1) / d, p=1 if at_vertex else 0,
-                       morse_hyperbolic=bool(at_vertex and d == 1))
+    return _index_from_check(chk)
 
 
 def is_morse(p: PuiseuxPoly) -> bool:

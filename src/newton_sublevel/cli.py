@@ -56,7 +56,7 @@ from .measure_lab import (
 from .newton import bisectrix_classify, newton_distance, newton_polygon_of
 from .resolve import ResolveParams, decomposition_to_json, resolve, verify_chart
 from .roots import derivative, isolate_real_roots, poly_value, refine_root
-from .stability import mixture_csv, mixture_sweep, stability_sweep, sweep_csv
+from .stability import mixture_sweep, stability_sweep, sweep_csv
 
 REPORT_SCHEMA = "newton-sublevel/report/1"
 
@@ -782,48 +782,33 @@ def _cmd_oscillate(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
     return 0
 
 
-def _sweep_row_json(r) -> Dict[str, object]:
-    return {
-        "t": None if r.t is None else _fstr(r.t),
+def _sweep_row_json(r, mixture: bool) -> Dict[str, object]:
+    row = {
         "j": None if r.index is None else _fstr(r.index.j),
         "p": None if r.index is None else r.index.p,
-        "superadapt_ok": r.superadapt_ok,
-        "polygon_contains_NS": r.polygon_contains_NS,
-        "flags": sorted(r.flags),
-        "note": r.note,
-    }
-
-
-def _mixture_row_json(r) -> Dict[str, object]:
-    return {
-        "ratio": "inf" if r.ratio is None else _fstr(r.ratio),
-        "j": None if r.index is None else _fstr(r.index.j),
-        "p": None if r.index is None else r.index.p,
-        "osc_p": r.osc_p,
         "superadapt_ok": r.superadapt_ok,
         "flags": sorted(r.flags),
         "note": r.note,
     }
+    if mixture:
+        row.update(ratio="inf" if r.t is None else _fstr(r.t), osc_p=r.osc_p)
+    else:
+        row.update(t=_fstr(r.t), polygon_contains_NS=r.polygon_contains_NS)
+    return row
 
 
 def _cmd_sweep(expr: PhaseExpr, pert: PhaseExpr, mixture: bool, out: Path,
                cfg: Dict[str, object], opts: Dict[str, object]) -> int:
-    if mixture:
-        grid = (opts["t_grid"] if opts["t_grid"] is not None
-                else _parse_tgrid("0,1/2,1,2,inf", allow_inf=True))
-        rows, verdict = mixture_sweep(expr.poly, pert.poly, grid)
-        _write_text(out, "sweep.csv", mixture_csv(rows))
-        results = {"kind": "mixture",
-                   "rows": [_mixture_row_json(r) for r in rows],
-                   "verdict": verdict}
-    else:
-        grid = (opts["t_grid"] if opts["t_grid"] is not None
-                else _parse_tgrid("-1,-1/2,1/2,1", allow_inf=False))
-        rows, verdict = stability_sweep(expr.poly, pert.poly, grid)
-        _write_text(out, "sweep.csv", sweep_csv(rows))
-        results = {"kind": "stability",
-                   "rows": [_sweep_row_json(r) for r in rows],
-                   "verdict": verdict}
+    grid = opts["t_grid"]
+    if grid is None:
+        grid = _parse_tgrid("0,1/2,1,2,inf" if mixture else "-1,-1/2,1/2,1",
+                            allow_inf=mixture)
+    sweep = mixture_sweep if mixture else stability_sweep
+    rows, verdict = sweep(expr.poly, pert.poly, grid)
+    _write_text(out, "sweep.csv", sweep_csv(rows, mixture))
+    results = {"kind": "mixture" if mixture else "stability",
+               "rows": [_sweep_row_json(r, mixture) for r in rows],
+               "verdict": verdict}
     env = ReportEnvelope("sweep", {"expr": expr.source, "perturbation": pert.source},
                          cfg, results)
     path = _write_json(out, "sweep.json", env.as_dict())

@@ -479,7 +479,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
         roots = sorted(roots, key=lambda r: _root_value(r), reverse=True)
         if lvl.is_roof:
             roots = [r for r in roots if _root_value(r) < roof_coeff]
-            if any(eval_rational(q, Fraction(0), roof_coeff) == 0 for _ in (0,)):
+            if eval_rational(q, Fraction(0), roof_coeff) == 0:
                 raise ValueError("sector roof grazes a root curve; choose a different eta")
             top_coeff = roof_coeff
         else:

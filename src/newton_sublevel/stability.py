@@ -4,9 +4,10 @@ For a phase S and perturbation f the growth index of S + t*f can only change
 at finitely many strengths t: where a Newton-polygon vertex coefficient
 cancels, or where an edge polynomial of S + t*f acquires a real nonzero root
 of high multiplicity.  This module computes those candidate strengths exactly
-(vertex ratios; discriminants in t via interpolated Sylvester determinants),
-sweeps t-grids comparing indices lexicographically, and sweeps two-phase
-mixtures alpha*S1 + beta*S2 over ratio grids.
+(vertex ratios; discriminants in t via interpolated Sylvester determinants)
+and sweeps t-grids comparing indices lexicographically.  A two-phase mixture
+S1 + rho*S2 is the same sweep with f = S2, plus the S2-alone endpoint
+rho = inf.
 
 Rows whose superadapted reduction needs an irrational shear are marked
 undecided rather than silently dropped or guessed.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .adapt import GrowthIndex, growth_index, lex_compare, to_superadapted
+from .adapt import GrowthIndex, to_superadapted
 from .exact_poly import PuiseuxPoly, poly_add, poly_scale
 from .newton import NewtonPolygon, newton_distance, newton_polygon_of, polygon_subset
 from .roots import IsolatedRoot, isolate_real_roots, squarefree_factor
@@ -31,12 +32,21 @@ ExceptionalT = Union[Fraction, IsolatedRoot]
 
 @dataclass(frozen=True)
 class SweepRow:
-    t: Fraction
+    """One grid point of a sweep; t is None for the S2-alone endpoint of a mixture."""
+
+    t: Optional[Fraction]
     index: Optional[GrowthIndex]
     superadapt_ok: bool
     polygon_contains_NS: bool
     flags: frozenset
     note: str = ""
+
+    @property
+    def osc_p(self) -> Optional[int]:
+        """Log multiplicity on the oscillatory side (hyperbolic Morse drops it)."""
+        if self.index is None:
+            return None
+        return 0 if self.index.morse_hyperbolic else self.index.p
 
 
 @dataclass(frozen=True)
@@ -246,20 +256,23 @@ def _index_of(p: PuiseuxPoly):
     return rep.index
 
 
-def stability_sweep(S: PuiseuxPoly, f: PuiseuxPoly, t_grid: Sequence,
-                    ) -> Tuple[List[SweepRow], Dict[str, object]]:
-    """Index sweep of S + t*f over the grid, with the lexicographic verdict.
+def _sweep(S: PuiseuxPoly, f: PuiseuxPoly, grid: Sequence[Optional[Fraction]],
+           bound: Tuple[Fraction, int], f_index: Optional[GrowthIndex] = None,
+           ) -> Tuple[List[SweepRow], List[str], ExceptionalSet]:
+    """Rows of S + t*f over the grid, the violations of bound, and the candidates.
 
-    Every row carries its flags (vertex_cancel / edge_degenerate / undecided);
-    the verdict's inequality lex(-j_t, p_t) <= lex(-j, p) quantifies only over
-    unflagged rows.
+    t = None is the f-alone endpoint, whose index f_index the caller has
+    already reduced.  A row is a violation when it is unflagged, has an index
+    worse than bound, and is neither t = 0 (S itself) nor the endpoint.
     """
     base_np = newton_polygon_of(S)
-    idx0 = _index_of(S)
     exc = exceptional_candidates(S, f)
     rows: List[SweepRow] = []
-    for t_raw in t_grid:
-        t = Fraction(t_raw)
+    for t in grid:
+        if t is None:
+            rows.append(SweepRow(None, f_index, True,
+                                 polygon_subset(base_np, newton_polygon_of(f)), frozenset()))
+            continue
         P = poly_add(S, poly_scale(f, t))
         flags = {k for k, v in exc.matches(t).items() if v}
         if P.is_zero():
@@ -269,30 +282,40 @@ def stability_sweep(S: PuiseuxPoly, f: PuiseuxPoly, t_grid: Sequence,
             continue
         contains = polygon_subset(base_np, newton_polygon_of(P))
         try:
-            idx = _index_of(P)
-            ok = True
-            note = ""
+            idx, ok, note = _index_of(P), True, ""
         except ValueError as e:
-            idx, ok = None, False
+            idx, ok, note = None, False, str(e)
             flags.add("undecided")
-            note = str(e)
         rows.append(SweepRow(t, idx, ok, contains, frozenset(flags), note))
+    violations = [str(r.t) for r in rows
+                  if not r.flags and r.index is not None and r.t not in (0, None)
+                  and r.index.key() > bound]
+    return rows, violations, exc
 
-    violations = []
-    for row in rows:
-        if row.flags or row.index is None:
-            continue
-        if lex_compare(row.index, idx0) > 0:
-            violations.append(str(row.t))
+
+def _candidates_json(exc: ExceptionalSet) -> Dict[str, List[str]]:
+    return {"vertex_ts": [str(t) for t in exc.vertex_ts],
+            "edge_ts": [str(t) if isinstance(t, Fraction)
+                        else f"({t.lo}, {t.hi}]" for t in exc.edge_ts]}
+
+
+def stability_sweep(S: PuiseuxPoly, f: PuiseuxPoly, t_grid: Sequence,
+                    ) -> Tuple[List[SweepRow], Dict[str, object]]:
+    """Index sweep of S + t*f over the grid, with the lexicographic verdict.
+
+    Every row carries its flags (vertex_cancel / edge_degenerate / undecided);
+    the verdict's inequality lex(-j_t, p_t) <= lex(-j, p) quantifies only over
+    unflagged rows.
+    """
+    idx0 = _index_of(S)
+    rows, violations, exc = _sweep(S, f, [Fraction(t) for t in t_grid], idx0.key())
     max_coeff = max((abs(c) for c in f.terms.values()), default=Fraction(0))
     max_deg = max((a + b for (a, b) in f.terms), default=Fraction(0))
     verdict = {
         "ok": not violations,
         "baseline": {"j": str(idx0.j), "p": idx0.p},
         "violations": violations,
-        "vertex_ts": [str(t) for t in exc.vertex_ts],
-        "edge_ts": [str(t) if isinstance(t, Fraction)
-                    else f"({t.lo}, {t.hi}]" for t in exc.edge_ts],
+        **_candidates_json(exc),
         # smallness diagnostic: how far f sits from the perturbative regime
         "perturbation_degree": str(max_deg),
         "perturbation_coeff_sup": float(max_coeff),
@@ -300,84 +323,27 @@ def stability_sweep(S: PuiseuxPoly, f: PuiseuxPoly, t_grid: Sequence,
     return rows, verdict
 
 
-@dataclass(frozen=True)
-class MixtureRow:
-    ratio: Optional[Fraction]        # None encodes the pure-S2 endpoint
-    index: Optional[GrowthIndex]
-    osc_p: Optional[int]             # log multiplicity on the oscillatory side
-    superadapt_ok: bool
-    flags: frozenset
-    note: str = ""
-
-
-def _critical_at_origin(p: PuiseuxPoly) -> bool:
-    return not p.is_zero() and all(a + b >= 2 for (a, b) in p.terms)
-
-
 def mixture_sweep(S1: PuiseuxPoly, S2: PuiseuxPoly, ratio_grid: Sequence,
-                  ) -> Tuple[List[MixtureRow], Dict[str, object]]:
+                  ) -> Tuple[List[SweepRow], Dict[str, object]]:
     """Sweep S1 + rho*S2 over a ratio grid (None or inf = S2 alone).
 
-    Off the candidate set the mixture index must be lexicographically at
-    least as good as both endpoint indices; the endpoints themselves assert
-    equality.  Hyperbolic Morse rows report oscillatory log multiplicity 0
-    (both Morse types share oscillatory indices even though the hyperbolic
-    sublevel growth carries a log).
+    This is the sweep of S1 + t*S2 plus the S2 endpoint (row t = None).  Off
+    the candidate set the mixture index must be lexicographically at least as
+    good as both endpoint indices.  Hyperbolic Morse rows report oscillatory
+    log multiplicity osc_p = 0 (both Morse types share oscillatory indices
+    even though the hyperbolic sublevel growth carries a log).
     """
-    for p in (S1, S2):
-        if not _critical_at_origin(p):
-            raise ValueError(
-                "mixture phases must vanish to second order at the origin "
-                "(no constant or linear terms)")
     idx1, idx2 = _index_of(S1), _index_of(S2)
-    exc = exceptional_candidates(S1, S2)
-    rows: List[MixtureRow] = []
-    for raw in ratio_grid:
-        infinite = raw is None or (isinstance(raw, float) and math.isinf(raw)) \
-            or raw == "inf"
-        if infinite:
-            rows.append(MixtureRow(None, idx2,
-                                   0 if idx2.morse_hyperbolic else idx2.p,
-                                   True, frozenset()))
-            continue
-        rho = Fraction(raw)
-        P = poly_add(S1, poly_scale(S2, rho))
-        flags = {k for k, v in exc.matches(rho).items() if v}
-        if P.is_zero():
-            flags.add("vertex_cancel")
-            rows.append(MixtureRow(rho, None, None, False, frozenset(flags),
-                                   "mixture vanishes identically"))
-            continue
-        try:
-            idx = _index_of(P)
-            ok, note = True, ""
-        except ValueError as e:
-            idx, ok, note = None, False, str(e)
-            flags.add("undecided")
-        rows.append(MixtureRow(rho, idx,
-                               None if idx is None else
-                               (0 if idx.morse_hyperbolic else idx.p),
-                               ok, frozenset(flags), note))
-
-    bound = min(idx1.key(), idx2.key())
-    violations = []
-    for row in rows:
-        if row.flags or row.index is None or row.ratio is None:
-            continue
-        if row.ratio == 0:
-            if row.index.key() != idx1.key():
-                violations.append("0")
-            continue
-        if row.index.key() > bound:
-            violations.append(str(row.ratio))
+    grid = [None if raw is None or raw == "inf"
+            or (isinstance(raw, float) and math.isinf(raw)) else Fraction(raw)
+            for raw in ratio_grid]
+    rows, violations, exc = _sweep(S1, S2, grid, min(idx1.key(), idx2.key()), idx2)
     verdict = {
         "ok": not violations,
         "endpoints": {"S1": {"j": str(idx1.j), "p": idx1.p},
                       "S2": {"j": str(idx2.j), "p": idx2.p}},
         "violations": violations,
-        "vertex_ts": [str(t) for t in exc.vertex_ts],
-        "edge_ts": [str(t) if isinstance(t, Fraction)
-                    else f"({t.lo}, {t.hi}]" for t in exc.edge_ts],
+        **_candidates_json(exc),
     }
     return rows, verdict
 
@@ -386,36 +352,22 @@ def mixture_sweep(S1: PuiseuxPoly, S2: PuiseuxPoly, ratio_grid: Sequence,
 # emitters
 
 
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
+def sweep_csv(rows: Sequence[SweepRow], mixture: bool = False) -> str:
+    """CSV table of sweep rows; a mixture names t "ratio" and adds osc_p."""
     buf = io.StringIO()
     w = csv.writer(buf)
-    w.writerow(["t", "j", "p", "superadapt_ok", "polygon_contains_NS", "flags",
-                "note"])
+    if mixture:
+        w.writerow(["ratio", "j", "p", "osc_p", "superadapt_ok", "flags", "note"])
+    else:
+        w.writerow(["t", "j", "p", "superadapt_ok", "polygon_contains_NS", "flags",
+                    "note"])
     for r in rows:
-        w.writerow([
-            str(r.t),
-            "" if r.index is None else str(r.index.j),
-            "" if r.index is None else r.index.p,
-            int(r.superadapt_ok),
-            int(r.polygon_contains_NS),
-            "|".join(sorted(r.flags)),
-            r.note,
-        ])
-    return buf.getvalue()
-
-
-def mixture_csv(rows: Sequence[MixtureRow]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["ratio", "j", "p", "osc_p", "superadapt_ok", "flags", "note"])
-    for r in rows:
-        w.writerow([
-            "inf" if r.ratio is None else str(r.ratio),
-            "" if r.index is None else str(r.index.j),
-            "" if r.index is None else r.index.p,
-            "" if r.osc_p is None else r.osc_p,
-            int(r.superadapt_ok),
-            "|".join(sorted(r.flags)),
-            r.note,
-        ])
+        j = "" if r.index is None else str(r.index.j)
+        p = "" if r.index is None else r.index.p
+        if mixture:
+            head = ["inf" if r.t is None else str(r.t), j, p,
+                    "" if r.osc_p is None else r.osc_p, int(r.superadapt_ok)]
+        else:
+            head = [str(r.t), j, p, int(r.superadapt_ok), int(r.polygon_contains_NS)]
+        w.writerow(head + ["|".join(sorted(r.flags)), r.note])
     return buf.getvalue()

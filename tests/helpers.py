@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from newton_sublevel import PuiseuxPoly
+from newton_sublevel import PuiseuxPoly, parse_expression
 
 
 def phase(*terms):
@@ -10,20 +10,22 @@ def phase(*terms):
     return PuiseuxPoly.from_terms(terms)
 
 
-# (name, phase, expected growth index (j, p), morse_hyperbolic)
-CATALOG = [
-    ("x^2+y^2", phase((1, 2, 0), (1, 0, 2)), Fraction(1), 0, False),
-    ("x*y", phase((1, 1, 1)), Fraction(1), 1, True),
-    ("x^2-y^2", phase((1, 2, 0), (-1, 0, 2)), Fraction(1), 1, True),
-    ("(y-x^2)^2", phase((1, 0, 2), (-2, 2, 1), (1, 4, 0)), Fraction(1, 2), 0, False),
-    ("x^2y^2+x^5", phase((1, 2, 2), (1, 5, 0)), Fraction(1, 2), 1, False),
-    ("y^2-x^3", phase((1, 0, 2), (-1, 3, 0)), Fraction(5, 6), 0, False),
+# The one catalog: (name, CLI expression, growth index (j, p), morse_hyperbolic).
+# The first six are the phase catalog; the last two are the extra resolution
+# stress phases.
+PHASES = [
+    ("x^2+y^2", "x^2 + y^2", Fraction(1), 0, False),
+    ("x*y", "x*y", Fraction(1), 1, True),
+    ("x^2-y^2", "x^2 - y^2", Fraction(1), 1, True),
+    ("(y-x^2)^2", "(y - x^2)^2", Fraction(1, 2), 0, False),
+    ("x^2y^2+x^5", "x^2*y^2 + x^5", Fraction(1, 2), 1, False),
+    ("y^2-x^3", "y^2 - x^3", Fraction(5, 6), 0, False),
+    ("(y-x^2-x^3)^2-x^9", "(y - x^2 - x^3)^2 - x^9", Fraction(11, 18), 0, False),
+    ("y^2-2x^2y+x^4-x^7", "y^2 - 2*x^2*y + x^4 - x^7", Fraction(9, 14), 0, False),
 ]
 
-# the two extra resolution stress phases
-RESOLVE_EXTRAS = [
-    ("(y-x^2-x^3)^2-x^9",
-     phase((1, 0, 2), (-2, 2, 1), (-2, 3, 1), (1, 4, 0), (2, 5, 0), (1, 6, 0), (-1, 9, 0))),
-    ("y^2-2x^2y+x^4-x^7",
-     phase((1, 0, 2), (-2, 2, 1), (1, 4, 0), (-1, 7, 0))),
-]
+# (name, phase, j, p, morse_hyperbolic)
+CATALOG = [(name, parse_expression(expr).poly, j, p, mh)
+           for name, expr, j, p, mh in PHASES[:6]]
+# (name, phase)
+RESOLVE_EXTRAS = [(name, parse_expression(expr).poly) for name, expr, *_ in PHASES[6:]]

@@ -30,19 +30,12 @@ from newton_sublevel import (
     to_superadapted,
     verify_chart,
 )
-from helpers import CATALOG, RESOLVE_EXTRAS, phase
+from helpers import CATALOG, PHASES, RESOLVE_EXTRAS, phase
 
 
 F = Fraction
 
-CLI_EXPRS = {
-    "x^2+y^2": "x^2 + y^2",
-    "x*y": "x*y",
-    "x^2-y^2": "x^2 - y^2",
-    "(y-x^2)^2": "(y - x^2)^2",
-    "x^2y^2+x^5": "x^2*y^2 + x^5",
-    "y^2-x^3": "y^2 - x^3",
-}
+CLI_EXPRS = {name: expr for name, expr, *_ in PHASES}
 
 
 def _np_eval_x(p, x):

@@ -11,14 +11,15 @@ from newton_sublevel import (
     is_superadapted,
     lex_compare,
     newton_polygon_of,
+    parse_expression,
     to_superadapted,
 )
-from helpers import phase, CATALOG
+from helpers import phase, CATALOG, PHASES
 
 
 def test_catalog_indices_exact():
-    for name, p, j, pp, mh in CATALOG:
-        rep = to_superadapted(p)
+    for name, expr, j, pp, mh in PHASES:
+        rep = to_superadapted(parse_expression(expr).poly)
         assert rep.index.j == j, name
         assert rep.index.p == pp, name
         assert rep.index.morse_hyperbolic is mh, name

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,21 @@ def test_exit_2_with_failure_marker(tmp_path):
     marker = tmp_path / "analyze.FAILED"
     assert marker.exists()
     assert "slope" in marker.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "y - x^2 - x^8 + y^9"],
+    ["sweep", "(y - x^2) - x^8", "y^9"],
+    ["analyze", "y"],
+])
+def test_exit_2_without_critical_point(tmp_path, argv):
+    # a linear term puts the phase outside the model: it is rejected before
+    # any shear, not sheared through ever larger expansions
+    start = time.monotonic()
+    code = run(argv + ["--out", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    assert "critical point" in (tmp_path / f"{argv[0]}.FAILED").read_text()
 
 
 def test_exit_2_oscillate_fractional(tmp_path):

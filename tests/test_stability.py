@@ -10,7 +10,6 @@ import pytest
 from newton_sublevel import (
     exceptional_candidates,
     growth_index,
-    mixture_csv,
     mixture_sweep,
     stability_sweep,
     sweep_csv,
@@ -178,7 +177,7 @@ def test_mixture_endpoints_and_interior():
     S2 = phase((1, 5, 0), (1, 0, 4))
     rows, verdict = mixture_sweep(S1, S2, [F(0), F(1), None])
     assert verdict["ok"]
-    assert [r.ratio for r in rows] == [F(0), F(1), None]
+    assert [r.t for r in rows] == [F(0), F(1), None]
     idx1 = growth_index(to_superadapted(S1).final)
     assert (rows[0].index.j, rows[0].index.p) == (idx1.j, idx1.p) == (F(1, 2), 1)
     assert (rows[1].index.j, rows[1].index.p) == (F(1, 2), 1)
@@ -194,7 +193,7 @@ def test_mixture_morse_oscillation_drop():
     rows, verdict = mixture_sweep(S1, S2, [F(0), F(1), None])
     assert verdict["ok"]
     inf_row = rows[-1]
-    assert inf_row.ratio is None
+    assert inf_row.t is None
     assert inf_row.index.j == F(1) and inf_row.index.p == 0
     assert inf_row.osc_p == 0
     assert rows[0].index.p == 1 and rows[0].osc_p == 0  # hyperbolic Morse
@@ -212,7 +211,7 @@ def test_mixture_precondition():
 def test_mixture_accepts_inf_spellings():
     S1 = phase((1, 2, 0), (1, 0, 2))
     rows, _ = mixture_sweep(S1, phase((1, 0, 2)), [None, float("inf"), "inf"])
-    assert all(r.ratio is None for r in rows)
+    assert all(r.t is None for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def test_sweep_csv_roundtrip():
 def test_mixture_csv_roundtrip():
     rows, _ = mixture_sweep(phase((1, 2, 2), (1, 5, 0)), phase((1, 5, 0), (1, 0, 4)),
                             [F(0), None])
-    text = mixture_csv(rows)
+    text = sweep_csv(rows, mixture=True)
     parsed = list(csv.reader(io.StringIO(text)))
     assert parsed[0][0] == "ratio" and parsed[0][3] == "osc_p"
     assert parsed[1][0] == "0" and parsed[2][0] == "inf"
