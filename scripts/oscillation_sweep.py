@@ -36,10 +36,8 @@ from newton_sublevel import (
 def _cap_from_measure(expr: str, radius: float, seed: int) -> float:
     p = parse_expression(expr).poly
     idx = growth_index(to_superadapted(p).final)
-    samples = [
-        sublevel_measure(p, Disk(radius), float(e), budget=200_000, seed=seed)
-        for e in np.geomspace(1e-2, 1e-5, 6)
-    ]
+    samples = sublevel_measure(p, Disk(radius), np.geomspace(1e-2, 1e-5, 6),
+                               budget=200_000, seed=seed)
     return decay_coefficient_cap(idx, samples)
 
 

@@ -569,7 +569,11 @@ def _build_parser() -> _ArgParser:
     common.add_argument("--samples", type=int, default=None)
     common.add_argument("--eps", default=None, metavar="LO..HI[:COUNT]")
     common.add_argument("--lambda", dest="lam", default=None, metavar="LO..HI[:COUNT]")
-    common.add_argument("--mode", choices=("exact", "numeric"), default=None)
+    common.add_argument("--mode", choices=("exact", "numeric"), default=None,
+                        help="resolve: exact (rational branch roots) or numeric; "
+                             "measure: exact runs the GRID estimator at depth "
+                             "round(log2(samples)/2) clamped to [1, 14], not a "
+                             "closed form (default: Monte Carlo)")
     common.add_argument("--xi", default=None, metavar="RAT")
     common.add_argument("--delta", default=None, metavar="RAT")
     common.add_argument("--eta", default=None, metavar="RAT")
@@ -710,11 +714,8 @@ def _cmd_measure(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
         budget = max(1, min(14, round(math.log2(max(2, budget)) / 2)))
     region = Disk(float(opts["radius"])) if opts["radius"] is not None else Disk(1.0)
     threads = _threads_from_env()
-    samples = [
-        sublevel_measure(expr.poly, region, e, budget=budget, seed=seed,
-                         method=method, threads=threads)
-        for e in eps
-    ]
+    samples = sublevel_measure(expr.poly, region, eps, budget=budget, seed=seed,
+                               method=method, threads=threads)
     _write_text(out, "measure.csv", measure_csv(samples))
     try:
         fit = fit_growth(samples)

@@ -10,12 +10,14 @@ polynomial bump cutoff.
 
 Determinism contract: estimates depend only on (seed, budget).  Monte Carlo
 uses one PCG64 stream per fixed-size block (jumped streams, integer counts),
-so results are bit-identical for any thread count.
+so results are bit-identical for any thread count.  A grid call (a sequence
+of epsilon to sublevel_measure, a lambda grid to decay_pairs) is bit-identical
+to one call per value: the values share the sample points, grids and
+quadrature nodes, and each keeps its own counts and sums.
 """
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
@@ -186,7 +188,10 @@ def _phase_terms(p: PuiseuxPoly, needs_negative_x: bool):
 
 
 def _eval_phase(terms, X, Y):
-    out = np.zeros_like(X)
+    """S at the points of X and Y broadcast together.  Given an (n, 1) column
+    and a (1, m) row, the powers are taken per axis and only the products
+    fill the (n, m) grid; each element sees the same operations either way."""
+    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
     for c, a, b in terms:
         out += c * X ** a * Y ** b
     return out
@@ -197,7 +202,7 @@ def _eval_phase(terms, X, Y):
 
 
 def _mc_block(args):
-    terms, region, box, epsilon, seed, block, count = args
+    terms, region, box, eps, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(seed).jumped(block + 1))
     x0, x1, y0, y1 = box
     X = x0 + (x1 - x0) * rng.random(count)
@@ -205,16 +210,95 @@ def _mc_block(args):
     inside = _member_mask(region, X, Y)
     k_in = int(np.count_nonzero(inside))
     if k_in == 0:
-        return 0, 0
-    S = _eval_phase(terms, X[inside], Y[inside])
-    k_sub = int(np.count_nonzero(np.abs(S) < epsilon))
-    return k_in, k_sub
+        return 0, [0] * len(eps)
+    A = np.abs(_eval_phase(terms, X[inside], Y[inside]))
+    return k_in, [int(np.count_nonzero(A < e)) for e in eps]
+
+
+def _mc_samples(terms, region, box, area, eps, n, seed, threads):
+    if n <= 0:
+        raise ValueError("budget must be positive")
+    blocks = []
+    off = 0
+    while off < n:
+        count = min(_BLOCK, n - off)
+        blocks.append((terms, region, box, eps, seed, len(blocks), count))
+        off += count
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            counts = list(pool.map(_mc_block, blocks))
+    else:
+        counts = [_mc_block(b) for b in blocks]
+    k_in = sum(c[0] for c in counts)
+    if k_in == 0:
+        return [MeasureSample(epsilon, 0.0, area, n, "MC") for epsilon in eps]
+    out = []
+    for i, epsilon in enumerate(eps):
+        k_sub = sum(c[1][i] for c in counts)
+        phat = k_sub / k_in
+        estimate = area * phat
+        if k_sub == 0 or k_sub == k_in:
+            # rule-of-three scale for empty and full counts, where the
+            # binomial formula would claim an error of 0
+            stderr = area * 3.0 / k_in
+        else:
+            stderr = area * math.sqrt(phat * (1.0 - phat) / k_in)
+        out.append(MeasureSample(epsilon, estimate, stderr, n, "MC"))
+    return out
+
+
+def _grid_estimates(terms, region, box, area, eps, d: int) -> Tuple[List[float], int]:
+    """Midpoint-rule estimates on the 2^d x 2^d grid, one per epsilon, and the
+    number of cells inside the region."""
+    n_axis = 1 << d
+    x0, x1, y0, y1 = box
+    xs = x0 + (x1 - x0) * (np.arange(n_axis) + 0.5) / n_axis
+    Y = (y0 + (y1 - y0) * (np.arange(n_axis) + 0.5) / n_axis)[None, :]
+    k_in = 0
+    k_sub = [0] * len(eps)
+    chunk = max(1, 4_000_000 // n_axis)
+    for i in range(0, n_axis, chunk):
+        X = xs[i:i + chunk][:, None]
+        inside = _member_mask(region, X, Y)
+        k = int(np.count_nonzero(inside))
+        if k == 0:
+            continue
+        k_in += k
+        A = np.abs(_eval_phase(terms, X, Y)[inside])
+        for j, e in enumerate(eps):
+            k_sub[j] += int(np.count_nonzero(A < e))
+    if k_in == 0:
+        return [0.0] * len(eps), 0
+    return [area * k / k_in for k in k_sub], k_in
+
+
+def _grid_samples(terms, region, box, area, eps, depth: int):
+    if not 1 <= depth <= 14:
+        raise ValueError("grid depth must be between 1 and 14")
+    ests, cells = _grid_estimates(terms, region, box, area, eps, depth)
+    prevs, _ = _grid_estimates(terms, region, box, area, eps, depth - 1)
+    x0, x1, y0, y1 = box
+    h = max(x1 - x0, y1 - y0) / (1 << depth)
+    out = []
+    for epsilon, est, prev in zip(eps, ests, prevs):
+        # successive differences can be accidentally small; floor the error by
+        # the boundary-cell band of an isoperimetric set of the same area
+        perimeter_proxy = 2.0 * math.sqrt(math.pi * max(est, 0.0))
+        stderr = max(abs(est - prev), 0.5 * perimeter_proxy * h,
+                     area / max(cells, 1))
+        out.append(MeasureSample(epsilon, est, stderr, cells, "GRID"))
+    return out
 
 
 def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
-                     budget: int = 10 ** 6, seed: int = 0,
-                     method: str = "MC", threads: int = 1) -> MeasureSample:
+                     budget: int = 10 ** 6, seed: int = 0, method: str = "MC",
+                     threads: int = 1) -> Union[MeasureSample, List[MeasureSample]]:
     """Estimate |{(x,y) in region: |S(x,y)| < epsilon}|.
+
+    epsilon is one positive value, which returns one MeasureSample, or a
+    sequence of them, which returns a list in the same order.  A grid call is
+    bit-identical to one call per value: MC draws and evaluates each block
+    once and counts every epsilon in it, GRID builds its two grids once.
 
     method MC: budget = number of samples (conditional hit estimator on the
     bounding box; stderr from the binomial count).  method GRID: budget =
@@ -223,9 +307,12 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     monomial_measure_exact; only single-term phases on a monomial curved
     triangle qualify.
     """
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
+    single = np.ndim(epsilon) == 0
+    eps = [float(e) for e in ([epsilon] if single else epsilon)]
+    if any(e <= 0.0 for e in eps):
         raise ValueError("epsilon must be positive")
+    if not eps:
+        return []
     area = region_area(region)
 
     if method == "EXACT":
@@ -237,79 +324,20 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
         ((ma, mb), mc), = region.upper.items()
         if mb != 0 or mc <= 0:
             raise ValueError("EXACT method needs an upper boundary N x^m with N > 0")
-        mm = monomial_measure_exact(abs(ec), ea, eb, ma, mc, region.x_max, epsilon)
-        return MeasureSample(epsilon, mm.value, 0.0, 0, "EXACT")
-
-    box = _bounding_box(region)
-    terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
-
-    if method == "MC":
-        n = int(budget)
-        if n <= 0:
-            raise ValueError("budget must be positive")
-        blocks = []
-        off = 0
-        while off < n:
-            count = min(_BLOCK, n - off)
-            blocks.append((terms, region, box, epsilon, seed, len(blocks), count))
-            off += count
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = list(pool.map(_mc_block, blocks))
+        out = [MeasureSample(e, monomial_measure_exact(abs(ec), ea, eb, ma, mc,
+                                                       region.x_max, e).value,
+                             0.0, 0, "EXACT")
+               for e in eps]
+    else:
+        box = _bounding_box(region)
+        terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
+        if method == "MC":
+            out = _mc_samples(terms, region, box, area, eps, int(budget), seed, threads)
+        elif method == "GRID":
+            out = _grid_samples(terms, region, box, area, eps, int(budget))
         else:
-            counts = [_mc_block(b) for b in blocks]
-        k_in = sum(c[0] for c in counts)
-        k_sub = sum(c[1] for c in counts)
-        if k_in == 0:
-            return MeasureSample(epsilon, 0.0, area, n, "MC")
-        phat = k_sub / k_in
-        estimate = area * phat
-        if k_sub == 0 or k_sub == k_in:
-            # rule-of-three scale for empty and full counts, where the
-            # binomial formula would claim an error of 0
-            stderr = area * 3.0 / k_in
-        else:
-            stderr = area * math.sqrt(phat * (1.0 - phat) / k_in)
-        return MeasureSample(epsilon, estimate, stderr, n, "MC")
-
-    if method == "GRID":
-        depth = int(budget)
-        if not 1 <= depth <= 14:
-            raise ValueError("grid depth must be between 1 and 14")
-
-        def grid_estimate(d: int) -> Tuple[float, int]:
-            n_axis = 1 << d
-            x0, x1, y0, y1 = box
-            xs = x0 + (x1 - x0) * (np.arange(n_axis) + 0.5) / n_axis
-            ys = y0 + (y1 - y0) * (np.arange(n_axis) + 0.5) / n_axis
-            k_in = 0
-            k_sub = 0
-            chunk = max(1, 4_000_000 // n_axis)
-            for i in range(0, n_axis, chunk):
-                X = xs[i:i + chunk][:, None]
-                Y = ys[None, :]
-                Xb, Yb = np.broadcast_arrays(X, Y)
-                inside = _member_mask(region, Xb, Yb)
-                k_in += int(np.count_nonzero(inside))
-                if k_in:
-                    S = _eval_phase(terms, Xb[inside], Yb[inside])
-                    k_sub += int(np.count_nonzero(np.abs(S) < epsilon))
-            if k_in == 0:
-                return 0.0, 0
-            return area * k_sub / k_in, k_in
-
-        est, cells = grid_estimate(depth)
-        prev, _ = grid_estimate(depth - 1)
-        # successive differences can be accidentally small; floor the error by
-        # the boundary-cell band of an isoperimetric set of the same area
-        x0, x1, y0, y1 = box
-        h = max(x1 - x0, y1 - y0) / (1 << depth)
-        perimeter_proxy = 2.0 * math.sqrt(math.pi * max(est, 0.0))
-        stderr = max(abs(est - prev), 0.5 * perimeter_proxy * h,
-                     area / max(cells, 1))
-        return MeasureSample(epsilon, est, stderr, cells, "GRID")
-
-    raise ValueError("method must be MC, GRID, or EXACT")
+            raise ValueError("method must be MC, GRID, or EXACT")
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -638,53 +666,88 @@ def oscillatory_integral(p: PuiseuxPoly, cutoff: Cutoff, lam,
     Panel count doubles until two consecutive estimates agree to rtol
     (relative) or atol (absolute).  Non-convergence at the requested depth
     raises RuntimeError carrying the last estimate in .achieved.  Negative
-    lam is evaluated by conjugation of the positive-lam integral.
+    lam is evaluated by conjugation of the positive-lam integral.  This is
+    decay_pairs on a one-value grid.
     """
-    lam = float(lam)
-    if lam < 0.0:
-        return oscillatory_integral(p, cutoff, -lam, depth, rtol, atol,
-                                    nodes).conjugate()
+    return decay_pairs(p, cutoff, [lam], depth=depth, rtol=rtol, atol=atol,
+                       nodes=nodes)[0][1]
+
+
+def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
+                depth: int = 9, rtol: float = 1e-3, atol: float = 1e-9,
+                nodes: int = 10) -> List[Tuple[float, complex]]:
+    """(lam, oscillatory_integral(p, cutoff, lam)) for each lam, in input order.
+
+    One panel ladder serves the whole grid, bit-identical to one call per
+    lam: each level evaluates the bump, the phase and the weight products
+    once per chunk and reuses them for every lam still on the ladder, and a
+    lam leaves at the level where its own ladder stops.  A negative lam is
+    computed at |lam| and conjugated, a repeated one once.  If some lam has
+    not converged after depth doublings, the RuntimeError of the first such
+    lam in input order is raised (for a negative lam, that of |lam|).
+    """
+    lams = [float(l) for l in lams]
+    if not lams:
+        return []
     terms = _phase_terms(p, needs_negative_x=True)
     r = float(cutoff.radius)
     if r <= 0.0:
         raise ValueError("cutoff radius must be positive")
     gl_x, gl_w = np.polynomial.legendre.leggauss(int(nodes))
 
-    def estimate(panels: int) -> complex:
+    def estimates(panels: int, run: List[float]) -> List[complex]:
         h = 2.0 * r / panels
         centers = -r + h * (np.arange(panels) + 0.5)
         X = (centers[:, None] + 0.5 * h * gl_x[None, :]).ravel()
         W = np.tile(0.5 * h * gl_w, panels)
-        total = 0.0 + 0.0j
+        Y, WY = X[None, :], W[None, :]
+        totals = [0.0 + 0.0j] * len(run)
         chunk = max(1, 4_000_000 // len(X))
         for i in range(0, len(X), chunk):
             Xb = X[i:i + chunk][:, None]
-            Yb = X[None, :]
-            Xg, Yg = np.broadcast_arrays(Xb, Yb)
-            phi = _bump_values(cutoff, Xg, Yg)
-            S = _eval_phase(terms, Xg, Yg)
-            vals = phi * np.exp(1j * lam * S)
-            total += complex((W[i:i + chunk][:, None] * W[None, :] * vals).sum())
-        return total
+            phi = _bump_values(cutoff, Xb, Y)
+            S = _eval_phase(terms, Xb, Y)
+            WW = W[i:i + chunk][:, None] * WY
+            z = np.empty(S.shape, dtype=complex)
+            for k, lam in enumerate(run):
+                # the operations of (WW * (phi * exp(1j*lam*S))).sum(), in place
+                np.multiply(1j * lam, S, out=z)
+                np.exp(z, out=z)
+                z *= phi
+                z *= WW
+                totals[k] += complex(z.sum())
+        return totals
 
-    prev = estimate(8)
+    # each distinct |lam| runs once, keyed by its bits so that 0.0, -0.0 and
+    # nan stay apart
+    keys = [(-lam if lam < 0.0 else lam).hex() for lam in lams]
+    active = list(dict.fromkeys(keys))
+    prev = dict(zip(active, estimates(8, [float.fromhex(k) for k in active])))
+    done: Dict[str, complex] = {}
     panels = 8
     for _ in range(int(depth)):
+        if not active:
+            break
         panels *= 2
-        cur = estimate(panels)
-        if abs(cur - prev) <= max(rtol * abs(cur), atol):
-            return cur
-        prev = cur
-    err = RuntimeError(
-        f"oscillatory quadrature did not converge by {panels} panels; "
-        f"last estimate {prev!r}")
-    err.achieved = prev
-    raise err
+        still = []
+        for key, cur in zip(active, estimates(panels, [float.fromhex(k) for k in active])):
+            if abs(cur - prev[key]) <= max(rtol * abs(cur), atol):
+                done[key] = cur
+            else:
+                prev[key] = cur
+                still.append(key)
+        active = still
 
-
-def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
-                **kw) -> List[Tuple[float, complex]]:
-    return [(float(l), oscillatory_integral(p, cutoff, l, **kw)) for l in lams]
+    out = []
+    for lam, key in zip(lams, keys):
+        if key not in done:
+            err = RuntimeError(
+                f"oscillatory quadrature did not converge by {panels} panels; "
+                f"last estimate {prev[key]!r}")
+            err.achieved = prev[key]
+            raise err
+        out.append((lam, done[key].conjugate() if lam < 0.0 else done[key]))
+    return out
 
 
 def decay_coefficient_cap(index, samples: Sequence[MeasureSample],

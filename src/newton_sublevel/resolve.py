@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .adapt import _require_critical
 from .exact_poly import (
     DEFAULT_TRUNCATION_ORDER,
     PuiseuxPoly,
@@ -586,12 +587,14 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
 
     The input must already be reflected into the first quadrant (use
     reflect_axes for the other sectors).  Charts are certified by sampling,
-    halving each chart's radius until its comparability check passes.
+    halving each chart's radius until its comparability check passes.  A zero
+    phase, or one without a critical point at the origin, raises ValueError.
     """
     if params is None:
         params = ResolveParams()
     if p.is_zero():
         raise ValueError("cannot resolve the zero phase")
+    _require_critical(p)
     trunc = Fraction(params.truncation_order)
     poly = newton_polygon_of(p)
     eta = params.eta

@@ -276,6 +276,9 @@ def test_exit_2_with_failure_marker(tmp_path):
     ["analyze", "y - x^2 - x^8 + y^9"],
     ["sweep", "(y - x^2) - x^8", "y^9"],
     ["analyze", "y"],
+    ["resolve", "1 + x^2"],
+    ["resolve", "y"],
+    ["resolve", "y - x^2 - x^8 + y^9"],
 ])
 def test_exit_2_without_critical_point(tmp_path, argv):
     # a linear term puts the phase outside the model: it is rejected before

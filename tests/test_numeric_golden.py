@@ -1,0 +1,189 @@
+"""Golden values of the numeric layer (MC and GRID sublevel measures, the curved-
+triangle MC call, the oscillatory panel ladder), recorded from the per-value
+estimators that the epsilon-grid and lambda-grid engines replaced; every float
+must match bit for bit, and a grid call must equal the per-value calls."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from newton_sublevel import (Cutoff, Disk, curved_triangle, decay_pairs,
+                             oscillatory_integral, parse_expression, sublevel_measure)
+from helpers import phase
+
+EPS = [1e-1, 1e-2, 1e-3, 1e-4]
+BUDGET = 3 * (1 << 16) + 123      # three full MC blocks and a partial last one
+MC_SEED = 7
+
+# (float.hex(estimate), float.hex(stderr), n_samples) per epsilon of EPS; the
+# MC values are the same at threads=1 and threads=4
+MC_HEX = {
+    "x^2*y^2 + x^5": [
+        ("0x1.193ee1186f702p+1", "0x1.e068dd0d5569dp-9", 196731),
+        ("0x1.056ef09ad181ap+0", "0x1.eac31217e6aaap-9", 196731),
+        ("0x1.a977662c39fb3p-2", "0x1.62f14dfe4ced6p-9", 196731),
+        ("0x1.44892ab877b7fp-3", "0x1.ca9a651310b16p-10", 196731),
+    ],
+    "y^2 - x^3": [
+        ("0x1.6d7b9e8c403e6p-1", "0x1.b70abed394ebap-9", 196731),
+        ("0x1.04585989e4d1ep-3", "0x1.9ce7a63ce6ea2p-10", 196731),
+        ("0x1.48e8dbf177431p-6", "0x1.4df21c82524a1p-11", 196731),
+        ("0x1.6fe61db30ccaap-9", "0x1.f4dbb5802da34p-13", 196731),
+    ],
+}
+GRID_HEX = {
+    ("x^2*y^2 + x^5", 6): [
+        ("0x1.188a399f48f1fp+1", "0x1.4fdfeb5ea8327p-4", 3228),
+        ("0x1.009f2de38d4c5p+0", "0x1.c64c84da60e5bp-5", 3228),
+        ("0x1.9a98496c1546dp-2", "0x1.1f52e816784a2p-5", 3228),
+        ("0x1.36ef98888769dp-3", "0x1.cb0a3833c8340p-6", 3228),
+    ],
+    ("x^2*y^2 + x^5", 7): [
+        ("0x1.182a072fc1bc3p+1", "0x1.4fa65081d32dap-5", 12892),
+        ("0x1.032414c8b3feep+0", "0x1.c885f6254e1f1p-6", 12892),
+        ("0x1.a4b6d18100b99p-2", "0x1.22d7c8a9807fep-6", 12892),
+        ("0x1.4862f7f31e05cp-3", "0x1.6b63c466e83ddp-7", 12892),
+    ],
+    # at depth 6 no cell centre has |S| < 1e-4: an empty count
+    ("y^2 - x^3", 6): [
+        ("0x1.67c4d07d2686cp-1", "0x1.7c5b734d07987p-5", 3228),
+        ("0x1.e655ee93e77e3p-4", "0x1.38b42414525e6p-6", 3228),
+        ("0x1.1f048ccccbc43p-6", "0x1.e073842b67e90p-8", 3228),
+        ("0x0.0p+0", "0x1.fe40fa4fa323ep-11", 3228),
+    ],
+    ("y^2 - x^3", 7): [
+        ("0x1.6853b1ea15454p-1", "0x1.7ca6f3200f460p-6", 12892),
+        ("0x1.f31159b2d7417p-4", "0x1.3cc53d7296a1fp-7", 12892),
+        ("0x1.47637223664bbp-6", "0x1.009084baf58c8p-8", 12892),
+        ("0x1.ff0b9f6f73f95p-9", "0x1.ff0b9f6f73f95p-9", 12892),
+    ],
+}
+# the full-count call of tests/test_measure_lab.py (sampling seed 400, tri-35)
+TRI_HEX = ("0x1.0000000000000p-6", "0x1.01a80f43ca3cep-19", 100000)
+
+# (float.hex(lambda), float.hex(re J), float.hex(im J)) per input lambda
+DECAY_CASES = {
+    "x^2*y^2 + x^5": [float(v) for v in np.geomspace(10, 200, 4)],   # 10..200:4
+    "x^2 + y^2": [200.0, -400.0, 800.0, 200.0],   # a negative and a repeated lambda
+}
+DECAY_HEX = {
+    "x^2*y^2 + x^5": [
+        ("0x1.4000000000000p+3", "0x1.76d8b5c213ecep-1", "0x1.aad2342522330p-5"),
+        ("0x1.b24e8baad9d29p+4", "0x1.490e1adcb4f16p-1", "0x1.77e394948d366p-4"),
+        ("0x1.26b8f710478bep+6", "0x1.07365c08c243dp-1", "0x1.f38e70f18c690p-4"),
+        ("0x1.9000000000000p+7", "0x1.869fa10f0b2aep-2", "0x1.fbe516bb53ad4p-4"),
+    ],
+    "x^2 + y^2": [
+        ("0x1.9000000000000p+7", "0x1.ee1dfc17c45dfp-13", "0x1.01520c23d2f87p-6"),
+        ("-0x1.9000000000000p+8", "0x1.ee1ed1141b8ecp-15", "-0x1.01597f4c8ff59p-7"),
+        ("0x1.9000000000000p+9", "0x1.ee20a7ee9e370p-17", "0x1.015b5b2f92575p-8"),
+        ("0x1.9000000000000p+7", "0x1.ee1dfc17c45dfp-13", "0x1.01520c23d2f87p-6"),
+    ],
+}
+# x^2 + y^2 at lambda = 800 with one doubling (depth=1)
+NONCONV_MESSAGE = ("oscillatory quadrature did not converge by 16 panels; last estimate "
+                   "(-0.0021168251311545075+0.0018490962358397793j)")
+NONCONV_HEX = ("-0x1.1574dd6b587e2p-9", "0x1.e4babf70bb0dep-10")
+
+
+def _hex(s):
+    return (float.hex(s.estimate), float.hex(s.stderr), s.n_samples)
+
+
+def _poly(expr):
+    return parse_expression(expr).poly
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("expr", sorted(MC_HEX))
+def test_mc_golden(expr, threads):
+    got = [_hex(sublevel_measure(_poly(expr), Disk(1.0), e, budget=BUDGET, seed=MC_SEED,
+                                 threads=threads)) for e in EPS]
+    assert got == MC_HEX[expr]
+
+
+@pytest.mark.parametrize("key", sorted(GRID_HEX))
+def test_grid_golden(key):
+    expr, depth = key
+    got = [_hex(sublevel_measure(_poly(expr), Disk(1.0), e, budget=depth, method="GRID"))
+           for e in EPS]
+    assert got == GRID_HEX[key]
+
+
+def test_curved_triangle_golden():
+    tri = curved_triangle(Fraction(3), Fraction(1), 0.5)
+    s = sublevel_measure(phase((3, 3, 2)), tri, 0.005838, budget=100_000, seed=635989)
+    assert _hex(s) == TRI_HEX
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("expr", sorted(MC_HEX))
+def test_mc_epsilon_grid_call_golden(expr, threads):
+    got = sublevel_measure(_poly(expr), Disk(1.0), EPS, budget=BUDGET, seed=MC_SEED,
+                           threads=threads)
+    assert isinstance(got, list)
+    assert [_hex(s) for s in got] == MC_HEX[expr]
+    assert [s.epsilon for s in got] == EPS
+
+
+@pytest.mark.parametrize("key", sorted(GRID_HEX))
+def test_grid_epsilon_grid_call_golden(key):
+    expr, depth = key
+    got = sublevel_measure(_poly(expr), Disk(1.0), EPS, budget=depth, method="GRID")
+    assert [_hex(s) for s in got] == GRID_HEX[key]
+
+
+@pytest.mark.parametrize("method,budget", [("MC", BUDGET), ("GRID", 6), ("EXACT", 0)])
+def test_epsilon_grid_call_equals_per_value_calls(method, budget):
+    # any order, repeats and int-valued entries come back element for element
+    eps = [1e-3, 0.3, 1e-3, 2e-2, 1]
+    if method == "EXACT":
+        p, region = phase((2, 1, 2)), curved_triangle(Fraction(2), Fraction(1), 0.75)
+    else:
+        p, region = _poly("x^2*y^2 + x^5"), Disk(1.0)
+    got = sublevel_measure(p, region, eps, budget=budget, seed=3, method=method)
+    want = [sublevel_measure(p, region, e, budget=budget, seed=3, method=method)
+            for e in eps]
+    assert got == want
+    assert sublevel_measure(p, region, [], budget=budget, seed=3, method=method) == []
+
+
+def test_epsilon_grid_rejects_a_nonpositive_entry():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        sublevel_measure(_poly("y^2 - x^3"), Disk(1.0), [1e-2, 0.0], budget=1000)
+
+
+@pytest.mark.parametrize("expr", sorted(DECAY_CASES))
+def test_decay_pairs_golden(expr):
+    pairs = decay_pairs(_poly(expr), Cutoff(), DECAY_CASES[expr])
+    got = [(float.hex(l), float.hex(J.real), float.hex(J.imag)) for l, J in pairs]
+    assert got == DECAY_HEX[expr]
+
+
+@pytest.mark.parametrize("expr", sorted(DECAY_CASES))
+def test_decay_pairs_equal_per_value_integrals(expr):
+    p, lams = _poly(expr), DECAY_CASES[expr]
+    want = [(lam, oscillatory_integral(p, Cutoff(), lam)) for lam in lams]
+    assert decay_pairs(p, Cutoff(), lams) == want
+
+
+def test_nonconvergence_message_and_achieved():
+    with pytest.raises(RuntimeError) as info:
+        oscillatory_integral(_poly("x^2 + y^2"), Cutoff(), 800.0, depth=1)
+    assert str(info.value) == NONCONV_MESSAGE
+    got = info.value.achieved
+    assert (float.hex(got.real), float.hex(got.imag)) == NONCONV_HEX
+
+
+def test_decay_pairs_raise_for_the_first_nonconverging_lambda():
+    # lambda = 5 converges within one doubling; -800 is computed at 800, fails
+    # first in input order, and raises the error of 800 itself, unconjugated
+    p = _poly("x^2 + y^2")
+    assert oscillatory_integral(p, Cutoff(), 5.0, depth=1)
+    for lams in ([5.0, -800.0, 800.0], [5.0, 800.0]):
+        with pytest.raises(RuntimeError) as info:
+            decay_pairs(p, Cutoff(), lams, depth=1)
+        assert str(info.value) == NONCONV_MESSAGE
+        got = info.value.achieved
+        assert (float.hex(got.real), float.hex(got.imag)) == NONCONV_HEX
