@@ -518,8 +518,8 @@ def _parse_range(spec: str, what: str) -> List[float]:
         n = int(cnt) if cnt else 8
     except ValueError:
         raise _UsageError(f"--{what} expects LO..HI[:COUNT], got {spec!r}")
-    if lof <= 0 or hif <= 0 or n < 1:
-        raise _UsageError(f"--{what}: bounds must be positive and COUNT >= 1")
+    if not (0 < lof < math.inf and 0 < hif < math.inf) or n < 1:
+        raise _UsageError(f"--{what}: bounds must be positive and finite and COUNT >= 1")
     if n == 1:
         return [lof]
     return [float(v) for v in np.geomspace(lof, hif, n)]
@@ -665,7 +665,10 @@ def _cmd_resolve(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
     if opts["mode"] is not None:
         overrides["mode"] = opts["mode"]
     if overrides:
-        params = dataclasses.replace(params, **overrides)
+        try:
+            params = dataclasses.replace(params, **overrides)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
     dec = resolve(expr.poly, params)
     _write_json(out, "resolution.json", decomposition_to_json(dec))
 

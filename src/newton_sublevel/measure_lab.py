@@ -295,8 +295,8 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
                      threads: int = 1) -> Union[MeasureSample, List[MeasureSample]]:
     """Estimate |{(x,y) in region: |S(x,y)| < epsilon}|.
 
-    epsilon is one positive value, which returns one MeasureSample, or a
-    sequence of them, which returns a list in the same order.  A grid call is
+    epsilon is one positive finite value, which returns one MeasureSample, or
+    a sequence of them, which returns a list in the same order.  A grid call is
     bit-identical to one call per value: MC draws and evaluates each block
     once and counts every epsilon in it, GRID builds its two grids once.
 
@@ -309,8 +309,8 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     """
     single = np.ndim(epsilon) == 0
     eps = [float(e) for e in ([epsilon] if single else epsilon)]
-    if any(e <= 0.0 for e in eps):
-        raise ValueError("epsilon must be positive")
+    if not all(0.0 < e < math.inf for e in eps):
+        raise ValueError("epsilon must be positive and finite")
     if not eps:
         return []
     area = region_area(region)
@@ -682,11 +682,14 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     lam: each level evaluates the bump, the phase and the weight products
     once per chunk and reuses them for every lam still on the ladder, and a
     lam leaves at the level where its own ladder stops.  A negative lam is
-    computed at |lam| and conjugated, a repeated one once.  If some lam has
-    not converged after depth doublings, the RuntimeError of the first such
-    lam in input order is raised (for a negative lam, that of |lam|).
+    computed at |lam| and conjugated, a repeated one once, and a non-finite
+    one raises ValueError.  If some lam has not converged after depth
+    doublings, the RuntimeError of the first such lam in input order is
+    raised (for a negative lam, that of |lam|).
     """
     lams = [float(l) for l in lams]
+    if not all(math.isfinite(l) for l in lams):
+        raise ValueError("lambda must be finite")
     if not lams:
         return []
     terms = _phase_terms(p, needs_negative_x=True)
@@ -718,8 +721,8 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
                 totals[k] += complex(z.sum())
         return totals
 
-    # each distinct |lam| runs once, keyed by its bits so that 0.0, -0.0 and
-    # nan stay apart
+    # each distinct |lam| runs once, keyed by its bits so that 0.0 and -0.0
+    # stay apart
     keys = [(-lam if lam < 0.0 else lam).hex() for lam in lams]
     active = list(dict.fromkeys(keys))
     prev = dict(zip(active, estimates(8, [float.fromhex(k) for k in active])))

@@ -25,7 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .adapt import _require_critical
 from .exact_poly import (
@@ -65,6 +69,13 @@ class ResolveParams:
     certify_retries: int = 20
     verify_samples: int = 400
     verify_seed: int = 1729
+
+    def __post_init__(self):
+        # comparability 1 - delta <= |S / model| <= 1 + delta needs delta < 1
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        if not self.x_max > 0:
+            raise ValueError(f"chart radius x_max must be positive, got {self.x_max}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +157,13 @@ def _monocurve(c, a) -> PuiseuxPoly:
     return PuiseuxPoly.monomial(c, a, 0)
 
 
-def _falling(a: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
+def _falling(a: Rational, k: int) -> Fraction:
+    """a·(a-1)···(a-k+1), exactly, from the integers of a = n/d."""
+    n, d = a.numerator, a.denominator
+    num = 1
     for i in range(k):
-        out *= a - i
-    return out
+        num *= n - i * d
+    return Fraction(num, d ** k)
 
 
 def _rational_below(x: float) -> Fraction:
@@ -588,7 +601,8 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
     The input must already be reflected into the first quadrant (use
     reflect_axes for the other sectors).  Charts are certified by sampling,
     halving each chart's radius until its comparability check passes.  A zero
-    phase, or one without a critical point at the origin, raises ValueError.
+    phase, or one without a critical point at the origin, raises ValueError;
+    ResolveParams raises it when built with delta outside (0, 1) or x_max <= 0.
     """
     if params is None:
         params = ResolveParams()
@@ -680,26 +694,93 @@ def _float_terms(p: PuiseuxPoly):
     return [(float(cf), float(a), b) for (a, b), cf in p.items()]
 
 
-def _eval_terms(terms, x: float, y: float) -> float:
-    tot = 0.0
-    for cf, a, b in terms:
-        v = cf * math.pow(x, a)
-        if b:
-            v *= y**b
-        tot += v
-    return tot
-
-
 def _deriv_terms(p: PuiseuxPoly, k: int, l: int):
     """Termwise d_x^k d_y^l; x exponents may go negative (evaluated at x > 0)."""
     out = []
     for (a, b), cf in p.items():
         if b < l:
             continue
-        c = cf * _falling(a, k) * _falling(Fraction(b), l)
+        c = cf * _falling(a, k) * _falling(b, l)
         if c != 0:
             out.append((float(c), float(a - k), b - l))
     return out
+
+
+@lru_cache(maxsize=8)
+def _unit_points(samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sample positions (t, w) of verify_chart, read-only: the point is
+    x = x_max·t, y = lower + (upper - lower)·w.  The seeded quasi-random
+    points come first, then the probe grid (t outer, w inner)."""
+    phi1 = 0.6180339887498949
+    phi2 = 0.7548776662466927
+    s1 = math.modf(seed * 0.8191725133961645 + 0.1375)[0]
+    s2 = math.modf(seed * 0.2887043245670215 + 0.6913)[0]
+    ts, ws = [], []
+    for i in range(samples):
+        u = (s1 + i * phi1) % 1.0
+        v = (s2 + i * phi2) % 1.0
+        if i % 4 == 3:
+            ts.append(math.pow(4.0, -(1.0 + 3.0 * u)))
+        else:
+            ts.append(min(max(u, 1e-4), 1.0 - 1e-9))
+        if i % 5 == 4:
+            ws.append(0.001 if i % 2 else 0.999)
+        else:
+            ws.append(min(max(v, 1e-4), 1.0 - 1e-4))
+    # deterministic probes independent of the seed: remainder terms peak at
+    # large x, so certification must always see the far boundary
+    t_levels = [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
+    t_levels += [1.0 - 2.0 ** -k for k in range(3, 8)]
+    t_levels.append(1.0 - 1e-9)
+    w_levels = (0.001, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95, 0.999)
+    ts.extend(t for t in t_levels for _ in w_levels)
+    ws.extend(w_levels * len(t_levels))
+    t, w = np.array(ts), np.array(ws)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+class _Powers:
+    """v**e over the sample points, one array per distinct exponent, each
+    element computed by the scalar function pw (math.pow for x, builtin pow
+    with an int exponent for y), which also raises that function's errors."""
+
+    def __init__(self, vals: np.ndarray, pw):
+        self.n = len(vals)
+        self._vals = vals.tolist()
+        self._pw = pw
+        self._tables: Dict[object, np.ndarray] = {}
+
+    def __getitem__(self, e) -> np.ndarray:
+        t = self._tables.get(e)
+        if t is None:
+            t = np.fromiter(map(self._pw, self._vals, repeat(e)), float, self.n)
+            self._tables[e] = t
+        return t
+
+
+def _sum_terms(terms, X: _Powers, Y: _Powers) -> np.ndarray:
+    """sum cf·x^a·y^b per point, with the scalar loop's operations in order."""
+    tot = np.zeros(X.n)
+    for cf, a, b in terms:
+        v = cf * X[a]
+        if b:
+            v *= Y[b]
+        tot += v
+    return tot
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, raising like float division if some divisor is zero."""
+    if (den == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    return num / den
+
+
+def _fold_max(v: np.ndarray) -> float:
+    """max(0.0, v[0], v[1], ...) as Python folds it: a NaN never wins."""
+    m = np.max(v, initial=0.0, where=~np.isnan(v))
+    return float(m) if m > 0.0 else 0.0
 
 
 def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
@@ -713,6 +794,17 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
     the swapped quantity is reported informationally but not gated, because
     it fails scale-invariantly on valid charts (see the derivative check
     notes in the test-suite).  Mode B gates the ratio band and sign constancy.
+
+    Each check runs on arrays over all sample points at once, with the
+    per-point operations of a scalar loop, so every report is bit-identical
+    to one: powers come from libm (math.pow, and float ** int for y), one
+    array per distinct exponent, and the rest is + - × ÷, abs and comparisons,
+    which IEEE rounds exactly.  numpy.power is not used because its SIMD loop
+    differs from libm pow in the last bit on a few per cent of elements.
+    Errors keep their types and messages: the empty-domain ValueError names
+    the first offending x in point order, a zero model or derivative scale
+    raises ZeroDivisionError, and an overflowing power raises libm's
+    OverflowError.
     """
     b_coef, alpha, beta = c.monomial
     bf, af = float(b_coef), float(alpha)
@@ -723,88 +815,62 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
     up_t = _float_terms(c.upper)
     ph_t = _float_terms(c.phase)
     delta = float(c.delta)
+    t, w = _unit_points(samples, seed)
 
-    phi1 = 0.6180339887498949
-    phi2 = 0.7548776662466927
-    s1 = math.modf(seed * 0.8191725133961645 + 0.1375)[0]
-    s2 = math.modf(seed * 0.2887043245670215 + 0.6913)[0]
+    with np.errstate(all="ignore"):
+        x = x_hi * t
+        X = _Powers(x, math.pow)
+        Y0 = _Powers(np.zeros_like(x), pow)     # the curves are taken at y = 0
+        lo = _sum_terms(lo_t, X, Y0)
+        up = _sum_terms(up_t, X, Y0)
+        empty = ~(up > lo)
+        if empty.any():
+            bad = float(x[np.argmax(empty)])
+            raise ValueError(f"empty chart domain at x = {bad:.3g}: shrink x_max")
+        Y = _Powers(lo + (up - lo) * w, pow)
+        deriv_report: Optional[Dict[str, object]] = None
 
-    xs = []
-    for i in range(samples):
-        u = (s1 + i * phi1) % 1.0
-        v = (s2 + i * phi2) % 1.0
-        if i % 4 == 3:
-            x = x_hi * math.pow(4.0, -(1.0 + 3.0 * u))
+        if c.mode == "C":
+            bi = int(beta)
+            model = bf * X[af] * Y[bi]
+            val = _sum_terms(ph_t, X, Y)
+            sign_ok = not (val * model <= 0.0).any()
+            worst_ratio = _fold_max(abs(_divide(val, model) - 1.0))
+            worst_d = 0.0
+            worst_printed = 0.0
+            orders = []
+            for k in range(math.ceil(alpha) + 1):
+                for l in range(bi + 1):
+                    if k == 0 and l == 0:
+                        continue
+                    orders.append((k, l))
+                    dval = _sum_terms(_deriv_terms(c.phase, k, l), X, Y)
+                    mcf = bf * float(_falling(alpha, k)) * float(_falling(bi, l))
+                    lhs = abs(dval - mcf * X[af - k] * Y[bi - l])
+                    nat = abs(bf) * X[af - k] * Y[bi - l]
+                    pr = abs(bf) * X[af - l] * Y[bi - k]
+                    worst_d = max(worst_d, _fold_max(_divide(lhs, nat)))
+                    worst_printed = max(worst_printed,
+                                        _fold_max(np.where(pr > 0, lhs / pr, 0.0)))
+            deriv_report = {"max_violation": worst_d,
+                            "printed_form_violation": worst_printed,
+                            "orders": orders}
+            passed = sign_ok and worst_ratio <= delta and worst_d <= delta
+        elif c.mode == "B":
+            if c.band is None:
+                raise ValueError("band chart missing its ratio band")
+            blo, bhi = float(c.band[0]), float(c.band[1])
+            lo_gate, hi_gate = blo * (1.0 - delta), bhi * (1.0 + delta)
+            val = _sum_terms(ph_t, X, Y)
+            ratio = _divide(val, bf * X[af])
+            sign_ok = not (ratio <= 0.0).any()
+            if blo == 0.0 or bhi == 0.0:
+                raise ZeroDivisionError("float division by zero")
+            worst_ratio = max(_fold_max((lo_gate - ratio) / blo),
+                              _fold_max((ratio - hi_gate) / bhi))
+            passed = sign_ok and worst_ratio == 0.0
         else:
-            x = x_hi * min(max(u, 1e-4), 1.0 - 1e-9)
-        if i % 5 == 4:
-            w = 0.001 if i % 2 else 0.999
-        else:
-            w = min(max(v, 1e-4), 1.0 - 1e-4)
-        xs.append((x, w))
-    # deterministic probes independent of the seed: remainder terms peak at
-    # large x, so certification must always see the far boundary
-    x_levels = [x_hi * q for q in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)]
-    x_levels += [x_hi * (1.0 - 2.0 ** -k) for k in range(3, 8)]
-    x_levels.append(x_hi * (1.0 - 1e-9))
-    w_levels = (0.001, 0.05, 0.2, 0.4, 0.5, 0.6, 0.8, 0.95, 0.999)
-    xs.extend((x, w) for x in x_levels for w in w_levels)
-
-    pts = []
-    for x, w in xs:
-        lo = _eval_terms(lo_t, x, 0.0)
-        up = _eval_terms(up_t, x, 0.0)
-        if not up > lo:
-            raise ValueError(f"empty chart domain at x = {x:.3g}: shrink x_max")
-        pts.append((x, lo + (up - lo) * w))
-
-    sign_ok = True
-    worst_ratio = 0.0
-    deriv_report: Optional[Dict[str, object]] = None
-
-    if c.mode == "C":
-        bi = int(beta)
-        for x, y in pts:
-            model = bf * math.pow(x, af) * y**bi
-            val = _eval_terms(ph_t, x, y)
-            if val * model <= 0.0:
-                sign_ok = False
-            worst_ratio = max(worst_ratio, abs(val / model - 1.0))
-        worst_d = 0.0
-        worst_printed = 0.0
-        orders = []
-        for k in range(math.ceil(alpha) + 1):
-            for l in range(bi + 1):
-                if k == 0 and l == 0:
-                    continue
-                orders.append((k, l))
-                dt = _deriv_terms(c.phase, k, l)
-                mcf = bf * float(_falling(alpha, k)) * float(_falling(Fraction(bi), l))
-                for x, y in pts:
-                    lhs = abs(_eval_terms(dt, x, y)
-                              - mcf * math.pow(x, af - k) * y ** (bi - l))
-                    nat = abs(bf) * math.pow(x, af - k) * y ** (bi - l)
-                    pr = abs(bf) * math.pow(x, af - l) * y ** (bi - k)
-                    worst_d = max(worst_d, lhs / nat)
-                    worst_printed = max(worst_printed, lhs / pr if pr > 0 else 0.0)
-        deriv_report = {"max_violation": worst_d,
-                        "printed_form_violation": worst_printed,
-                        "orders": orders}
-        passed = sign_ok and worst_ratio <= delta and worst_d <= delta
-    elif c.mode == "B":
-        if c.band is None:
-            raise ValueError("band chart missing its ratio band")
-        blo, bhi = float(c.band[0]), float(c.band[1])
-        lo_gate, hi_gate = blo * (1.0 - delta), bhi * (1.0 + delta)
-        for x, y in pts:
-            ratio = _eval_terms(ph_t, x, y) / (bf * math.pow(x, af))
-            if ratio <= 0.0:
-                sign_ok = False
-            breach = max(0.0, (lo_gate - ratio) / blo, (ratio - hi_gate) / bhi)
-            worst_ratio = max(worst_ratio, breach)
-        passed = sign_ok and worst_ratio == 0.0
-    else:
-        raise ValueError(f"unknown chart mode {c.mode!r}")
+            raise ValueError(f"unknown chart mode {c.mode!r}")
 
     return VerifyReport(passed=passed, mode=c.mode,
                         max_ratio_violation=worst_ratio,

@@ -263,6 +263,24 @@ def test_exit_1_on_usage_error(tmp_path):
     assert run(["measure", "x^2 + y^2", "--mode", "telepathic"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["measure", "y^2 - x^3", "--eps", "nan..1e-2:4", "--samples", "1000"],
+    ["measure", "y^2 - x^3", "--eps", "1e-3..inf:3"],
+    ["oscillate", "x^2 + y^2", "--lambda", "nan..100:2"],
+    ["resolve", "x^2 + y^2", "--delta", "2"],
+    ["resolve", "x^2 + y^2", "--delta", "1"],
+    ["resolve", "x^2 + y^2", "--delta", "0"],
+    ["resolve", "x^2 + y^2", "--radius", "0"],
+])
+def test_exit_1_on_value_outside_the_model(tmp_path, argv):
+    # a NaN bound passes a `<= 0` test, and comparability needs 0 < delta < 1:
+    # each is a usage error, refused before any sampling, quadrature or halving
+    start = time.monotonic()
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert time.monotonic() - start < 1.0
+    assert not list(tmp_path.iterdir())
+
+
 def test_exit_2_with_failure_marker(tmp_path):
     # nonintegral edge slope defeats the shear reduction
     code = run(["analyze", "(y - x^(3/2))^2", "--out", str(tmp_path)])

@@ -338,6 +338,17 @@ def test_oscillation_linear_phase_is_tiny():
     assert abs(val) < 1e-8
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_epsilon_and_lambda_rejected(bad):
+    p = phase((1, 2, 0), (1, 0, 2))
+    with pytest.raises(ValueError, match="epsilon"):
+        sublevel_measure(p, Disk(1.0), [1e-2, bad], budget=1000)
+    with pytest.raises(ValueError, match="epsilon"):
+        sublevel_measure(p, Disk(1.0), bad, budget=4, method="GRID")
+    with pytest.raises(ValueError, match="lambda"):
+        decay_pairs(p, Cutoff(1.0, 3), [100.0, bad])
+
+
 def test_oscillation_rejects_fractional_x():
     with pytest.raises(ValueError):
         oscillatory_integral(phase((1, Fraction(1, 2), 0), (1, 0, 2)),

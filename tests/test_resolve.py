@@ -184,6 +184,17 @@ def test_zero_phase_rejected():
         resolve(PuiseuxPoly.zero())
 
 
+@pytest.mark.parametrize("field,value", [
+    ("delta", Fraction(2)), ("delta", Fraction(1)), ("delta", Fraction(0)),
+    ("delta", Fraction(-1, 4)), ("delta", float("nan")),
+    ("x_max", Fraction(0)), ("x_max", Fraction(-1, 4)),
+])
+def test_params_outside_the_model_rejected(field, value):
+    # comparability within 1 +- delta needs 0 < delta < 1, and a chart a radius > 0
+    with pytest.raises(ValueError, match=field):
+        resolve(CATALOG[0][1], ResolveParams(**{field: value}))
+
+
 def test_chart_count_structural_cap():
     for name, p in ALL_PHASES:
         dec = resolve(p)
