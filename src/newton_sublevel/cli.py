@@ -11,9 +11,12 @@ Phase expressions follow a small grammar, parsed by recursive descent:
 
 Coefficient arithmetic is exact; x may carry nonnegative rational powers,
 y only nonnegative integer ones.  Subcommands write JSON/CSV reports under
---out; exit code 0 on success, 2 on a verification failure (a
-``<command>.FAILED`` marker is left next to any partial outputs), 1 on
-usage or parse errors.  Reports carry no timestamps and serialize with
+--out.  Exit codes: 0 on success; 1 on usage or parse errors and on input
+outside the model (a ValueError); 2 when a construction, verification or
+certification step fails (a RuntimeError, or a failed check); 3 on any other
+exception, reported in one line without a traceback.  Usage and parse errors
+write nothing; every other failure leaves a ``<command>.FAILED`` marker next
+to any partial outputs.  Reports carry no timestamps and serialize with
 sorted keys so equal runs produce equal bytes; rationals appear as
 "num/den" strings.  NEWTON_SUBLEVEL_THREADS caps sampling parallelism.
 """
@@ -570,10 +573,10 @@ def _build_parser() -> _ArgParser:
     common.add_argument("--eps", default=None, metavar="LO..HI[:COUNT]")
     common.add_argument("--lambda", dest="lam", default=None, metavar="LO..HI[:COUNT]")
     common.add_argument("--mode", choices=("exact", "numeric"), default=None,
-                        help="resolve: exact (rational branch roots) or numeric; "
-                             "measure: exact runs the GRID estimator at depth "
+                        help="measure only: exact runs the GRID estimator at depth "
                              "round(log2(samples)/2) clamped to [1, 14], not a "
-                             "closed form (default: Monte Carlo)")
+                             "closed form; numeric (the default) runs Monte Carlo. "
+                             "resolve is exact only and refuses numeric")
     common.add_argument("--xi", default=None, metavar="RAT")
     common.add_argument("--delta", default=None, metavar="RAT")
     common.add_argument("--eta", default=None, metavar="RAT")
@@ -662,8 +665,6 @@ def _cmd_resolve(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
         overrides["eta"] = opts["eta"]
     if opts["radius"] is not None:
         overrides["x_max"] = opts["radius"]
-    if opts["mode"] is not None:
-        overrides["mode"] = opts["mode"]
     if overrides:
         try:
             params = dataclasses.replace(params, **overrides)
@@ -942,6 +943,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         }
         if opts["mode"] not in (None, "exact", "numeric"):
             raise _UsageError(f"--mode must be exact or numeric, got {opts['mode']!r}")
+        if args.command == "resolve" and opts["mode"] == "numeric":
+            raise _UsageError("resolve is exact only: --mode numeric is not supported")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -988,10 +991,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _fail_marker(out, command, str(exc))
-        return 2
+    except ValueError as exc:        # input outside the model
+        code, message = 1, str(exc)
+    except RuntimeError as exc:      # a construction or certification step failed
+        code, message = 2, str(exc)
+    except Exception as exc:         # a defect: one line, no traceback
+        code, message = 3, f"internal error: {type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    _fail_marker(out, command, message)
+    return code
 
 
 def main() -> None:

@@ -53,24 +53,31 @@ from .roots import (IsolatedRoot, coeffs_of, derivative, isolate_real_roots, pol
 # ---------------------------------------------------------------------------
 # parameters and result types
 
+MAX_DEPTH = 16            # recursion levels; each strictly lowers the root order
+TRUNCATION_ORDER = 40     # total order to which branch curves are lifted
+CERTIFY_RETRIES = 20      # radius halvings before a chart's certification fails
+VERIFY_SAMPLES = 400      # verify_chart sample count used by certification
+VERIFY_SEED = 1729        # verify_chart seed used by certification
+
+_IRRATIONAL_ROOT = "irrational edge root: outside the model (needs an algebraic shear)"
+
 
 @dataclass(frozen=True)
 class ResolveParams:
-    """Tuning knobs; the defaults are certified per-chart rather than proven."""
+    """The settings of a resolution; construction rejects any value outside
+    the model with a ValueError naming the field.  Each chart is certified by
+    sampling (see resolve), not proven."""
 
-    eta: Optional[Fraction] = None      # sector roof exponent; default min(1/2, m_min/2)
-    xi: Fraction = Fraction(1, 8)       # strip half-width cap
-    delta: Fraction = Fraction(1, 4)    # comparability slack
-    x_max: Fraction = Fraction(1, 4)    # initial chart radius cap
-    max_depth: int = 16
-    truncation_order: int = 40
-    mode: str = "exact"                 # "exact" | "numeric"
-    certify: bool = True                # run verify_chart with x_max halving
-    certify_retries: int = 20
-    verify_samples: int = 400
-    verify_seed: int = 1729
+    eta: Optional[Fraction] = None      # sector roof exponent > 0; default min(1/2, m_min/2)
+    xi: Fraction = Fraction(1, 8)       # strip half-width cap > 0
+    delta: Fraction = Fraction(1, 4)    # comparability slack in (0, 1)
+    x_max: Fraction = Fraction(1, 4)    # initial chart radius cap > 0
 
     def __post_init__(self):
+        if self.eta is not None and not self.eta > 0:
+            raise ValueError(f"sector roof exponent eta must be positive, got {self.eta}")
+        if not self.xi > 0:
+            raise ValueError(f"strip half-width xi must be positive, got {self.xi}")
         # comparability 1 - delta <= |S / model| <= 1 + delta needs delta < 1
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
@@ -318,12 +325,13 @@ def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, F
 
 
 def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
-                 truncation_order=None, numeric: bool = False) -> PuiseuxPoly:
-    """Curve y = x^m·t(x) following the branch rooted at an edge root.
+                 truncation_order=None) -> PuiseuxPoly:
+    """Curve y = x^m·t(x) following the branch rooted at a rational edge root.
 
     t solves d_y^(o-1) s(x, t(x)) = 0 where s(x, y) = x^(-alpha)·p(x, x^m y)
     and o is the root's multiplicity; coefficients are produced by repeated
-    linear solves against the frozen derivative A = d_y^o s(0, r) != 0.
+    linear solves against the frozen derivative A = d_y^o s(0, r) != 0.  An
+    irrational root raises ValueError: following it needs an algebraic shear.
     """
     m, alpha = edge.m, edge.alpha
     o = root.multiplicity
@@ -339,10 +347,7 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
     h = deriv_y(s, o - 1)
     r = root.exact_value
     if r is None:
-        if not numeric:
-            raise ValueError(
-                "irrational edge root in exact mode: switch to certified-numeric mode")
-        r = _polish_root(h, root)
+        raise ValueError(_IRRATIONAL_ROOT)
     hy = deriv_y(h, 1)
     a_coef = eval_rational(hy, Fraction(0), r)
     if a_coef == 0:
@@ -350,9 +355,6 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
     t = PuiseuxPoly({(Fraction(0), 0): r}, cap)
     for _ in range(500):
         e = _subst_y_curve(h, t)
-        if numeric:
-            e = PuiseuxPoly({k: c for k, c in e.terms.items() if abs(c) > Fraction(1, 10**25)},
-                            e.truncation_order)
         if e.is_zero():
             break
         (a_star, _), c_star = min(e.terms.items())
@@ -362,30 +364,6 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
     else:
         raise RuntimeError("branch lifting did not terminate within 500 corrections")
     return poly_mul(_monocurve(Fraction(1), m), t)
-
-
-def _polish_root(h: PuiseuxPoly, root: IsolatedRoot) -> Fraction:
-    """Numeric mode: float-Newton the root of h(0, ·), then snap to a rational."""
-    cs = [float(c) for c in coeffs_of(PuiseuxPoly(
-        {k: c for k, c in h.terms.items() if k[0] == 0}, h.truncation_order))]
-    dcs = [i * c for i, c in enumerate(cs)][1:]
-
-    def ev(coeffs, t):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
-
-    t = root.approx()
-    for _ in range(80):
-        d = ev(dcs, t)
-        if d == 0.0:
-            break
-        step = ev(cs, t) / d
-        t -= step
-        if abs(step) < 1e-17 * max(1.0, abs(t)):
-            break
-    return Fraction(t).limit_denominator(10**15)
 
 
 # ---------------------------------------------------------------------------
@@ -432,26 +410,14 @@ def _perturb_xi(xi: Fraction, forbidden: List[Fraction]) -> Fraction:
     raise RuntimeError("could not perturb strip half-width off the root set")
 
 
-def _positive_roots(q: PuiseuxPoly, numeric: bool) -> List[IsolatedRoot]:
+def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
+    """The positive roots of an edge polynomial, largest first; all rational."""
     if len(q.terms) <= 1:
         return []
     roots = isolate_real_roots(q, domain="positive")
-    out = []
-    for r in roots:
-        if r.exact_value is None and not numeric:
-            raise ValueError(
-                "irrational edge root in exact mode: switch to certified-numeric mode")
-        out.append(r)
-    return out
-
-
-def _root_value(r: IsolatedRoot) -> Fraction:
-    if r.exact_value is not None:
-        return r.exact_value
-    rr = r
-    while rr.width > Fraction(1, 10**15):
-        rr = refine_root(rr, rr.width / 4)
-    return Fraction(rr.approx()).limit_denominator(10**15)
+    if any(r.exact_value is None for r in roots):
+        raise ValueError(_IRRATIONAL_ROOT)
+    return sorted(roots, key=lambda r: r.exact_value, reverse=True)
 
 
 @dataclass
@@ -465,10 +431,9 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                     depth: int, params: ResolveParams
                     ) -> Tuple[List[_Piece], List[TraceNode]]:
     """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame)."""
-    if depth > params.max_depth:
+    if depth > MAX_DEPTH:
         raise RuntimeError("resolution recursion exceeded max_depth "
                            "(order decrease violated)")
-    numeric = params.mode == "numeric"
     poly = newton_polygon_of(p)
     levels = [_Level(e, e.m, e.m == roof_exp)
               for e in poly.edges if e.m >= roof_exp]
@@ -489,15 +454,14 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
     prev_limit: Optional[Fraction] = roof_coeff     # its coefficient at this level's scale
     for lvl in levels:
         q = edge_polynomial(p, lvl.edge, 1)
-        roots = _positive_roots(q, numeric)
-        roots = sorted(roots, key=lambda r: _root_value(r), reverse=True)
+        roots = _positive_roots(q)
         if lvl.is_roof:
-            roots = [r for r in roots if _root_value(r) < roof_coeff]
+            roots = [r for r in roots if r.exact_value < roof_coeff]
             if eval_rational(q, Fraction(0), roof_coeff) == 0:
                 raise ValueError("sector roof grazes a root curve; choose a different eta")
             top_coeff = roof_coeff
         else:
-            rmax = _root_value(roots[0]) if roots else Fraction(0)
+            rmax = roots[0].exact_value if roots else Fraction(0)
             hi = _upper_cut(p, lvl.edge, params.delta, 2 * rmax + 2)
             # corner chart between the previous level's floor and this cut
             av, bv = lvl.edge.upper_vertex
@@ -509,7 +473,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                 label="corner"))
             prev_curve, prev_limit, top_coeff = hic, hi, hi
 
-        vals = [_root_value(r) for r in roots]
+        vals = [r.exact_value for r in roots]
         for k, root in enumerate(roots):
             r = vals[k]
             margins = [params.xi, r / 4, (top_coeff - vals[0]) / 4]
@@ -518,9 +482,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             if k + 1 < len(vals):
                 margins.append((r - vals[k + 1]) / 4)
             xi0 = min(m for m in margins if m > 0)
-            g_v = branch_curve(p, lvl.edge, root,
-                               truncation_order=params.truncation_order,
-                               numeric=numeric)
+            g_v = branch_curve(p, lvl.edge, root, truncation_order=TRUNCATION_ORDER)
             p_up = subst_shear(p, 1, g_v)
             p_dn = subst_shear(p, -1, g_v)
             forbidden: List[Fraction] = []
@@ -599,25 +561,25 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
     """Decompose the sector {0 < x, 0 < y < x^eta} for p into charts.
 
     The input must already be reflected into the first quadrant (use
-    reflect_axes for the other sectors).  Charts are certified by sampling,
-    halving each chart's radius until its comparability check passes.  A zero
-    phase, or one without a critical point at the origin, raises ValueError;
-    ResolveParams raises it when built with delta outside (0, 1) or x_max <= 0.
+    reflect_axes for the other sectors).  Branches are followed by rational
+    shears y -> y + c·x^m only.  Charts are certified by sampling
+    (verify_chart at VERIFY_SAMPLES points, seed VERIFY_SEED), halving each
+    chart's radius up to CERTIFY_RETRIES times until its comparability check
+    passes.  Input outside the model raises ValueError: a zero phase, one
+    without a critical point at the origin, or an irrational edge root
+    (ResolveParams raises it for a setting outside the model).  A step of
+    the construction or its certification that fails raises RuntimeError.
     """
     if params is None:
         params = ResolveParams()
     if p.is_zero():
         raise ValueError("cannot resolve the zero phase")
     _require_critical(p)
-    trunc = Fraction(params.truncation_order)
-    poly = newton_polygon_of(p)
     eta = params.eta
     if eta is None:
-        slopes = [e.m for e in poly.edges]
+        slopes = [e.m for e in newton_polygon_of(p).edges]
         eta = min(Fraction(1, 2), min(slopes) / 2) if slopes else Fraction(1, 2)
     eta = Fraction(eta)
-    if eta <= 0:
-        raise ValueError("sector roof exponent must be positive")
 
     pieces, traces = _resolve_sector(p, Fraction(1), eta, 0, params)
 
@@ -635,29 +597,27 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
     if len(charts) > cap:
         raise RuntimeError(f"chart count {len(charts)} exceeds the structural cap {cap}")
 
-    if params.certify:
-        charts = [_certify(p, c, params) for c in charts]
-
     return Decomposition(
         sector=SectorDescriptor(eta=eta),
-        charts=tuple(charts),
+        charts=tuple(_certify(p, c) for c in charts),
         recursion_trace=tuple(traces),
-        truncation_order=trunc,
+        truncation_order=Fraction(TRUNCATION_ORDER),
     )
 
 
-def _certify(p: PuiseuxPoly, c: Chart, params: ResolveParams) -> Chart:
-    for _ in range(params.certify_retries):
+def _certify(p: PuiseuxPoly, c: Chart) -> Chart:
+    """Halve the chart's radius until verify_chart passes.  A radius at which
+    the check cannot be evaluated in floats (an empty domain, a power that
+    overflows, a model that underflows to zero) counts as a failed attempt."""
+    for _ in range(CERTIFY_RETRIES):
         try:
-            rep = verify_chart(p, c, samples=params.verify_samples,
-                               seed=params.verify_seed)
-        except ValueError:
-            rep = None
-        if rep is not None and rep.passed:
-            return c
+            if verify_chart(p, c, samples=VERIFY_SAMPLES, seed=VERIFY_SEED).passed:
+                return c
+        except (ValueError, ArithmeticError):
+            pass
         c = replace(c, x_max=c.x_max / 2)
     raise RuntimeError(
-        f"chart certification failed after {params.certify_retries} retries "
+        f"chart certification failed after {CERTIFY_RETRIES} retries "
         f"(mode {c.mode}, monomial {c.monomial})")
 
 
@@ -791,9 +751,8 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
     derivative bounds |d_x^k d_y^l S∘phi - b·fall(a,k)·fall(b,l)·x^(a-k)y^(b-l)|
     <= delta·|b|·x^(a-k)·y^(b-l) for k <= ceil(alpha), l <= beta.  The
     published form of that inequality swaps k and l on the bound's exponents;
-    the swapped quantity is reported informationally but not gated, because
-    it fails scale-invariantly on valid charts (see the derivative check
-    notes in the test-suite).  Mode B gates the ratio band and sign constancy.
+    it is not checked, because it fails scale-invariantly on valid charts.
+    Mode B gates the ratio band and sign constancy.
 
     Each check runs on arrays over all sample points at once, with the
     per-point operations of a scalar loop, so every report is bit-identical
@@ -837,7 +796,6 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
             sign_ok = not (val * model <= 0.0).any()
             worst_ratio = _fold_max(abs(_divide(val, model) - 1.0))
             worst_d = 0.0
-            worst_printed = 0.0
             orders = []
             for k in range(math.ceil(alpha) + 1):
                 for l in range(bi + 1):
@@ -848,13 +806,8 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
                     mcf = bf * float(_falling(alpha, k)) * float(_falling(bi, l))
                     lhs = abs(dval - mcf * X[af - k] * Y[bi - l])
                     nat = abs(bf) * X[af - k] * Y[bi - l]
-                    pr = abs(bf) * X[af - l] * Y[bi - k]
                     worst_d = max(worst_d, _fold_max(_divide(lhs, nat)))
-                    worst_printed = max(worst_printed,
-                                        _fold_max(np.where(pr > 0, lhs / pr, 0.0)))
-            deriv_report = {"max_violation": worst_d,
-                            "printed_form_violation": worst_printed,
-                            "orders": orders}
+            deriv_report = {"max_violation": worst_d, "orders": orders}
             passed = sign_ok and worst_ratio <= delta and worst_d <= delta
         elif c.mode == "B":
             if c.band is None:

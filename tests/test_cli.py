@@ -2,12 +2,16 @@
 
 import itertools
 import json
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton_sublevel import ParseError, parse_expression, print_expression, run
+from newton_sublevel import cli
 from newton_sublevel.cli import _tokenize
 
 
@@ -271,9 +275,14 @@ def test_exit_1_on_usage_error(tmp_path):
     ["resolve", "x^2 + y^2", "--delta", "1"],
     ["resolve", "x^2 + y^2", "--delta", "0"],
     ["resolve", "x^2 + y^2", "--radius", "0"],
+    ["resolve", "(y - x^2)^2", "--xi", "0"],
+    ["resolve", "(y - x^2)^2", "--xi", "-1"],
+    ["resolve", "x^2 + y^2", "--eta", "0"],
+    ["resolve", "x^2 + y^2", "--mode", "numeric"],
 ])
 def test_exit_1_on_value_outside_the_model(tmp_path, argv):
-    # a NaN bound passes a `<= 0` test, and comparability needs 0 < delta < 1:
+    # a NaN bound passes a `<= 0` test, comparability needs 0 < delta < 1, strips
+    # and the sector roof need xi > 0 and eta > 0, and resolve is exact only:
     # each is a usage error, refused before any sampling, quadrature or halving
     start = time.monotonic()
     assert run(argv + ["--out", str(tmp_path)]) == 1
@@ -281,48 +290,105 @@ def test_exit_1_on_value_outside_the_model(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_exit_2_with_failure_marker(tmp_path):
-    # nonintegral edge slope defeats the shear reduction
-    code = run(["analyze", "(y - x^(3/2))^2", "--out", str(tmp_path)])
+def test_exit_2_with_failure_marker(tmp_path, capsys):
+    # a float power overflows at every halved radius: certification fails (a
+    # RuntimeError), within a second and without a traceback
+    start = time.monotonic()
+    code = run(["resolve", "x^2 + y^2", "--radius", "1e200", "--out", str(tmp_path)])
+    assert time.monotonic() - start < 1.0
     assert code == 2
-    marker = tmp_path / "analyze.FAILED"
-    assert marker.exists()
-    assert "slope" in marker.read_text()
+    assert "Traceback" not in capsys.readouterr().err
+    marker = tmp_path / "resolve.FAILED"
+    assert "chart certification failed after 20 retries" in marker.read_text()
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "y - x^2 - x^8 + y^9"],
-    ["sweep", "(y - x^2) - x^8", "y^9"],
-    ["analyze", "y"],
-    ["resolve", "1 + x^2"],
-    ["resolve", "y"],
-    ["resolve", "y - x^2 - x^8 + y^9"],
-])
-def test_exit_2_without_critical_point(tmp_path, argv):
+@pytest.mark.parametrize("argv,needle", [
     # a linear term puts the phase outside the model: it is rejected before
     # any shear, not sheared through ever larger expansions
+    (["analyze", "y - x^2 - x^8 + y^9"], "critical point"),
+    (["sweep", "(y - x^2) - x^8", "y^9"], "critical point"),
+    (["analyze", "y"], "critical point"),
+    (["resolve", "1 + x^2"], "critical point"),
+    (["resolve", "y"], "critical point"),
+    (["resolve", "y - x^2 - x^8 + y^9"], "critical point"),
+    # a nonintegral edge slope defeats the shear reduction
+    (["analyze", "(y - x^(3/2))^2"], "slope"),
+    (["oscillate", "x^(1/2) + y", "--lambda", "50..100:2"], "fractional x-exponents"),
+])
+def test_exit_1_with_failure_marker(tmp_path, argv, needle):
     start = time.monotonic()
     code = run(argv + ["--out", str(tmp_path)])
     assert time.monotonic() - start < 1.0
-    assert code == 2
-    assert "critical point" in (tmp_path / f"{argv[0]}.FAILED").read_text()
-
-
-def test_exit_2_oscillate_fractional(tmp_path):
-    code = run(["oscillate", "x^(1/2) + y", "--out", str(tmp_path),
-                "--lambda", "50..100:2"])
-    assert code == 2
-    assert (tmp_path / "oscillate.FAILED").exists()
+    assert code == 1
+    assert needle in (tmp_path / f"{argv[0]}.FAILED").read_text()
 
 
 def test_resolve_numeric_irrational_root_fails_cleanly(tmp_path, capsys):
-    # edge polynomial (y^2 - 2)^2: numeric mode polishes the roots +-sqrt(2)
-    # and then fails verification with exit 2, not with a traceback
-    code = run(["resolve", "(y^2 - 2*x^2)^2 + x^9", "--mode", "numeric",
-                "--out", str(tmp_path)])
-    assert code == 2
-    assert "chart certification failed after 20 retries" in capsys.readouterr().err
+    # edge polynomial (y^2 - 2)^2 has the roots +-sqrt(2): following them needs
+    # an algebraic shear, so the phase is outside the model (exit 1), and
+    # asking for a numeric resolve instead is a usage error
+    expr = "(y^2 - 2*x^2)^2 + x^9"
+    assert run(["resolve", expr, "--mode", "numeric", "--out", str(tmp_path)]) == 1
+    assert not list(tmp_path.iterdir())
+    assert run(["resolve", expr, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "irrational edge root: outside the model" in err
+    assert "Traceback" not in err
     assert (tmp_path / "resolve.FAILED").exists()
+    assert not (tmp_path / "resolution.json").exists()
+
+
+def test_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception that is neither ValueError nor RuntimeError is a defect:
+    # one line with its type, a failure marker, and no traceback
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    assert run(["analyze", "x^2 + y^2", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: internal error: KeyError: 'lost'\n"
+    assert "internal error: KeyError" in (tmp_path / "analyze.FAILED").read_text()
+
+
+def test_resolve_two_high_order_branches(tmp_path):
+    # branches y = x^2 (order 3) and y = x^3 (order 2): verification computes
+    # only the gated quantities, so no power y^(beta - k) with k > beta, which
+    # overflows on these charts, is taken
+    start = time.monotonic()
+    code = run(["resolve", "(y - x^3)^2*(y - x^2)^3 + 3*x^6*y", "--out", str(tmp_path)])
+    assert time.monotonic() - start < 10.0
+    assert code == 0
+    ver = json.loads((tmp_path / "verify.json").read_text())["results"]
+    assert ver["charts"] == 8 and ver["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated phases: every call of the exact
+# subcommands ends in 0, 1 or 2, never in an internal error or an exception
+
+
+_COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def _phases(draw):
+    terms = draw(st.lists(st.tuples(_COEFF, st.integers(0, 6), st.integers(0, 4)),
+                          min_size=1, max_size=4))
+    expr = " + ".join(f"({c})*x^{a}*y^{b}" for c, a, b in terms)
+    for c, m, k in draw(st.lists(st.tuples(_COEFF, st.integers(1, 3), st.integers(1, 3)),
+                                 max_size=2)):
+        expr = f"({expr})*(y - ({c})*x^{m})^{k}"
+    return expr
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["analyze", "adapt", "resolve", "sweep"]),
+       expr=_phases(), pert=_phases())
+def test_exit_code_contract(command, expr, pert):
+    argv = [command, expr] + ([pert] if command == "sweep" else [])
+    with tempfile.TemporaryDirectory() as out:
+        assert run(argv + ["--out", out]) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

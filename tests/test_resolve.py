@@ -17,6 +17,7 @@ from newton_sublevel import (
     eval_real,
     isolate_real_roots,
     newton_polygon_of,
+    parse_expression,
     resolve,
     ResolveParams,
     verify_chart,
@@ -171,14 +172,6 @@ def test_decomposition_json_schema_and_determinism():
     assert s1 == s2
 
 
-def test_numeric_mode_matches_exact_structure():
-    p = CATALOG[5][1]  # y^2 - x^3
-    d_exact = resolve(p)
-    d_num = resolve(p, ResolveParams(mode="numeric"))
-    assert len(d_exact.charts) == len(d_num.charts)
-    assert [c.label for c in d_exact.charts] == [c.label for c in d_num.charts]
-
-
 def test_zero_phase_rejected():
     with pytest.raises(ValueError):
         resolve(PuiseuxPoly.zero())
@@ -188,9 +181,11 @@ def test_zero_phase_rejected():
     ("delta", Fraction(2)), ("delta", Fraction(1)), ("delta", Fraction(0)),
     ("delta", Fraction(-1, 4)), ("delta", float("nan")),
     ("x_max", Fraction(0)), ("x_max", Fraction(-1, 4)),
+    ("xi", Fraction(0)), ("xi", Fraction(-1, 8)), ("eta", Fraction(0)), ("eta", Fraction(-1)),
 ])
 def test_params_outside_the_model_rejected(field, value):
-    # comparability within 1 +- delta needs 0 < delta < 1, and a chart a radius > 0
+    # comparability within 1 +- delta needs 0 < delta < 1, a chart a radius > 0,
+    # a strip a half-width > 0, and the sector roof x^eta an exponent > 0
     with pytest.raises(ValueError, match=field):
         resolve(CATALOG[0][1], ResolveParams(**{field: value}))
 
@@ -201,3 +196,17 @@ def test_chart_count_structural_cap():
         bs = [b for (_, b) in p.support()]
         span = max(1, max(bs) - min(bs))
         assert len(dec.charts) <= 8 * (2 * span) ** (span + 1), name
+
+
+def test_irrational_edge_root_outside_the_model():
+    # edge polynomial y^2 - 2: the branch y ~ sqrt(2)·x needs an algebraic shear
+    with pytest.raises(ValueError, match="irrational edge root: outside the model"):
+        resolve(phase((1, 0, 2), (-2, 2, 0), (1, 3, 0)))
+
+
+def test_certification_counts_a_zero_model_as_a_failed_attempt():
+    # the corner model 27·x^6·y^5 underflows to 0.0 at sample points of every
+    # halved radius: certification fails (RuntimeError), not ZeroDivisionError
+    p = parse_expression("3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2").poly
+    with pytest.raises(RuntimeError, match="certification failed after 20 retries"):
+        resolve(p)
