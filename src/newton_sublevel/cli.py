@@ -11,8 +11,14 @@ Phase expressions follow a small grammar, parsed by recursive descent:
 
 Coefficient arithmetic is exact; x may carry nonnegative rational powers,
 y only nonnegative integer ones.  Subcommands write JSON/CSV reports under
---out.  Exit codes: 0 on success; 1 on usage or parse errors and on input
-outside the model (a ValueError); 2 when a construction, verification or
+--out.  Each subcommand takes only the flags it reads (the _COMMANDS table);
+any other flag is a usage error.  --config FILE gives "key = value" defaults
+for the chosen subcommand's flags: explicit flags win, a key naming a flag of
+another subcommand is ignored, an unknown key is an error, and a value goes
+through the same converter as the flag's own.
+
+Exit codes: 0 on success; 1 on usage or parse errors and on input outside
+the model (a ValueError); 2 when a construction, verification or
 certification step fails (a RuntimeError, or a failed check); 3 on any other
 exception, reported in one line without a traceback.  Usage and parse errors
 write nothing; every other failure leaves a ``<command>.FAILED`` marker next
@@ -24,7 +30,6 @@ sorted keys so equal runs produce equal bytes; rationals appear as
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -425,20 +430,20 @@ def _fstr(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def _write_json(out: Path, name: str, obj: Dict[str, object]) -> Path:
-    path = out / name
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    return path
-
-
 def _write_text(out: Path, name: str, text: str) -> Path:
+    # the directory is made on the first write, so a usage error leaves no trace
+    out.mkdir(parents=True, exist_ok=True)
     path = out / name
     path.write_text(text, encoding="utf-8")
     return path
 
 
+def _write_json(out: Path, name: str, obj: Dict[str, object]) -> Path:
+    return _write_text(out, name, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+
+
 def _fail_marker(out: Path, command: str, message: str) -> None:
-    (out / f"{command}.FAILED").write_text(message + "\n", encoding="utf-8")
+    _write_text(out, f"{command}.FAILED", message + "\n")
 
 
 def _polygon_json(np_) -> Dict[str, object]:
@@ -460,7 +465,8 @@ def _index_json(idx) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# flags
+# flags: one argparse converter per value type, so explicit values and
+# --config defaults (which argparse converts like flag values) are checked alike
 
 
 class _UsageError(Exception):
@@ -472,79 +478,43 @@ class _ArgParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_CONFIG_KEYS = {
-    "out": "out", "seed": "seed", "samples": "samples", "eps": "eps",
-    "lambda": "lam", "mode": "mode", "xi": "xi", "delta": "delta",
-    "eta": "eta", "radius": "radius", "t-grid": "t_grid",
-}
+def _phase(text: str) -> PhaseExpr:
+    try:
+        return parse_expression(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
-def _load_config(path: str) -> Dict[str, str]:
-    vals: Dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{ln}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise _UsageError(f"{path}:{ln}: unknown config key {key!r}")
-        vals[_CONFIG_KEYS[key]] = val
-    return vals
-
-
-def _resolve_opt(args, config: Dict[str, str], dest: str, default, conv):
-    v = getattr(args, dest, None)
-    if v is None and dest in config:
-        v = config[dest]
-    if v is None:
-        return default
-    if isinstance(v, str) and conv is not str:
-        try:
-            return conv(v)
-        except _UsageError:
-            raise
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _UsageError(f"bad value for {dest}: {v!r} ({exc})")
-    return v
-
-
-def _parse_range(spec: str, what: str) -> List[float]:
+def _parse_range(spec: str) -> List[float]:
     """LO..HI[:COUNT] -> geometric grid, order as written."""
+    malformed = argparse.ArgumentTypeError(f"expects LO..HI[:COUNT], got {spec!r}")
     body, _, cnt = spec.partition(":")
     lo, sep, hi = body.partition("..")
     if not sep:
-        raise _UsageError(f"--{what} expects LO..HI[:COUNT], got {spec!r}")
+        raise malformed
     try:
         lof, hif = float(lo), float(hi)
         n = int(cnt) if cnt else 8
     except ValueError:
-        raise _UsageError(f"--{what} expects LO..HI[:COUNT], got {spec!r}")
+        raise malformed
     if not (0 < lof < math.inf and 0 < hif < math.inf) or n < 1:
-        raise _UsageError(f"--{what}: bounds must be positive and finite and COUNT >= 1")
+        raise argparse.ArgumentTypeError("bounds must be positive and finite and COUNT >= 1")
     if n == 1:
         return [lof]
     return [float(v) for v in np.geomspace(lof, hif, n)]
 
 
-def _parse_tgrid(spec: str, allow_inf: bool) -> List[Optional[Fraction]]:
+def _parse_tgrid(spec: str) -> List[Optional[Fraction]]:
+    """Comma-separated rationals; 'inf' (None) is for mixture sweeps only."""
     out: List[Optional[Fraction]] = []
     for part in spec.split(","):
         s = part.strip()
-        if not s:
-            continue
         if s.lower() in ("inf", "infinity"):
-            if not allow_inf:
-                raise _UsageError("'inf' is only meaningful with --mixture")
             out.append(None)
-            continue
-        try:
-            out.append(Fraction(s))
-        except (ValueError, ZeroDivisionError):
-            raise _UsageError(f"--t-grid: not a rational: {s!r}")
+        elif s:
+            out.append(_frac_opt(s))
     if not out:
-        raise _UsageError("--t-grid: empty grid")
+        raise argparse.ArgumentTypeError("empty grid")
     return out
 
 
@@ -552,7 +522,24 @@ def _frac_opt(s: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"not a rational: {s!r}")
+        raise argparse.ArgumentTypeError(f"not a rational: {s!r}")
+
+
+def _positive_int(s: str) -> int:
+    try:
+        n = int(s)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {s!r}")
+    return n
+
+
+def _mode(s: str) -> str:
+    # checked here, not by choices=, which argparse skips for defaults
+    if s not in ("exact", "numeric"):
+        raise argparse.ArgumentTypeError(f"expects exact or numeric, got {s!r}")
+    return s
 
 
 def _threads_from_env() -> int:
@@ -565,50 +552,55 @@ def _threads_from_env() -> int:
         raise _UsageError(f"NEWTON_SUBLEVEL_THREADS must be an integer, got {raw!r}")
 
 
-def _build_parser() -> _ArgParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None, help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--eps", default=None, metavar="LO..HI[:COUNT]")
-    common.add_argument("--lambda", dest="lam", default=None, metavar="LO..HI[:COUNT]")
-    common.add_argument("--mode", choices=("exact", "numeric"), default=None,
-                        help="measure only: exact runs the GRID estimator at depth "
-                             "round(log2(samples)/2) clamped to [1, 14], not a "
-                             "closed form; numeric (the default) runs Monte Carlo. "
-                             "resolve is exact only and refuses numeric")
-    common.add_argument("--xi", default=None, metavar="RAT")
-    common.add_argument("--delta", default=None, metavar="RAT")
-    common.add_argument("--eta", default=None, metavar="RAT")
-    common.add_argument("--radius", default=None, metavar="RAT")
-    common.add_argument("--t-grid", dest="t_grid", default=None, metavar="LIST")
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="key = value defaults; explicit flags win")
+# every argument of any subcommand: positionals, then flags
+_ARGS: Dict[str, Dict[str, object]] = {
+    "expr": dict(type=_phase),
+    "perturbation": dict(type=_phase),
+    "--out": dict(default=".", metavar="DIR", help="output directory (default: .)"),
+    "--config": dict(metavar="FILE", help="key = value defaults; explicit flags win"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=_positive_int, metavar="N"),
+    "--eps": dict(type=_parse_range, default="1e-2..1e-6:8", metavar="LO..HI[:COUNT]"),
+    "--lambda": dict(type=_parse_range, default="50..800:8", dest="lam",
+                     metavar="LO..HI[:COUNT]"),
+    "--mode": dict(type=_mode, default="numeric", metavar="exact|numeric",
+                   help="numeric (the default) runs Monte Carlo; exact runs the GRID "
+                        "estimator at depth round(log2(samples)/2) clamped to "
+                        "[1, 14], not a closed form"),
+    "--xi": dict(type=_frac_opt, metavar="RAT"),
+    "--delta": dict(type=_frac_opt, metavar="RAT"),
+    "--eta": dict(type=_frac_opt, metavar="RAT"),
+    "--radius": dict(type=_frac_opt, metavar="RAT"),
+    "--t-grid": dict(type=_parse_tgrid, metavar="LIST"),
+    "--mixture": dict(action="store_true",
+                      help="treat the second phase as a mixture endpoint instead of "
+                           "a perturbation; --t-grid entries are ratios, 'inf' allowed"),
+}
 
-    ap = _ArgParser(prog="newton-sublevel",
-                    description="Newton-polygon invariants, resolution charts, and "
-                                "sublevel/oscillatory asymptotics for bivariate phases.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common]).add_argument("expr")
-    sub.add_parser("adapt", parents=[common]).add_argument("expr")
-    sub.add_parser("resolve", parents=[common]).add_argument("expr")
-    sub.add_parser("measure", parents=[common]).add_argument("expr")
-    sub.add_parser("oscillate", parents=[common]).add_argument("expr")
-    sw = sub.add_parser("sweep", parents=[common])
-    sw.add_argument("expr")
-    sw.add_argument("perturbation")
-    sw.add_argument("--mixture", action="store_true",
-                    help="treat the second phase as a mixture endpoint instead of "
-                         "a perturbation; --t-grid entries are ratios, 'inf' allowed")
-    sub.add_parser("check-vdc", parents=[common])
-    return ap
+
+def _load_config(path: str) -> Dict[str, str]:
+    vals: Dict[str, str] = {}
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{ln}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        # a key names a flag that takes a value
+        flag = "--" + key
+        if flag not in _ARGS or flag in ("--config", "--mixture"):
+            raise _UsageError(f"{path}:{ln}: unknown config key {key!r}")
+        vals[flag] = val
+    return vals
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads the parsed arguments its table row declares
 
 
-def _cmd_analyze(expr: PhaseExpr, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_analyze(args, out: Path, cfg: Dict[str, object]) -> int:
+    expr = args.expr
     np_ = newton_polygon_of(expr.poly)
     d = newton_distance(np_)
     cls = bisectrix_classify(np_)
@@ -627,12 +619,14 @@ def _cmd_analyze(expr: PhaseExpr, out: Path, cfg: Dict[str, object]) -> int:
     env = ReportEnvelope("analyze", {"expr": expr.source}, cfg, results)
     path = _write_json(out, "analyze.json", env.as_dict())
     print(f"wrote {path}")
-    print(f"d = {d}, index (j, p) = ({rep.index.j}, {rep.index.p})")
+    # d is read in the input coordinates, j = 1/d in superadapted ones
+    print(f"d = {d} (input coordinates), {1 / rep.index.j} (superadapted), "
+          f"index (j, p) = ({rep.index.j}, {rep.index.p})")
     return 0
 
 
-def _cmd_adapt(expr: PhaseExpr, out: Path, cfg: Dict[str, object]) -> int:
-    rep = to_superadapted(expr.poly)
+def _cmd_adapt(args, out: Path, cfg: Dict[str, object]) -> int:
+    rep = to_superadapted(args.expr.poly)
     results = {
         "original": format_poly(rep.original),
         "final": format_poly(rep.final),
@@ -645,7 +639,7 @@ def _cmd_adapt(expr: PhaseExpr, out: Path, cfg: Dict[str, object]) -> int:
         "final_polygon": _polygon_json(newton_polygon_of(rep.final)),
         "index": _index_json(rep.index),
     }
-    env = ReportEnvelope("adapt", {"expr": expr.source}, cfg, results)
+    env = ReportEnvelope("adapt", {"expr": args.expr.source}, cfg, results)
     path = _write_json(out, "adapt.json", env.as_dict())
     print(f"wrote {path}")
     print(f"{results['original']}  ->  {results['final']}  "
@@ -653,32 +647,21 @@ def _cmd_adapt(expr: PhaseExpr, out: Path, cfg: Dict[str, object]) -> int:
     return 0
 
 
-def _cmd_resolve(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
-                 opts: Dict[str, object]) -> int:
-    params = ResolveParams()
-    overrides = {}
-    if opts["xi"] is not None:
-        overrides["xi"] = opts["xi"]
-    if opts["delta"] is not None:
-        overrides["delta"] = opts["delta"]
-    if opts["eta"] is not None:
-        overrides["eta"] = opts["eta"]
-    if opts["radius"] is not None:
-        overrides["x_max"] = opts["radius"]
-    if overrides:
-        try:
-            params = dataclasses.replace(params, **overrides)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
+def _cmd_resolve(args, out: Path, cfg: Dict[str, object]) -> int:
+    given = {"eta": args.eta, "xi": args.xi, "delta": args.delta, "x_max": args.radius}
+    try:
+        params = ResolveParams(**{k: v for k, v in given.items() if v is not None})
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    expr = args.expr
     dec = resolve(expr.poly, params)
     _write_json(out, "resolution.json", decomposition_to_json(dec))
 
-    seed = int(opts["seed"])
-    samples = int(opts["samples"]) if opts["samples"] is not None else 1000
+    samples = args.samples if args.samples is not None else 1000
     rows = []
     all_ok = True
     for i, chart in enumerate(dec.charts):
-        rep = verify_chart(expr.poly, chart, samples=samples, seed=seed)
+        rep = verify_chart(expr.poly, chart, samples=samples, seed=args.seed)
         all_ok = all_ok and rep.passed
         rows.append({
             "chart": i,
@@ -707,28 +690,33 @@ def _cmd_resolve(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
     return 0
 
 
-def _cmd_measure(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
-                 opts: Dict[str, object]) -> int:
-    eps = opts["eps"] if opts["eps"] is not None else _parse_range("1e-2..1e-6:8", "eps")
-    budget = int(opts["samples"]) if opts["samples"] is not None else 10**6
-    seed = int(opts["seed"])
-    method = "GRID" if opts["mode"] == "exact" else "MC"
+def _fit_json(fit, data) -> Dict[str, object]:
+    """A fit's fields, or the reason it is unavailable."""
+    try:
+        f = fit(data)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {"j_hat": f.j_hat, "p_hat": f.p_hat, "C_hat": f.C_hat,
+            "residual_rms": f.residual_rms, "p_rounded": f.p_rounded}
+
+
+def _fit_line(fit_json: Dict[str, object], summary: str) -> str:
+    if "error" in fit_json:
+        return f"fit unavailable: {fit_json['error']}"
+    return summary.format(**fit_json)
+
+
+def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
+    budget = args.samples if args.samples is not None else 10**6
+    method = "GRID" if args.mode == "exact" else "MC"
     if method == "GRID":
         # grid evaluator takes a dyadic depth; match the cell count to the budget
         budget = max(1, min(14, round(math.log2(max(2, budget)) / 2)))
-    region = Disk(float(opts["radius"])) if opts["radius"] is not None else Disk(1.0)
-    threads = _threads_from_env()
-    samples = sublevel_measure(expr.poly, region, eps, budget=budget, seed=seed,
-                               method=method, threads=threads)
+    region = Disk(float(args.radius) if args.radius is not None else 1.0)
+    samples = sublevel_measure(args.expr.poly, region, args.eps, budget=budget,
+                               seed=args.seed, method=method,
+                               threads=_threads_from_env())
     _write_text(out, "measure.csv", measure_csv(samples))
-    try:
-        fit = fit_growth(samples)
-        fit_json: Dict[str, object] = {
-            "j_hat": fit.j_hat, "p_hat": fit.p_hat, "C_hat": fit.C_hat,
-            "residual_rms": fit.residual_rms, "p_rounded": fit.p_rounded,
-        }
-    except ValueError as exc:
-        fit_json = {"error": str(exc)}
     results = {
         "region": {"type": "disk", "radius": float(region.radius)},
         "method": method,
@@ -737,53 +725,36 @@ def _cmd_measure(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
              "n": s.n_samples, "method": s.method}
             for s in samples
         ],
-        "fit": fit_json,
+        "fit": _fit_json(fit_growth, samples),
     }
-    env = ReportEnvelope("measure", {"expr": expr.source}, cfg, results)
+    env = ReportEnvelope("measure", {"expr": args.expr.source}, cfg, results)
     path = _write_json(out, "measure.json", env.as_dict())
     print(f"wrote {out / 'measure.csv'}")
     print(f"wrote {path}")
-    if "j_hat" in fit_json:
-        print(f"fit: j = {fit_json['j_hat']:.4f}, p = {fit_json['p_hat']:.3f} "
-              f"(rounded {fit_json['p_rounded']})")
-    else:
-        print(f"fit unavailable: {fit_json['error']}")
+    print(_fit_line(results["fit"], "fit: j = {j_hat:.4f}, p = {p_hat:.3f} "
+                                    "(rounded {p_rounded})"))
     return 0
 
 
-def _cmd_oscillate(expr: PhaseExpr, out: Path, cfg: Dict[str, object],
-                   opts: Dict[str, object]) -> int:
-    lams = opts["lam"] if opts["lam"] is not None else _parse_range("50..800:8", "lambda")
-    radius = float(opts["radius"]) if opts["radius"] is not None else 1.0
+def _cmd_oscillate(args, out: Path, cfg: Dict[str, object]) -> int:
+    radius = float(args.radius) if args.radius is not None else 1.0
     cutoff = Cutoff(radius=radius, order=3)
-    pairs = decay_pairs(expr.poly, cutoff, lams)
+    pairs = decay_pairs(args.expr.poly, cutoff, args.lam)
     _write_text(out, "oscillate.csv", decay_csv(pairs))
-    mags = [(lam, abs(val)) for lam, val in pairs]
-    try:
-        fit = fit_decay(mags)
-        fit_json: Dict[str, object] = {
-            "j_hat": fit.j_hat, "p_hat": fit.p_hat, "C_hat": fit.C_hat,
-            "residual_rms": fit.residual_rms, "p_rounded": fit.p_rounded,
-        }
-    except ValueError as exc:
-        fit_json = {"error": str(exc)}
     results = {
         "cutoff": {"radius": radius, "order": cutoff.order},
         "pairs": [
             {"lambda": lam, "re": val.real, "im": val.imag, "abs": abs(val)}
             for lam, val in pairs
         ],
-        "fit": fit_json,
+        "fit": _fit_json(fit_decay, [(lam, abs(val)) for lam, val in pairs]),
     }
-    env = ReportEnvelope("oscillate", {"expr": expr.source}, cfg, results)
+    env = ReportEnvelope("oscillate", {"expr": args.expr.source}, cfg, results)
     path = _write_json(out, "oscillate.json", env.as_dict())
     print(f"wrote {out / 'oscillate.csv'}")
     print(f"wrote {path}")
-    if "j_hat" in fit_json:
-        print(f"fit: decay exponent j = {fit_json['j_hat']:.4f}, "
-              f"p = {fit_json['p_hat']:.3f}")
-    else:
-        print(f"fit unavailable: {fit_json['error']}")
+    print(_fit_line(results["fit"], "fit: decay exponent j = {j_hat:.4f}, "
+                                    "p = {p_hat:.3f}"))
     return 0
 
 
@@ -802,19 +773,21 @@ def _sweep_row_json(r, mixture: bool) -> Dict[str, object]:
     return row
 
 
-def _cmd_sweep(expr: PhaseExpr, pert: PhaseExpr, mixture: bool, out: Path,
-               cfg: Dict[str, object], opts: Dict[str, object]) -> int:
-    grid = opts["t_grid"]
+def _cmd_sweep(args, out: Path, cfg: Dict[str, object]) -> int:
+    mixture = args.mixture
+    grid = args.t_grid
     if grid is None:
-        grid = _parse_tgrid("0,1/2,1,2,inf" if mixture else "-1,-1/2,1/2,1",
-                            allow_inf=mixture)
+        grid = _parse_tgrid("0,1/2,1,2,inf" if mixture else "-1,-1/2,1/2,1")
+    elif None in grid and not mixture:
+        raise _UsageError("'inf' is only meaningful with --mixture")
     sweep = mixture_sweep if mixture else stability_sweep
-    rows, verdict = sweep(expr.poly, pert.poly, grid)
+    rows, verdict = sweep(args.expr.poly, args.perturbation.poly, grid)
     _write_text(out, "sweep.csv", sweep_csv(rows, mixture))
     results = {"kind": "mixture" if mixture else "stability",
                "rows": [_sweep_row_json(r, mixture) for r in rows],
                "verdict": verdict}
-    env = ReportEnvelope("sweep", {"expr": expr.source, "perturbation": pert.source},
+    env = ReportEnvelope("sweep", {"expr": args.expr.source,
+                                   "perturbation": args.perturbation.source},
                          cfg, results)
     path = _write_json(out, "sweep.json", env.as_dict())
     print(f"wrote {out / 'sweep.csv'}")
@@ -863,9 +836,9 @@ def _random_vdc_instance(rng: np.random.Generator, k: int):
         return coeffs, c
 
 
-def _cmd_check_vdc(out: Path, cfg: Dict[str, object], opts: Dict[str, object]) -> int:
-    per_k = int(opts["samples"]) if opts["samples"] is not None else 200
-    seed = int(opts["seed"])
+def _cmd_check_vdc(args, out: Path, cfg: Dict[str, object]) -> int:
+    per_k = args.samples if args.samples is not None else 200
+    seed = args.seed
     interval = (Fraction(0), Fraction(1))
     per_k_rows = []
     violations = 0
@@ -900,7 +873,42 @@ def _cmd_check_vdc(out: Path, cfg: Dict[str, object], opts: Dict[str, object]) -
 
 
 # ---------------------------------------------------------------------------
-# dispatcher
+# dispatcher: subcommand -> (handler, the arguments it reads besides --out and
+# --config); every other flag is a usage error
+
+
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("expr",)),
+    "adapt": (_cmd_adapt, ("expr",)),
+    "resolve": (_cmd_resolve, ("expr", "--seed", "--samples", "--xi", "--delta",
+                               "--eta", "--radius")),
+    "measure": (_cmd_measure, ("expr", "--seed", "--samples", "--eps", "--mode",
+                               "--radius")),
+    "oscillate": (_cmd_oscillate, ("expr", "--lambda", "--radius")),
+    "sweep": (_cmd_sweep, ("expr", "perturbation", "--t-grid", "--mixture")),
+    "check-vdc": (_cmd_check_vdc, ("--seed", "--samples")),
+}
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    ap = _ArgParser(prog="newton-sublevel",
+                    description="Newton-polygon invariants, resolution charts, and "
+                                "sublevel/oscillatory asymptotics for bivariate phases.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (_, names) in _COMMANDS.items():
+        sp = sub.add_parser(command)
+        for name in names + ("--out", "--config"):
+            sp.add_argument(name, **_ARGS[name])
+    args = ap.parse_args(argv)
+    if args.config:
+        # config values become the subcommand's defaults, which argparse
+        # converts like flag values; keys for flags it lacks are ignored
+        names = _COMMANDS[args.command][1] + ("--out",)
+        sub.choices[args.command].set_defaults(**{
+            _ARGS[flag].get("dest", flag[2:].replace("-", "_")): val
+            for flag, val in _load_config(args.config).items() if flag in names})
+        args = ap.parse_args(argv)
+    return args
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
@@ -913,81 +921,27 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if argv[i] == "--t-grid" and argv[i + 1].startswith("-"):
             argv[i:i + 2] = [f"--t-grid={argv[i + 1]}"]
             break
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    try:
-        config = _load_config(args.config) if args.config else {}
-        opts = {
-            "out": _resolve_opt(args, config, "out", ".", str),
-            "seed": _resolve_opt(args, config, "seed", 0, int),
-            "samples": _resolve_opt(args, config, "samples", None, int),
-            "eps": _resolve_opt(args, config, "eps", None,
-                                lambda s: _parse_range(s, "eps")),
-            "lam": _resolve_opt(args, config, "lam", None,
-                                lambda s: _parse_range(s, "lambda")),
-            "mode": _resolve_opt(args, config, "mode", None, str),
-            "xi": _resolve_opt(args, config, "xi", None, _frac_opt),
-            "delta": _resolve_opt(args, config, "delta", None, _frac_opt),
-            "eta": _resolve_opt(args, config, "eta", None, _frac_opt),
-            "radius": _resolve_opt(args, config, "radius", None, _frac_opt),
-            "t_grid": _resolve_opt(
-                args, config, "t_grid", None,
-                lambda s: _parse_tgrid(s, allow_inf=getattr(args, "mixture", False))),
-        }
-        if opts["mode"] not in (None, "exact", "numeric"):
-            raise _UsageError(f"--mode must be exact or numeric, got {opts['mode']!r}")
-        if args.command == "resolve" and opts["mode"] == "numeric":
-            raise _UsageError("resolve is exact only: --mode numeric is not supported")
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    out = Path(opts["out"])
+    out = Path(args.out)
     command = args.command
     # thread count deliberately not echoed: reports must be byte-identical
     # across 1-thread and N-thread runs
     cfg_echo = {
-        "seed": opts["seed"],
-        "samples": opts["samples"],
+        "seed": getattr(args, "seed", 0),
+        "samples": getattr(args, "samples", None),
     }
-
     try:
-        exprs = []
-        for attr in ("expr", "perturbation"):
-            if hasattr(args, attr):
-                exprs.append(parse_expression(getattr(args, attr)))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        if command == "analyze":
-            return _cmd_analyze(exprs[0], out, cfg_echo)
-        if command == "adapt":
-            return _cmd_adapt(exprs[0], out, cfg_echo)
-        if command == "resolve":
-            return _cmd_resolve(exprs[0], out, cfg_echo, opts)
-        if command == "measure":
-            return _cmd_measure(exprs[0], out, cfg_echo, opts)
-        if command == "oscillate":
-            return _cmd_oscillate(exprs[0], out, cfg_echo, opts)
-        if command == "sweep":
-            return _cmd_sweep(exprs[0], exprs[1], bool(getattr(args, "mixture", False)),
-                              out, cfg_echo, opts)
-        if command == "check-vdc":
-            return _cmd_check_vdc(out, cfg_echo, opts)
-        raise _UsageError(f"unknown command {command!r}")  # pragma: no cover
+        return _COMMANDS[command][0](args, out, cfg_echo)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -747,6 +747,13 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
                  seed: int = 0) -> VerifyReport:
     """Sample the chart domain and check comparability to the monomial model.
 
+    The check reads the chart's own phase c.phase, as the recursion built it,
+    and never reads p.  c.phase is truncated at total order TRUNCATION_ORDER,
+    so it is not p∘phi: on a chart next to a branch, the truncated branch
+    curve leaves a residual of order TRUNCATION_ORDER + 1 in p∘phi that
+    c.phase drops, and where the model is far smaller than that residual
+    p∘phi is not comparable to it although the check passes.
+
     Mode C gates both the ratio |S∘phi / (b x^a y^b) - 1| <= delta and the
     derivative bounds |d_x^k d_y^l S∘phi - b·fall(a,k)·fall(b,l)·x^(a-k)y^(b-l)|
     <= delta·|b|·x^(a-k)·y^(b-l) for k <= ceil(alpha), l <= beta.  The

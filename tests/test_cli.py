@@ -5,6 +5,7 @@ import json
 import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +172,14 @@ def test_analyze_rational_distance(tmp_path):
     assert blob["results"]["index"]["j"] == "1/2"
 
 
+def test_analyze_prints_both_distances(tmp_path, capsys):
+    # d is read in the input coordinates and j = 1/d in superadapted ones: the
+    # summary line names both instead of printing d next to the adapted j
+    assert run(["analyze", "(y - x^2)^2 + x^5", "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == "d = 4/3 (input coordinates), 10/7 (superadapted), index (j, p) = (7/10, 0)"
+
+
 def test_adapt_reports_shear_chain(tmp_path):
     assert run(["adapt", "(y - x^2 - x^3)^2", "--out", str(tmp_path)]) == 0
     blob = json.loads((tmp_path / "adapt.json").read_text())
@@ -265,6 +274,59 @@ def test_exit_1_on_usage_error(tmp_path):
     assert run(["analyze", "x^2", "--eps", "nonsense", "--out", str(tmp_path)]) == 1
     assert run(["frobnicate", "x^2"]) == 1
     assert run(["measure", "x^2 + y^2", "--mode", "telepathic"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+# the flags each subcommand reads besides --out and --config
+_DECLARED = {
+    "analyze": set(),
+    "adapt": set(),
+    "resolve": {"--seed", "--samples", "--xi", "--delta", "--eta", "--radius"},
+    "measure": {"--seed", "--samples", "--eps", "--mode", "--radius"},
+    "oscillate": {"--lambda", "--radius"},
+    "sweep": {"--t-grid", "--mixture"},
+    "check-vdc": {"--seed", "--samples"},
+}
+_POSITIONALS = {"sweep": ["x^2*y^2 + x^5", "y^7"], "check-vdc": []}
+_SHARED_FLAGS = {"--seed": "1", "--samples": "8", "--eps": "1e-2..1e-3:2",
+                 "--lambda": "10..20:2", "--mode": "exact", "--xi": "1/8",
+                 "--delta": "1/4", "--eta": "1/2", "--radius": "1/4",
+                 "--t-grid": "1/2,1"}
+_REMOVED_SLOTS = [(cmd, flag) for cmd, flags in _DECLARED.items()
+                  for flag in _SHARED_FLAGS if flag not in flags]
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    declared = {cmd: {n for n in names if n.startswith("--")}
+                for cmd, (_, names) in cli._COMMANDS.items()}
+    assert declared == _DECLARED
+    # 7 subcommands x 12 shared flags + sweep --mixture = 85 slots before;
+    # 31 now, --out and --config included
+    assert sum(len(f) + 2 for f in declared.values()) == 31
+    assert len(_REMOVED_SLOTS) == 85 - 31
+
+
+@pytest.mark.parametrize("cmd,flag", _REMOVED_SLOTS)
+def test_undeclared_flag_is_a_usage_error(tmp_path, capsys, cmd, flag):
+    # a valid value, so the flag itself is what is refused, before any output
+    argv = [cmd] + _POSITIONALS.get(cmd, ["x^2 + y^2"])
+    assert run(argv + [flag, _SHARED_FLAGS[flag], "--out", str(tmp_path)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-vdc", "--samples", "0"],
+    ["check-vdc", "--samples", "-3"],
+    ["resolve", "x^2 + y^2", "--samples", "0"],
+    ["measure", "x^2 + y^2", "--samples", "0"],
+    ["measure", "x^2 + y^2", "--mode", "exact", "--samples", "0"],
+    ["measure", "x^2 + y^2", "--samples", "2.5"],
+])
+def test_samples_must_be_positive(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 1
+    assert "argument --samples: expects a positive integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,11 +341,14 @@ def test_exit_1_on_usage_error(tmp_path):
     ["resolve", "(y - x^2)^2", "--xi", "-1"],
     ["resolve", "x^2 + y^2", "--eta", "0"],
     ["resolve", "x^2 + y^2", "--mode", "numeric"],
+    ["resolve", "x^2 + y^2", "--mode", "exact"],
+    ["sweep", "x^2*y^2 + x^5", "y^7", "--t-grid", "1,inf"],
 ])
 def test_exit_1_on_value_outside_the_model(tmp_path, argv):
     # a NaN bound passes a `<= 0` test, comparability needs 0 < delta < 1, strips
-    # and the sector roof need xi > 0 and eta > 0, and resolve is exact only:
-    # each is a usage error, refused before any sampling, quadrature or halving
+    # and the sector roof need xi > 0 and eta > 0, resolve takes no --mode, and
+    # 'inf' is a mixture ratio: each is a usage error, refused before any
+    # sampling, quadrature or halving
     start = time.monotonic()
     assert run(argv + ["--out", str(tmp_path)]) == 1
     assert time.monotonic() - start < 1.0
@@ -326,7 +391,7 @@ def test_exit_1_with_failure_marker(tmp_path, argv, needle):
 def test_resolve_numeric_irrational_root_fails_cleanly(tmp_path, capsys):
     # edge polynomial (y^2 - 2)^2 has the roots +-sqrt(2): following them needs
     # an algebraic shear, so the phase is outside the model (exit 1), and
-    # asking for a numeric resolve instead is a usage error
+    # resolve takes no --mode, so asking for a numeric one is a usage error
     expr = "(y^2 - 2*x^2)^2 + x^9"
     assert run(["resolve", expr, "--mode", "numeric", "--out", str(tmp_path)]) == 1
     assert not list(tmp_path.iterdir())
@@ -344,7 +409,7 @@ def test_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):
     def broken(*args):
         raise KeyError("lost")
 
-    monkeypatch.setattr(cli, "_cmd_analyze", broken)
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (broken, cli._COMMANDS["analyze"][1]))
     assert run(["analyze", "x^2 + y^2", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err == "error: internal error: KeyError: 'lost'\n"
@@ -364,8 +429,8 @@ def test_resolve_two_high_order_branches(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the exit-code contract over generated phases: every call of the exact
-# subcommands ends in 0, 1 or 2, never in an internal error or an exception
+# the exit-code contract over generated phases and options: every call ends
+# in 0, 1 or 2, never in an internal error or an exception
 
 
 _COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
@@ -382,13 +447,50 @@ def _phases(draw):
     return expr
 
 
-@settings(max_examples=40, deadline=None)
-@given(command=st.sampled_from(["analyze", "adapt", "resolve", "sweep"]),
-       expr=_phases(), pert=_phases())
-def test_exit_code_contract(command, expr, pert):
-    argv = [command, expr] + ([pert] if command == "sweep" else [])
-    with tempfile.TemporaryDirectory() as out:
-        assert run(argv + ["--out", out]) in (0, 1, 2)
+# valid values first, then garbage; the valid ones keep each call cheap
+# (radii stay at most 1: measure and oscillate do not bound them yet)
+_RATS = ["1/8", "1/4", "1/2", "0", "-1", "2", "abc", "1/0", ""]
+_FLAG_VALUES = {
+    "--seed": ["0", "5", "-1", "x", "1.5"],
+    "--samples": ["1", "16", "0", "-3", "abc", "2.5"],
+    "--eps": ["1e-1..1e-3:3", "0.5", "nonsense", "0..1", "nan..1e-2:4",
+              "1e-3..inf:3", "1..2:0"],
+    "--lambda": ["10..20:2", "5..5:1", "x", "0..10", "10..20:0"],
+    "--mode": ["exact", "numeric", "telepathic", ""],
+    "--xi": _RATS, "--delta": _RATS, "--eta": _RATS,
+    "--radius": ["1/2", "1", "0", "-1", "abc", "1/0"],
+    "--t-grid": ["-1,1/2", "0,1,inf", "1/2", "", "abc", "1/0", "inf"],
+    "--config": ["no/such/file.cfg"],
+}
+# flags whose defaults are expensive get a cheap value first; a drawn value
+# of the same flag comes later and wins
+_CHEAP = {"resolve": ["--samples", "16"], "measure": ["--samples", "256"],
+          "oscillate": ["--lambda", "10..20:2"], "check-vdc": ["--samples", "1"]}
+
+
+@st.composite
+def _options(draw):
+    argv, names = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(_FLAG_VALUES) + ["--mixture"]))
+        names.append(flag)
+        argv += [flag] if flag == "--mixture" else [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv, names
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_DECLARED)), expr=_phases(), pert=_phases(),
+       options=_options())
+def test_exit_code_contract(command, expr, pert, options):
+    positionals = {"sweep": [expr, pert], "check-vdc": []}.get(command, [expr])
+    argv, names = options
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = run([command] + positionals + _CHEAP.get(command, []) + argv
+                   + ["--out", str(out)])
+        assert code in (0, 1, 2)
+        if any(n not in _DECLARED[command] | {"--config"} for n in names):
+            assert code == 1 and not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +521,30 @@ def test_config_rejects_unknown_key(tmp_path):
     cfg.write_text("volume = 11\n")
     assert run(["analyze", "x^2 + y^2", "--config", str(cfg),
                 "--out", str(tmp_path)]) == 1
+
+
+def test_config_keys_apply_only_where_declared(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 4\nsamples = 300\nmode = telepathic\nxi = 1/16\n")
+    # analyze reads none of these keys: it ignores them, bad values included,
+    # and echoes its own seed and samples
+    assert run(["analyze", "x^2 + y^2", "--config", str(cfg),
+                "--out", str(tmp_path / "a")]) == 0
+    blob = json.loads((tmp_path / "a" / "analyze.json").read_text())
+    assert blob["config"] == {"seed": 0, "samples": None}
+    # measure reads mode: the bad default is a usage error that writes nothing,
+    # unless an explicit flag replaces it
+    assert run(["measure", "x^2 + y^2", "--config", str(cfg),
+                "--out", str(tmp_path / "m")]) == 1
+    assert not (tmp_path / "m").exists()
+    assert run(["measure", "x^2 + y^2", "--config", str(cfg), "--mode", "numeric",
+                "--eps", "1e-1..1e-2:2", "--out", str(tmp_path / "m")]) == 0
+    blob = json.loads((tmp_path / "m" / "measure.json").read_text())
+    assert blob["config"] == {"seed": 4, "samples": 300}
+    # a key's value goes through the flag's own converter
+    cfg.write_text("samples = 0\n")
+    assert run(["check-vdc", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
+    assert not (tmp_path / "v").exists()
 
 
 # ---------------------------------------------------------------------------
