@@ -1,9 +1,10 @@
 """Exact polynomial layer: ring identities, substitutions, evaluation."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -94,6 +95,57 @@ def test_subst_shear_expands_square():
     p = phase((1, 0, 2), (-2, 2, 1), (1, 4, 0))  # (y - x^2)^2
     sheared = subst_shear(p, 1, PuiseuxPoly.monomial(1, Fraction(2), 0))
     assert sheared.terms == phase((1, 0, 2)).terms
+
+
+def _subst_shear_binomial(p, sign_y, g):
+    """Reference for subst_shear: each term's (sign_y·y + g)^b expanded by the
+    binomial theorem over a table of powers of g."""
+    if p.truncation_order is None and g.truncation_order is None:
+        trunc = None
+    else:
+        cands = []
+        g_ord = min((a for (a, _b) in g.terms), default=Fraction(1))
+        if p.truncation_order is not None:
+            cands.append(p.truncation_order * min(Fraction(1), g_ord))
+        if g.truncation_order is not None:
+            cands.append(g.truncation_order)
+        trunc = min(cands)
+    g_pows = [PuiseuxPoly.constant(1)]
+    for _ in range(p.y_degree()):
+        g_pows.append(poly_mul(g_pows[-1], g))
+    out = PuiseuxPoly.zero()
+    sy = Fraction(sign_y)
+    for (a, b), c in p.terms.items():
+        acc = PuiseuxPoly.zero()
+        for k in range(b + 1):
+            part = poly_mul(PuiseuxPoly.monomial(math.comb(b, k) * sy ** k, 0, k),
+                            g_pows[b - k])
+            acc = poly_add(acc, part)
+        out = poly_add(out, poly_mul(PuiseuxPoly.monomial(c, a, 0), acc))
+    return PuiseuxPoly(out.terms, trunc)
+
+
+truncations = st.none() | st.fractions(min_value=1, max_value=12, max_denominator=3)
+
+
+@st.composite
+def curves(draw):
+    """g(x) with one to three terms of positive x-exponent, maybe truncated."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a = draw(st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3))
+        terms[(a, 0)] = draw(rationals.filter(bool))
+    return PuiseuxPoly(terms, draw(truncations))
+
+
+@settings(max_examples=150)
+@given(polys(), truncations, st.sampled_from((1, -1)), curves())
+def test_subst_shear_matches_binomial_expansion(p, p_trunc, sign_y, g):
+    p = PuiseuxPoly(p.terms, p_trunc)
+    got = subst_shear(p, sign_y, g)
+    want = _subst_shear_binomial(p, sign_y, g)
+    assert got.terms == want.terms
+    assert got.truncation_order == want.truncation_order
 
 
 def test_subst_scale_moves_exponents():
