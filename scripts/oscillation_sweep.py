@@ -11,7 +11,7 @@ bounded band across two decades of lam.
 
 Part 3: the decay coefficient in both cases must respect the a-priori cap
 transferred from sublevel-measure data (growth constant times j*Gamma(j),
-times a safety factor).
+times a safety factor).  The script exits 1 when either cap is violated.
 """
 
 import argparse
@@ -41,6 +41,13 @@ def _cap_from_measure(expr: str, radius: float, seed: int) -> float:
     return decay_coefficient_cap(idx, samples)
 
 
+def _cap_line(label: str, worst: float, cap: float) -> bool:
+    ok = worst <= cap
+    print(f"   coefficient cap: {label} = {worst:.4f} <= {cap:.4f}"
+          f"  ({'ok' if ok else 'VIOLATED'})")
+    return ok
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--depth", type=int, default=12,
@@ -62,10 +69,8 @@ def main(argv=None) -> int:
     print(f"   decay fit: j_hat = {fit.j_hat:.4f} (exact 1), "
           f"p = {fit.p_rounded} (exact 0)")
 
-    cap = _cap_from_measure(expr, 1.0, seed=7)
-    worst = max(abs(J) * lam for lam, J in pairs)
-    print(f"   coefficient cap: max lam*|J| = {worst:.4f} <= {cap:.4f}"
-          f"  ({'ok' if worst <= cap else 'VIOLATED'})")
+    ok_morse = _cap_line("max lam*|J|", max(abs(J) * lam for lam, J in pairs),
+                         _cap_from_measure(expr, 1.0, seed=7))
 
     # -- part 2: log-bearing decay ------------------------------------------
     expr = "x^2*y^2 + x^5"
@@ -84,11 +89,9 @@ def main(argv=None) -> int:
     print(f"   band ratio max/min = {band:.3f} over "
           f"[{lams[0]:.0f}, {lams[-1]:.0f}]")
 
-    cap = _cap_from_measure(expr, 0.75, seed=7)
-    worst = max(abs(J) * math.sqrt(lam) / math.log(lam) for lam, J in pairs)
-    print(f"   coefficient cap: max |J|*sqrt(lam)/ln lam = {worst:.4f} "
-          f"<= {cap:.4f}  ({'ok' if worst <= cap else 'VIOLATED'})")
-    return 0
+    ok_log = _cap_line("max |J|*sqrt(lam)/ln lam", max(ratios),
+                       _cap_from_measure(expr, 0.75, seed=7))
+    return 0 if ok_morse and ok_log else 1
 
 
 if __name__ == "__main__":

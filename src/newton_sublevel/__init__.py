@@ -25,6 +25,7 @@ from .exact_poly import (
     reflect_axes,
     subst_scale,
     subst_shear,
+    subst_y,
 )
 from .newton import (
     BisectrixClass,

@@ -365,11 +365,7 @@ def _expand(node: Node) -> PuiseuxPoly:
         if e < 0 or e.denominator != 1:
             raise ParseError(
                 "compound bases take nonnegative integer powers only", 1, 1)
-        out = PuiseuxPoly.constant(1)
-        b = _expand(node.base)
-        for _ in range(int(e)):
-            out = poly_mul(out, b)
-        return out
+        return _expand(node.base) ** int(e)
     if isinstance(node, Prod):
         out = PuiseuxPoly.constant(1)
         for f in node.factors:
@@ -706,13 +702,28 @@ def _fit_line(fit_json: Dict[str, object], summary: str) -> str:
     return summary.format(**fit_json)
 
 
+def _disk_radius(radius: Optional[Fraction]) -> float:
+    """The --radius of measure and oscillate as a float (default 1): it must be
+    positive and its square finite, since both take areas and cutoffs in r^2."""
+    if radius is None:
+        return 1.0
+    try:
+        r = float(radius)
+    except OverflowError:
+        r = math.inf
+    if not (r > 0 and math.isfinite(r * r)):
+        raise _UsageError("--radius must be a positive float with a finite square, "
+                          f"got {r:g}")
+    return r
+
+
 def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
     budget = args.samples if args.samples is not None else 10**6
     method = "GRID" if args.mode == "exact" else "MC"
     if method == "GRID":
         # grid evaluator takes a dyadic depth; match the cell count to the budget
         budget = max(1, min(14, round(math.log2(max(2, budget)) / 2)))
-    region = Disk(float(args.radius) if args.radius is not None else 1.0)
+    region = Disk(_disk_radius(args.radius))
     samples = sublevel_measure(args.expr.poly, region, args.eps, budget=budget,
                                seed=args.seed, method=method,
                                threads=_threads_from_env())
@@ -737,7 +748,7 @@ def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
 
 
 def _cmd_oscillate(args, out: Path, cfg: Dict[str, object]) -> int:
-    radius = float(args.radius) if args.radius is not None else 1.0
+    radius = _disk_radius(args.radius)
     cutoff = Cutoff(radius=radius, order=3)
     pairs = decay_pairs(args.expr.poly, cutoff, args.lam)
     _write_text(out, "oscillate.csv", decay_csv(pairs))

@@ -255,12 +255,25 @@ def deriv_x(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
     return out
 
 
+def subst_y(p: PuiseuxPoly, h: PuiseuxPoly) -> PuiseuxPoly:
+    """p(x, h(x, y)) by Horner's rule over the y-coefficients of p."""
+    byb = p.as_y_coefficients()
+    acc = PuiseuxPoly({}, p.truncation_order)
+    for b in range(max(byb, default=-1), -1, -1):
+        acc = poly_mul(acc, h)
+        if b in byb:
+            acc = poly_add(acc, byb[b])
+    return acc
+
+
 def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
     """Substitute y -> sign_y * y + g(x); g must be a curve (no y terms).
 
     The discarded-tail order of the result: if p was truncated at M and g has
     leading exponent m, terms hidden beyond M map to total order at least
     M * min(1, m), which is the truncation order recorded on the result.
+    subst_y truncates no lower than that (at the min of M and g's order), and
+    no exponent is negative, so every term below it is exact.
     """
     if sign_y not in (1, -1):
         raise ValueError("sign_y must be +1 or -1")
@@ -282,24 +295,8 @@ def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
             cands.append(g.truncation_order)
         trunc = min(cands)
 
-    # precompute powers of g up to the maximum y-degree
-    max_b = p.y_degree()
-    g_pows = [PuiseuxPoly.constant(1)]
-    for _ in range(max_b):
-        g_pows.append(poly_mul(g_pows[-1], g))
-
-    out = PuiseuxPoly.zero()
-    sy = Fraction(sign_y)
-    for (a, b), c in p.terms.items():
-        xa = PuiseuxPoly.monomial(c, a, 0)
-        # (sign_y*y + g)^b expanded by the binomial theorem
-        acc = PuiseuxPoly.zero()
-        for k in range(b + 1):
-            binom = math.comb(b, k)
-            part = poly_mul(PuiseuxPoly.monomial(binom * sy ** k, 0, k), g_pows[b - k])
-            acc = poly_add(acc, part)
-        out = poly_add(out, poly_mul(xa, acc))
-    return PuiseuxPoly(out.terms, trunc)
+    shear = PuiseuxPoly({(Fraction(0), 1): sign_y, **g.terms}, g.truncation_order)
+    return PuiseuxPoly(subst_y(p, shear).terms, trunc)
 
 
 def subst_scale(p: PuiseuxPoly, m) -> PuiseuxPoly:

@@ -23,7 +23,7 @@ but y stays polynomial, and the chart maps all have Jacobian ±1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -45,6 +45,7 @@ from .exact_poly import (
     poly_scale,
     subst_scale,
     subst_shear,
+    subst_y,
 )
 from .newton import CompactEdge, NewtonPolygon, edge_polynomial, newton_polygon_of
 from .roots import (IsolatedRoot, coeffs_of, derivative, isolate_real_roots, poly_value,
@@ -156,10 +157,6 @@ class Decomposition:
 # small exact helpers
 
 
-def _poly_sub(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
-    return poly_add(p, poly_scale(q, -1))
-
-
 def _monocurve(c, a) -> PuiseuxPoly:
     return PuiseuxPoly.monomial(c, a, 0)
 
@@ -182,70 +179,34 @@ def _rational_below(x: float) -> Fraction:
     return Fraction(x) * Fraction((1 << 20) - 1, 1 << 20)
 
 
-def _subst_y_curve(p: PuiseuxPoly, t: PuiseuxPoly) -> PuiseuxPoly:
-    """p(x, t(x)) for a curve t in x alone (Horner in y)."""
-    if t.y_degree() > 0:
-        raise ValueError("not a curve substitution: t contains y")
-    byb = p.as_y_coefficients()
-    if not byb:
-        return PuiseuxPoly.zero()
-    acc = PuiseuxPoly({}, p.truncation_order)
-    for b in range(max(byb), -1, -1):
-        acc = acc * t
-        if b in byb:
-            acc = acc + byb[b]
-    return acc
-
-
-def _curve_separation_xmax(lo: PuiseuxPoly, up: PuiseuxPoly) -> Optional[Fraction]:
-    """Largest radius guaranteeing up(x) - lo(x) > 0 on (0, radius].
+def _separation_radius(lo: PuiseuxPoly, up: PuiseuxPoly, cap: Fraction) -> Fraction:
+    """Largest radius up to cap guaranteeing up(x) - lo(x) > 0 on (0, radius].
 
     The difference's leading term must be positive; each remaining term is
     forced below an equal share of half the leading coefficient.
     """
-    diff = _poly_sub(up, lo)
-    terms = sorted(diff.terms.items())
-    if not terms:
+    terms = sorted((up - lo).terms.items())
+    if not terms or terms[0][1] <= 0:
         return Fraction(0)
     (a0, _), c0 = terms[0]
-    if c0 <= 0:
-        return Fraction(0)
-    tail = terms[1:]
-    if not tail:
-        return None  # single term: positive everywhere
-    bound: Optional[Fraction] = None
-    share = Fraction(c0, 2 * len(tail))
-    for (a, _), c in tail:
+    for (a, _), c in terms[1:]:
         # |c| x^(a-a0) <= share
-        x = float(share / abs(c)) ** (1.0 / float(a - a0))
-        r = _rational_below(x)
-        bound = r if bound is None else min(bound, r)
-    return bound
-
-
-def _min_opt(*vals: Optional[Fraction]) -> Optional[Fraction]:
-    present = [v for v in vals if v is not None]
-    return min(present) if present else None
+        share = Fraction(c0, 2 * (len(terms) - 1))
+        cap = min(cap, _rational_below(float(share / abs(c)) ** (1.0 / float(a - a0))))
+    return cap
 
 
 # ---------------------------------------------------------------------------
 # cut sizing: vertex domination with derivative-order headroom
 
 
-def _edge_terms(p: PuiseuxPoly, edge: CompactEdge):
-    return [((a, b), c) for (a, b), c in p.items() if a + edge.m * b == edge.alpha]
-
-
-def _order_headroom(terms, vertex) -> Fraction:
-    """Worst falling-factorial inflation of any non-vertex edge term over the
+def _order_headroom(others, vertex) -> Fraction:
+    """Worst falling-factorial inflation of the other edge terms over the
     derivative orders checked at this vertex (k <= ceil(a_v), l <= b_v)."""
     av, bv = vertex
-    bv = int(bv)
     kmax = max(0, math.ceil(av))
     worst = Fraction(1)
-    for (a, b), _ in terms:
-        if (a, b) == (av, bv):
-            continue
+    for (a, b), _ in others:
         for k in range(kmax + 1):
             fa = abs(_falling(a, k))
             for l in range(bv + 1):
@@ -255,38 +216,24 @@ def _order_headroom(terms, vertex) -> Fraction:
     return worst
 
 
-def _lower_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction,
-               cap: Fraction) -> Fraction:
-    """Largest c in {cap, cap/2, ...} with the edge terms above the lower
-    vertex summing below (delta/4F)·|s_v| at y = c·x^m."""
-    av, bv = edge.lower_vertex
-    terms = _edge_terms(p, edge)
-    sv = abs(p.coeff(av, bv))
-    target = delta * sv / (4 * _order_headroom(terms, edge.lower_vertex))
-    c = cap
+def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fraction,
+                upper: bool) -> Fraction:
+    """The first c in start·step^k (step 2 at the upper vertex, 1/2 at the
+    lower) with the other edge terms summing under (delta/4F)·|s_v| at
+    y = c·x^m, where s_v is the vertex term and F its order headroom."""
+    av, bv = edge.upper_vertex if upper else edge.lower_vertex
+    bv = int(bv)
+    others = [((a, b), abs(cf)) for (a, b), cf in p.items()
+              if a + edge.m * b == edge.alpha and b != bv]
+    target = delta * abs(p.coeff(av, bv)) / (4 * _order_headroom(others, (av, bv)))
+    step = 2 if upper else Fraction(1, 2)
+    c = start
     for _ in range(512):
-        total = sum(abs(cf) * c ** int(b - bv) for (a, b), cf in terms if b > bv)
-        if total <= target:
+        if sum(cf * c ** (b - bv) for (_a, b), cf in others) <= target:
             return c
-        c /= 2
-    raise RuntimeError("lower cut did not stabilize (degenerate edge data)")
-
-
-def _upper_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction,
-               floor_: Fraction) -> Fraction:
-    """Smallest power-of-two multiple of floor_ with the edge terms below the
-    upper vertex summing under (delta/4F)·|s_v| at y = hi·x^m."""
-    av, bv = edge.upper_vertex
-    terms = _edge_terms(p, edge)
-    sv = abs(p.coeff(av, bv))
-    target = delta * sv / (4 * _order_headroom(terms, edge.upper_vertex))
-    hi = max(floor_, Fraction(1))
-    for _ in range(512):
-        total = sum(abs(cf) / hi ** int(bv - b) for (a, b), cf in terms if b < bv)
-        if total <= target:
-            return hi
-        hi *= 2
-    raise RuntimeError("upper cut did not stabilize (degenerate edge data)")
+        c *= step
+    raise RuntimeError(f"{'upper' if upper else 'lower'} cut did not stabilize "
+                       "(degenerate edge data)")
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +301,7 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
         raise RuntimeError("branch lifting pivot vanished (contradicts root multiplicity)")
     t = PuiseuxPoly({(Fraction(0), 0): r}, cap)
     for _ in range(500):
-        e = _subst_y_curve(h, t)
+        e = subst_y(h, t)
         if e.is_zero():
             break
         (a_star, _), c_star = min(e.terms.items())
@@ -370,36 +317,40 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
 # the recursion
 
 
-@dataclass
-class _Piece:
-    """Mutable chart-in-progress relative to the current sector frame."""
-
-    sign_y: int
-    g: PuiseuxPoly
-    lower: PuiseuxPoly
-    upper: PuiseuxPoly
-    monomial: Tuple[Fraction, Fraction, int]
-    mode: str
-    x_max: Optional[Fraction]
-    phase: PuiseuxPoly
-    band: Optional[Tuple[Fraction, Fraction]] = None
-    label: str = ""
+def _corner(p: PuiseuxPoly, vertex, lower: PuiseuxPoly, upper: PuiseuxPoly,
+            params: ResolveParams) -> Chart:
+    """Corner chart lower < y < upper, where the vertex monomial dominates."""
+    av, bv = vertex
+    return Chart(sign_x=1, sign_y=1, g=PuiseuxPoly.zero(), lower=lower, upper=upper,
+                 monomial=(p.coeff(av, bv), av, int(bv)), mode="C",
+                 x_max=_separation_radius(lower, upper, params.x_max),
+                 delta=params.delta, phase=p, label="corner")
 
 
-def _compose_half(pieces: List[_Piece], s: int, g_v: PuiseuxPoly) -> None:
-    """Lift pieces from a strip-half frame (y_parent = s·(y_child + s·g_v))
-    into the parent frame."""
+def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
+          ceiling: PuiseuxPoly, c_lo: Fraction, c_hi: Fraction,
+          params: ResolveParams) -> Chart:
+    """Band chart floor < y < ceiling, sheared by the floor, where the edge
+    polynomial q stays away from zero on the coefficients [c_lo, c_hi] at
+    the edge's scale x^m; its model is q's midpoint value times x^alpha."""
+    bmin, bmax = _band_range(q, c_lo, c_hi)
+    mid = eval_rational(q, Fraction(0), (c_lo + c_hi) / 2)
+    lo, hi = sorted((bmin / mid, bmax / mid))
+    return Chart(sign_x=1, sign_y=1, g=floor, lower=PuiseuxPoly.zero(),
+                 upper=ceiling - floor, monomial=(mid, edge.alpha, 0), mode="B",
+                 x_max=_separation_radius(floor, ceiling, params.x_max),
+                 delta=params.delta, phase=subst_shear(p, 1, floor),
+                 band=(lo, hi), label="band")
+
+
+def _compose_half(charts: List[Chart], s: int, g_v: PuiseuxPoly,
+                  cap: Fraction) -> List[Chart]:
+    """Lift charts from a strip-half frame (y_parent = s·(y_child + s·g_v))
+    into the parent frame, within the strip's radius cap."""
     g_prime = poly_scale(g_v, s)
-    for pc in pieces:
-        pc.g = poly_add(pc.g, poly_scale(g_prime, pc.sign_y))
-        pc.sign_y = s * pc.sign_y
-
-
-def _cap_xmax(pieces: List[_Piece], cap: Optional[Fraction]) -> None:
-    if cap is None:
-        return
-    for pc in pieces:
-        pc.x_max = cap if pc.x_max is None else min(pc.x_max, cap)
+    return [replace(c, sign_y=s * c.sign_y, g=c.g + poly_scale(g_prime, c.sign_y),
+                    x_max=min(c.x_max, cap))
+            for c in charts]
 
 
 def _perturb_xi(xi: Fraction, forbidden: List[Fraction]) -> Fraction:
@@ -420,57 +371,40 @@ def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
     return sorted(roots, key=lambda r: r.exact_value, reverse=True)
 
 
-@dataclass
-class _Level:
-    edge: CompactEdge
-    m: Fraction
-    is_roof: bool
-
-
 def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                     depth: int, params: ResolveParams
-                    ) -> Tuple[List[_Piece], List[TraceNode]]:
+                    ) -> Tuple[List[Chart], List[TraceNode]]:
     """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame)."""
     if depth > MAX_DEPTH:
         raise RuntimeError("resolution recursion exceeded max_depth "
                            "(order decrease violated)")
     poly = newton_polygon_of(p)
-    levels = [_Level(e, e.m, e.m == roof_exp)
-              for e in poly.edges if e.m >= roof_exp]
-    pieces: List[_Piece] = []
-    traces: List[TraceNode] = []
-
-    if not levels:
+    edges = [e for e in poly.edges if e.m >= roof_exp]
+    roof = _monocurve(roof_coeff, roof_exp)
+    if not edges:
         # single dominating vertex over the whole sector
-        av, bv = min(poly.vertices, key=lambda v: (v[0] + roof_exp * v[1], v[1]))
-        sv = p.coeff(av, bv)
-        pieces.append(_Piece(
-            sign_y=1, g=PuiseuxPoly.zero(), lower=PuiseuxPoly.zero(),
-            upper=_monocurve(roof_coeff, roof_exp),
-            monomial=(sv, av, int(bv)), mode="C", x_max=None, phase=p, label="corner"))
-        return pieces, traces
+        vertex = min(poly.vertices, key=lambda v: (v[0] + roof_exp * v[1], v[1]))
+        return [_corner(p, vertex, PuiseuxPoly.zero(), roof, params)], []
 
-    prev_curve = _monocurve(roof_coeff, roof_exp)   # current upper boundary
-    prev_limit: Optional[Fraction] = roof_coeff     # its coefficient at this level's scale
-    for lvl in levels:
-        q = edge_polynomial(p, lvl.edge, 1)
+    charts: List[Chart] = []
+    traces: List[TraceNode] = []
+    prev_curve = roof              # current upper boundary
+    prev_limit = roof_coeff        # its coefficient at this level's scale
+    for edge in edges:
+        m = edge.m
+        q = edge_polynomial(p, edge, 1)
         roots = _positive_roots(q)
-        if lvl.is_roof:
+        if m == roof_exp:
             roots = [r for r in roots if r.exact_value < roof_coeff]
             if eval_rational(q, Fraction(0), roof_coeff) == 0:
                 raise ValueError("sector roof grazes a root curve; choose a different eta")
             top_coeff = roof_coeff
         else:
             rmax = roots[0].exact_value if roots else Fraction(0)
-            hi = _upper_cut(p, lvl.edge, params.delta, 2 * rmax + 2)
+            hi = _vertex_cut(p, edge, params.delta, 2 * rmax + 2, upper=True)
             # corner chart between the previous level's floor and this cut
-            av, bv = lvl.edge.upper_vertex
-            hic = _monocurve(hi, lvl.m)
-            pieces.append(_Piece(
-                sign_y=1, g=PuiseuxPoly.zero(), lower=hic, upper=prev_curve,
-                monomial=(p.coeff(av, bv), av, int(bv)), mode="C",
-                x_max=_curve_separation_xmax(hic, prev_curve), phase=p,
-                label="corner"))
+            hic = _monocurve(hi, m)
+            charts.append(_corner(p, edge.upper_vertex, hic, prev_curve, params))
             prev_curve, prev_limit, top_coeff = hic, hi, hi
 
         vals = [r.exact_value for r in roots]
@@ -481,80 +415,48 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                 margins.append((vals[k - 1] - r) / 4)
             if k + 1 < len(vals):
                 margins.append((r - vals[k + 1]) / 4)
-            xi0 = min(m for m in margins if m > 0)
-            g_v = branch_curve(p, lvl.edge, root, truncation_order=TRUNCATION_ORDER)
+            xi0 = min(v for v in margins if v > 0)
+            g_v = branch_curve(p, edge, root, truncation_order=TRUNCATION_ORDER)
             p_up = subst_shear(p, 1, g_v)
             p_dn = subst_shear(p, -1, g_v)
             forbidden: List[Fraction] = []
             for child in (p_up, p_dn):
-                cpoly = newton_polygon_of(child)
-                for e in cpoly.edges:
-                    if e.m == lvl.m:
-                        qq = edge_polynomial(child, e, 1)
-                        for rr in isolate_real_roots(qq, domain="positive"):
+                for e in newton_polygon_of(child).edges:
+                    if e.m == m:
+                        for rr in isolate_real_roots(edge_polynomial(child, e, 1),
+                                                     domain="positive"):
                             if rr.exact_value is not None:
                                 forbidden.append(rr.exact_value)
             xi = _perturb_xi(xi0, forbidden)
 
             # band chart between the current upper boundary and this strip
-            strip_top = poly_add(g_v, _monocurve(xi, lvl.m))
-            lim_lo, lim_hi = r + xi, prev_limit
-            if lim_hi is None or lim_hi > lim_lo:
-                if lim_hi is None:
-                    raise RuntimeError("band above a strip lost its ceiling")
-                bmin, bmax = _band_range(q, lim_lo, lim_hi)
-                mid = eval_rational(q, Fraction(0), (lim_lo + lim_hi) / 2)
-                ratios = sorted((bmin / mid, bmax / mid))
-                pieces.append(_Piece(
-                    sign_y=1, g=strip_top, lower=PuiseuxPoly.zero(),
-                    upper=_poly_sub(prev_curve, strip_top),
-                    monomial=(mid, lvl.edge.alpha, 0), mode="B",
-                    x_max=_curve_separation_xmax(strip_top, prev_curve),
-                    phase=subst_shear(p, 1, strip_top),
-                    band=(ratios[0], ratios[1]), label="band"))
+            strip_top = g_v + _monocurve(xi, m)
+            if prev_limit > r + xi:
+                charts.append(_band(p, q, edge, strip_top, prev_curve, r + xi,
+                                    prev_limit, params))
 
             # the strip itself: resolve both halves against the branch curve
-            up_pieces, up_tr = _resolve_sector(p_up, xi, lvl.m, depth + 1, params)
-            _compose_half(up_pieces, 1, g_v)
-            dn_pieces, dn_tr = _resolve_sector(p_dn, xi, lvl.m, depth + 1, params)
-            _compose_half(dn_pieces, -1, g_v)
-            strip_bot = _poly_sub(g_v, _monocurve(xi, lvl.m))
-            strip_cap = _min_opt(_curve_separation_xmax(PuiseuxPoly.zero(), strip_bot),
-                                 _curve_separation_xmax(strip_bot, strip_top))
-            _cap_xmax(up_pieces, strip_cap)
-            _cap_xmax(dn_pieces, strip_cap)
-            pieces.extend(up_pieces)
-            pieces.extend(dn_pieces)
-            traces.append(TraceNode(m=lvl.m, root=r, order=root.multiplicity,
-                                    curve=g_v, xi=xi,
-                                    children=tuple(up_tr) + tuple(dn_tr)))
+            strip_bot = g_v - _monocurve(xi, m)
+            up, up_tr = _resolve_sector(p_up, xi, m, depth + 1, params)
+            dn, dn_tr = _resolve_sector(p_dn, xi, m, depth + 1, params)
+            cap = min(_separation_radius(PuiseuxPoly.zero(), strip_bot, params.x_max),
+                      _separation_radius(strip_bot, strip_top, params.x_max))
+            charts += _compose_half(up, 1, g_v, cap) + _compose_half(dn, -1, g_v, cap)
+            traces.append(TraceNode(m=m, root=r, order=root.multiplicity,
+                                    curve=g_v, xi=xi, children=tuple(up_tr + dn_tr)))
             prev_curve, prev_limit = strip_bot, r - xi
 
         # floor cut and the band reaching down to it
-        cap0 = prev_limit if prev_limit is not None else roof_coeff
-        c_bot = _lower_cut(p, lvl.edge, params.delta, cap0)
-        if c_bot < cap0:
-            bmin, bmax = _band_range(q, c_bot, cap0)
-            mid = eval_rational(q, Fraction(0), (c_bot + cap0) / 2)
-            ratios = sorted((bmin / mid, bmax / mid))
-            floor_curve = _monocurve(c_bot, lvl.m)
-            pieces.append(_Piece(
-                sign_y=1, g=floor_curve, lower=PuiseuxPoly.zero(),
-                upper=_poly_sub(prev_curve, floor_curve),
-                monomial=(mid, lvl.edge.alpha, 0), mode="B",
-                x_max=_curve_separation_xmax(floor_curve, prev_curve),
-                phase=subst_shear(p, 1, floor_curve),
-                band=(ratios[0], ratios[1]), label="band"))
+        c_bot = _vertex_cut(p, edge, params.delta, prev_limit, upper=False)
+        if c_bot < prev_limit:
+            floor_curve = _monocurve(c_bot, m)
+            charts.append(_band(p, q, edge, floor_curve, prev_curve, c_bot,
+                                prev_limit, params))
             prev_curve, prev_limit = floor_curve, c_bot
 
     # the bottom corner: the last level's lower vertex dominates down to y = 0
-    av, bv = levels[-1].edge.lower_vertex
-    pieces.append(_Piece(
-        sign_y=1, g=PuiseuxPoly.zero(), lower=PuiseuxPoly.zero(),
-        upper=prev_curve, monomial=(p.coeff(av, bv), av, int(bv)), mode="C",
-        x_max=_curve_separation_xmax(PuiseuxPoly.zero(), prev_curve),
-        phase=p, label="corner"))
-    return pieces, traces
+    charts.append(_corner(p, edges[-1].lower_vertex, PuiseuxPoly.zero(), prev_curve, params))
+    return charts, traces
 
 
 def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposition:
@@ -581,15 +483,7 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
         eta = min(Fraction(1, 2), min(slopes) / 2) if slopes else Fraction(1, 2)
     eta = Fraction(eta)
 
-    pieces, traces = _resolve_sector(p, Fraction(1), eta, 0, params)
-
-    charts = []
-    for pc in pieces:
-        x_max = min(params.x_max, pc.x_max) if pc.x_max is not None else params.x_max
-        charts.append(Chart(
-            sign_x=1, sign_y=pc.sign_y, g=pc.g, lower=pc.lower, upper=pc.upper,
-            monomial=pc.monomial, mode=pc.mode, x_max=x_max, delta=params.delta,
-            phase=pc.phase, band=pc.band, label=pc.label))
+    charts, traces = _resolve_sector(p, Fraction(1), eta, 0, params)
 
     bs = [b for (_, b) in p.support()]
     span = max(1, max(bs) - min(bs))

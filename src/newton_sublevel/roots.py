@@ -122,18 +122,6 @@ def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     return _monic(a)
 
 
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return tuple()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
 def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
     n = max(len(a), len(b))
     return _trim([(a[i] if i < len(a) else Fraction(0)) -

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .adapt import GrowthIndex, to_superadapted
 from .exact_poly import PuiseuxPoly, poly_add, poly_scale
 from .newton import NewtonPolygon, newton_distance, newton_polygon_of, polygon_subset
-from .roots import IsolatedRoot, isolate_real_roots, squarefree_factor
+from .roots import IsolatedRoot, isolate_real_roots
 
 ExceptionalT = Union[Fraction, IsolatedRoot]
 
@@ -216,16 +216,7 @@ def _edge_multiplicity_at(coeffs, t0: Fraction) -> int:
         q.pop(0)                  # roots at y = 0 never block adaptedness
     if len(q) <= 1:
         return 0
-    best = 0
-    for fac, mult in squarefree_factor(tuple(q)):
-        if mult <= best:
-            continue
-        for r in isolate_real_roots(fac, domain="all"):
-            if r.exact_value == 0:
-                continue
-            best = max(best, mult)
-            break
-    return best
+    return max((r.multiplicity for r in isolate_real_roots(q)), default=0)
 
 
 def exceptional_candidates(S: PuiseuxPoly, f: PuiseuxPoly) -> ExceptionalSet:

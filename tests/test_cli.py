@@ -343,11 +343,19 @@ def test_samples_must_be_positive(tmp_path, capsys, argv):
     ["resolve", "x^2 + y^2", "--mode", "numeric"],
     ["resolve", "x^2 + y^2", "--mode", "exact"],
     ["sweep", "x^2*y^2 + x^5", "y^7", "--t-grid", "1,inf"],
+    ["measure", "x^2 + y^2", "--radius", "0"],
+    ["measure", "x^2 + y^2", "--radius", "-1"],
+    ["measure", "x^2 + y^2", "--radius", "1e300"],
+    ["measure", "x^2 + y^2", "--mode", "exact", "--radius", "1e300"],
+    ["oscillate", "x^2 + y^2", "--radius", "0"],
+    ["oscillate", "x^2 + y^2", "--radius", "-1"],
+    ["oscillate", "x^2 + y^2", "--radius", "1e300"],
 ])
 def test_exit_1_on_value_outside_the_model(tmp_path, argv):
     # a NaN bound passes a `<= 0` test, comparability needs 0 < delta < 1, strips
-    # and the sector roof need xi > 0 and eta > 0, resolve takes no --mode, and
-    # 'inf' is a mixture ratio: each is a usage error, refused before any
+    # and the sector roof need xi > 0 and eta > 0, resolve takes no --mode,
+    # 'inf' is a mixture ratio, and a disk or cutoff radius must be positive
+    # with a finite square: each is a usage error, refused before any
     # sampling, quadrature or halving
     start = time.monotonic()
     assert run(argv + ["--out", str(tmp_path)]) == 1
@@ -448,7 +456,8 @@ def _phases(draw):
 
 
 # valid values first, then garbage; the valid ones keep each call cheap
-# (radii stay at most 1: measure and oscillate do not bound them yet)
+# (1e300 is refused by measure and oscillate and fails resolve's certification;
+# a finite-square radius such as 1e100 would make oscillate run away)
 _RATS = ["1/8", "1/4", "1/2", "0", "-1", "2", "abc", "1/0", ""]
 _FLAG_VALUES = {
     "--seed": ["0", "5", "-1", "x", "1.5"],
@@ -458,7 +467,7 @@ _FLAG_VALUES = {
     "--lambda": ["10..20:2", "5..5:1", "x", "0..10", "10..20:0"],
     "--mode": ["exact", "numeric", "telepathic", ""],
     "--xi": _RATS, "--delta": _RATS, "--eta": _RATS,
-    "--radius": ["1/2", "1", "0", "-1", "abc", "1/0"],
+    "--radius": ["1/2", "1", "0", "-1", "abc", "1/0", "1e300"],
     "--t-grid": ["-1,1/2", "0,1,inf", "1/2", "", "abc", "1/0", "inf"],
     "--config": ["no/such/file.cfg"],
 }
