@@ -47,7 +47,7 @@ from .exact_poly import (
     subst_shear,
     subst_y,
 )
-from .newton import CompactEdge, NewtonPolygon, edge_polynomial, newton_polygon_of
+from .newton import CompactEdge, edge_polynomial, newton_polygon_of
 from .roots import (IsolatedRoot, coeffs_of, derivative, isolate_real_roots, poly_value,
                     refine_root)
 

@@ -19,7 +19,7 @@ PARAMS = {
                           x_max=Fraction(1, 2)),
 }
 
-# The catalog and the two extra phases, eight members of the benchmark's
+# The catalog and the two extra phases, seven members of the benchmark's
 # two-branch family plus (y - x)*(y + x) + x^3, then five phases that fail:
 # the band-range and certification failures and the irrational edge root.
 # Each value is the hex digest of json.dumps(decomposition_to_json(dec),
