@@ -6,15 +6,18 @@ half-open rational interval (lo, hi] containing exactly one distinct real
 root of the input, together with its multiplicity and, when the root is
 rational, its exact value.
 
-Polynomial algebra (division, gcd, Sturm remainders) runs on Fractions, but
-every sign test runs on integers: each squarefree factor and each Sturm
-polynomial is scaled once by the lcm of its denominators (a positive scale,
-so signs are kept) and evaluated at p/q in homogeneous form
-sum c_i p^i q^(n-i).  Refinement bisects integer numerators over one common
-denominator D*2^k and builds Fractions only at the end; the rational-root
-search tries coprime divisor pairs p/q that pass the f(1), f(-1)
-divisibility tests.  poly_value is the exact Fraction evaluator for callers
-that need a value rather than a sign.
+Everything after input runs on integers.  A polynomial is cleared of
+denominators and content once (_integer_form, a positive scale, so signs
+are kept).  Yun's gcds and the Sturm remainders are primitive pseudo-
+remainder sequences (Collins; Brown-Traub): each remainder is taken of a
+positive multiple and divided by its positive content, so every Sturm
+polynomial is a positive multiple of the classical one.  Quotients by a
+primitive divisor are integral (Gauss's lemma).  Signs at p/q come from the
+homogeneous form sum c_i p^i q^(n-i); refinement bisects integer numerators
+over one common denominator D*2^k and builds Fractions only at the end; the
+rational-root search tries coprime divisor pairs p/q that pass the f(1),
+f(-1) divisibility tests.  poly_value is the exact Fraction evaluator for
+callers that need a value rather than a sign.
 
 Polynomials enter either as y-only PuiseuxPoly values (the edge polynomials
 produced upstream) or as dense coefficient sequences [c0, c1, ...].
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
 from .exact_poly import PuiseuxPoly, _as_fraction
@@ -74,11 +78,11 @@ def derivative(cs: Sequence[Fraction]) -> Coeffs:
 
 
 def _integer_form(cs: Sequence[Fraction]) -> IntCoeffs:
-    """cs times the lcm of its denominators: integers with the same signs everywhere."""
+    """The primitive integer positive multiple of cs: the same signs everywhere."""
     den = 1
     for c in cs:
         den = math.lcm(den, c.denominator)
-    return tuple(c.numerator * (den // c.denominator) for c in cs)
+    return _primitive([c.numerator * (den // c.denominator) for c in cs])
 
 
 def _sign_at(ics: IntCoeffs, p: int, q: int) -> int:
@@ -95,40 +99,73 @@ def _sign(ics: IntCoeffs, t: Fraction) -> int:
     return _sign_at(ics, t.numerator, t.denominator)
 
 
-def _monic(cs: Coeffs) -> Coeffs:
-    if not cs:
-        return cs
-    lc = cs[-1]
-    return tuple(c / lc for c in cs)
+def _primitive(cs: Sequence[int]) -> IntCoeffs:
+    """cs divided by its positive content (signs kept)."""
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs) if g > 1 else tuple(cs)
 
 
-def _divmod(num: Coeffs, den: Coeffs) -> Tuple[Coeffs, Coeffs]:
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    num_l = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        c = num_l[i + len(den) - 1] / den[-1]
-        q[i] = c
-        if c != 0:
-            for j, d in enumerate(den):
-                num_l[i + j] -= c * d
-    return _trim(q), _trim(num_l[: len(den) - 1])
+def _exquo(a: Sequence[int], b: IntCoeffs) -> IntCoeffs:
+    """a / b for a primitive divisor b of a: integral by Gauss's lemma."""
+    n, lc = len(b) - 1, b[-1]
+    r = list(a)
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + n] // lc
+        if c:
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return tuple(q)
 
 
-def _gcd(a: Coeffs, b: Coeffs) -> Coeffs:
+def _prim_rem(a: Sequence[int], b: IntCoeffs) -> IntCoeffs:
+    """Primitive part of a positive multiple of the remainder of a by b."""
+    n, lc = len(b) - 1, abs(b[-1])
+    if b[-1] < 0:
+        b = tuple(-c for c in b)
+    r = list(a)
+    for i in range(len(r) - 1 - n, -1, -1):
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lc)
+            m, c = lc // g, c // g
+            if m != 1:
+                r = [m * x for x in r]
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return _primitive(_trim(r))
+
+
+def _pgcd(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
     while b:
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a)
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else Fraction(0)) -
-                  (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
+        a, b = b, _prim_rem(a, b)
+    a = _primitive(a)
+    return a if a[-1] > 0 else tuple(-c for c in a)
 
 
 # ---- squarefree decomposition ----
+
+
+def _yun(f: IntCoeffs) -> List[Tuple[IntCoeffs, int]]:
+    """Yun on a primitive integer f: primitive factors with positive leading terms.
+
+    v and w are kept on one common scale (both are divided by the same
+    factors), so z = w - v' is the scaled Fraction z.
+    """
+    d = derivative(f)
+    u = _pgcd(f, d)
+    v, w = _exquo(f, u), _exquo(d, u)
+    out: List[Tuple[IntCoeffs, int]] = []
+    i = 1
+    while len(v) > 1:
+        z = _trim([a - b for a, b in zip_longest(w, derivative(v), fillvalue=0)])
+        h = _pgcd(v, z)
+        if len(h) > 1:
+            out.append((h, i))
+        v, w = _exquo(v, h), _exquo(z, h)
+        i += 1
+    return out
 
 
 def squarefree_factor(q) -> List[Tuple[PuiseuxPoly, int]]:
@@ -140,33 +177,27 @@ def squarefree_factor(q) -> List[Tuple[PuiseuxPoly, int]]:
     cs = coeffs_of(q)
     if not cs:
         raise ValueError("cannot decompose the zero polynomial")
-    cs = _monic(cs)
     if len(cs) == 1:
         return []
-    d = derivative(cs)
-    u = _gcd(cs, d)
-    v, _ = _divmod(cs, u)
-    w, _ = _divmod(d, u)
-    out: List[Tuple[PuiseuxPoly, int]] = []
-    i = 1
-    while len(v) > 1:
-        z = _sub(w, derivative(v))
-        h = _gcd(v, z)
-        if len(h) > 1:
-            out.append((poly_from_coeffs(h), i))
-        v, _ = _divmod(v, h)
-        w, _ = _divmod(z, h)
-        i += 1
-    return out
+    return [(poly_from_coeffs([Fraction(c, h[-1]) for c in h]), k)
+            for h, k in _yun(_integer_form(cs))]
 
 
 # ---- Sturm machinery ----
 
 
-def sturm_sequence(cs: Coeffs) -> List[Coeffs]:
-    seq = [cs, derivative(cs)]
+def sturm_sequence(cs) -> List[IntCoeffs]:
+    """Primitive integer Sturm sequence of cs.
+
+    Each entry is a positive multiple of the classical Sturm polynomial
+    (s_0 = cs, s_1 = cs', s_(i+1) = -rem(s_(i-1), s_i)), so sign variations
+    are the same: remainders are taken of positive multiples and divided by
+    their positive content.
+    """
+    f = _integer_form(cs)
+    seq = [f, _primitive(derivative(f))]
     while seq[-1]:
-        rem = _divmod(seq[-2], seq[-1])[1]
+        rem = _prim_rem(seq[-2], seq[-1])
         if not rem:
             break
         seq.append(tuple(-c for c in rem))
@@ -181,19 +212,20 @@ def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
 
 
 def count_roots_halfopen(cs, lo, hi) -> int:
-    """Distinct real roots of cs in (lo, hi] (multiplicity ignored)."""
-    cs = coeffs_of(cs)
-    sf, _ = _divmod(cs, _gcd(cs, derivative(cs))) if len(cs) > 2 else (cs, ())
-    seq = [_integer_form(s) for s in sturm_sequence(_monic(sf))]
-    return _variations(seq, _as_fraction(lo)) - _variations(seq, _as_fraction(hi))
+    """Distinct real roots of cs in (lo, hi] (multiplicity ignored); 0 if lo >= hi."""
+    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    f = _integer_form(coeffs_of(cs))
+    if lo >= hi or len(f) < 2:
+        return 0
+    seq = sturm_sequence(_exquo(f, _pgcd(f, derivative(f))) if len(f) > 2 else f)
+    return _variations(seq, lo) - _variations(seq, hi)
 
 
-def cauchy_bound(cs: Coeffs) -> Fraction:
+def cauchy_bound(cs) -> Fraction:
     """B with every real root in (-B, B]."""
     if len(cs) <= 1:
         return Fraction(1)
-    lc = abs(cs[-1])
-    return 1 + max(abs(c) / lc for c in cs[:-1])
+    return 1 + Fraction(max(abs(c) for c in cs[:-1]), abs(cs[-1]))
 
 
 # ---- rational root extraction ----
@@ -201,15 +233,8 @@ def cauchy_bound(cs: Coeffs) -> Fraction:
 
 def _divisors(n: int) -> List[int]:
     n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return sorted(set(small + [n // i for i in small]))
 
 
 def _divides(d: int, n: int) -> bool:
@@ -219,7 +244,7 @@ def _divides(d: int, n: int) -> bool:
 _DIVISOR_GUARD = 10 ** 12
 
 
-def _rational_roots(cs: Coeffs) -> List[Fraction]:
+def _rational_roots(cs) -> List[Fraction]:
     """Rational roots of a squarefree polynomial (without multiplicity)."""
     found: List[Fraction] = []
     work = cs
@@ -233,18 +258,15 @@ def _rational_roots(cs: Coeffs) -> List[Fraction]:
     if len(work) <= 1:
         return found
     ics = _integer_form(work)
-    g = 0
-    for c in ics:
-        g = math.gcd(g, c)
-    ics = tuple(c // g for c in ics)
     if abs(ics[0]) > _DIVISOR_GUARD or abs(ics[-1]) > _DIVISOR_GUARD:
         return found  # too big to factor cheaply; bisection will cope
     # a root p/q in lowest terms splits off the integer factor (q t - p)
     # (Gauss), so q - p divides f(1) and q + p divides f(-1)
     f_one = sum(ics)
     f_minus_one = sum(ics[0::2]) - sum(ics[1::2])
+    qs = _divisors(ics[-1])
     for p in _divisors(ics[0]):
-        for q in _divisors(ics[-1]):
+        for q in qs:
             if math.gcd(p, q) != 1:
                 continue  # the same value in lowest terms was tried earlier
             for sp in (p, -p):
@@ -329,25 +351,21 @@ def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
         return []
 
     roots: List[IsolatedRoot] = []
-    for f_poly, mult in squarefree_factor(cs):
-        f = coeffs_of(f_poly)
+    for f, mult in _yun(_integer_form(cs)):
         rationals = _rational_roots(f)
         g = f
-        for r in rationals:
-            g, rem = _divmod(g, (-r, Fraction(1)))
-            assert not rem
-        f_int = _integer_form(f)
+        for r in rationals:  # (q t - p) is primitive
+            g = _exquo(g, (-r.numerator, r.denominator))
         for r in rationals:
             roots.append(IsolatedRoot(lo=r - 1, hi=r, multiplicity=mult,
-                                      exact_value=r, factor=f_int))
+                                      exact_value=r, factor=f))
         if len(g) > 1:
             b = cauchy_bound(g)
-            g_int = _integer_form(g)
-            seq = [_integer_form(s) for s in sturm_sequence(g)]
-            for ilo, ihi in _isolate_squarefree(g_int, -b, b, seq, _variations(seq, -b),
+            seq = sturm_sequence(g)
+            for ilo, ihi in _isolate_squarefree(g, -b, b, seq, _variations(seq, -b),
                                                 _variations(seq, b)):
                 roots.append(IsolatedRoot(lo=ilo, hi=ihi, multiplicity=mult,
-                                          exact_value=None, factor=g_int))
+                                          exact_value=None, factor=g))
 
     # refine until intervals are pairwise disjoint and sign-decided at 0
     changed = True

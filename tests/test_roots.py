@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -14,8 +14,7 @@ from newton_sublevel import (
     refine_root,
     squarefree_factor,
 )
-from newton_sublevel.roots import (_DIVISOR_GUARD, _divmod, _rational_roots, cauchy_bound,
-                                   coeffs_of, sturm_sequence)
+from newton_sublevel.roots import _DIVISOR_GUARD, _rational_roots, coeffs_of, sturm_sequence
 
 
 def _poly_from_roots(roots_mults):
@@ -69,9 +68,20 @@ def test_count_roots_halfopen():
     assert count_roots_halfopen(cs, Fraction(1), Fraction(1)) == 0
 
 
+def test_count_roots_halfopen_empty_interval():
+    # (lo, hi] is empty when lo >= hi: no roots, never a negative count
+    assert count_roots_halfopen([-1, 0, 1], 2, -2) == 0
+    assert count_roots_halfopen([-1, 0, 1], -2, 2) == 2
+
+
 small_ints = st.integers(min_value=-6, max_value=6)
 
 
+# a float oracle: numpy moves a root of multiplicity m by about eps^(1/m), past
+# the tolerances below on some inputs (the double root -1 of [-1, 1, 2, -3, -3]
+# gets imaginary parts 1.1e-8), so the deep profile does not deepen this test;
+# the exact differential tests below are the deep ones
+@settings(max_examples=80)
 @given(st.lists(small_ints, min_size=2, max_size=6))
 def test_isolation_matches_numpy(coeffs):
     cs = [Fraction(c) for c in coeffs]
@@ -123,8 +133,81 @@ def test_zero_poly_rejected():
 
 # ---------------------------------------------------------------------------
 # differential tests: the integer kernel against a Fraction reference (the
-# evaluation, bisection and divisor search it replaced), which must agree on
-# every interval, exactly
+# division, gcd, Yun, Sturm, evaluation, bisection and divisor search it
+# replaced), which must agree on every interval, exactly
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_monic(cs):
+    return tuple(c / cs[-1] for c in cs)
+
+
+def _ref_derivative(cs):
+    return _ref_trim([i * c for i, c in enumerate(cs)][1:])
+
+
+def _ref_divmod(num, den):
+    num_l = list(num)
+    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        c = num_l[i + len(den) - 1] / den[-1]
+        q[i] = c
+        for j, d in enumerate(den):
+            num_l[i + j] -= c * d
+    return _ref_trim(q), _ref_trim(num_l[: len(den) - 1])
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _ref_yun(cs):
+    """Monic squarefree factors with multiplicities, on Fractions."""
+    cs = _ref_monic(_ref_trim(Fraction(c) for c in cs))
+    d = _ref_derivative(cs)
+    u = _ref_gcd(cs, d)
+    v, w = _ref_divmod(cs, u)[0], _ref_divmod(d, u)[0]
+    out = []
+    i = 1
+    while len(v) > 1:
+        dv = _ref_derivative(v)
+        z = _ref_trim([(w[j] if j < len(w) else 0) - (dv[j] if j < len(dv) else 0)
+                       for j in range(max(len(w), len(dv)))])
+        h = _ref_gcd(v, z)
+        if len(h) > 1:
+            out.append((h, i))
+        v, w = _ref_divmod(v, h)[0], _ref_divmod(z, h)[0]
+        i += 1
+    return out
+
+
+def _ref_sturm(cs):
+    seq = [tuple(cs), _ref_derivative(cs)]
+    while seq[-1]:
+        rem = _ref_divmod(seq[-2], seq[-1])[1]
+        if not rem:
+            break
+        seq.append(tuple(-c for c in rem))
+    return [s for s in seq if s]
+
+
+def _ref_integer_form(cs):
+    den = 1
+    for c in cs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return tuple(int(c * den) for c in cs)
+
+
+def _ref_cauchy_bound(cs):
+    return 1 + max(abs(c) / abs(cs[-1]) for c in cs[:-1])
 
 
 def _ref_eval(cs, t):
@@ -208,17 +291,16 @@ def _ref_halve(root, stepped):
 def _ref_isolate(cs, stepped):
     """(lo, hi, multiplicity, exact value, factor) per root, sorted."""
     roots = []
-    for f_poly, mult in squarefree_factor(cs):
-        f = coeffs_of(f_poly)
+    for f, mult in _ref_yun(cs):
         rationals = _ref_rational_roots(f)
         g = f
         for r in rationals:
-            g, _ = _divmod(g, (-r, Fraction(1)))
+            g, _ = _ref_divmod(g, (-r, Fraction(1)))
         roots += [(r - 1, r, mult, r, f) for r in rationals]
         if len(g) > 1:
-            b = cauchy_bound(g)
+            b = _ref_cauchy_bound(g)
             roots += [(lo, hi, mult, None, g) for lo, hi in
-                      _ref_isolate_squarefree(g, -b, b, sturm_sequence(g), stepped)]
+                      _ref_isolate_squarefree(g, -b, b, _ref_sturm(g), stepped)]
     changed = True
     while changed:
         changed = False
@@ -245,12 +327,14 @@ def _assert_kernel_matches_reference(cs, widths):
     stepped = []
     want = _ref_isolate(cs, stepped)
     got = isolate_real_roots(cs)
-    assert [(r.lo, r.hi, r.multiplicity, r.exact_value) for r in got] \
-        == [w[:4] for w in want]
+    assert [(r.lo, r.hi, r.multiplicity, r.exact_value, r.factor) for r in got] \
+        == [w[:4] + (_ref_integer_form(w[4]),) for w in want]
     for r, w in zip(got, want):
         for width in widths:
             tight = refine_root(r, width)
-            assert (tight.lo, tight.hi) == _ref_refine(w, width, stepped)[:2]
+            ref = _ref_refine(w, width, stepped)
+            assert (tight.lo, tight.hi, tight.multiplicity, tight.exact_value, tight.factor) \
+                == ref[:4] + (_ref_integer_form(ref[4]),)
     return stepped
 
 
@@ -324,3 +408,39 @@ def test_kernel_matches_reference_on_midpoint_root():
     stepped = _assert_kernel_matches_reference(cs, [Fraction(1, 2 ** 60), Fraction(1, 3 ** 20)])
     assert Fraction(1) in stepped
     assert all(r.exact_value is None for r in isolate_real_roots(cs))
+
+
+_polys = st.one_of(_factored_polys(), _dense_polys).map(_ref_trim)
+
+
+@given(_polys)
+def test_squarefree_factor_matches_fraction_yun(cs):
+    if len(cs) <= 1:
+        return
+    assert [(coeffs_of(f), k) for f, k in squarefree_factor(cs)] == _ref_yun(cs)
+
+
+@given(_polys)
+def test_sturm_sequence_is_positive_multiple_of_fraction_sturm(cs):
+    if not cs:
+        return
+    got, want = sturm_sequence(cs), _ref_sturm(cs)
+    assert len(got) == len(want)
+    for s, w in zip(got, want):
+        assert len(s) == len(w) and all(isinstance(c, int) for c in s)
+        assert math.gcd(*s) == 1
+        ratio = Fraction(s[-1]) / w[-1]
+        assert ratio > 0 and all(c == ratio * d for c, d in zip(s, w))
+
+
+@given(_polys, _small_q, _small_q)
+@example((Fraction(-1), Fraction(0), Fraction(1)), Fraction(2), Fraction(-2))
+def test_count_roots_halfopen_matches_reference(cs, lo, hi):
+    if not cs:
+        return
+    want = 0
+    if lo < hi and len(cs) > 1:
+        sf = _ref_divmod(cs, _ref_gcd(cs, _ref_derivative(cs)))[0] if len(cs) > 2 else cs
+        seq = _ref_sturm(sf)
+        want = _ref_variations(seq, lo) - _ref_variations(seq, hi)
+    assert count_roots_halfopen(cs, lo, hi) == want
