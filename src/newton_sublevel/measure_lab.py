@@ -5,8 +5,9 @@ sublevel-set areas |{|S| < eps}|, exact closed forms for monomial phases on
 curved triangles, two-regressor asymptotic fits for the growth law
 C * eps^j * |ln eps|^p and the decay law D * lam^-j * (ln lam)^p, a van der
 Corput bound checker whose hypothesis is certified by root isolation, and
-tensor Gauss-Legendre quadrature for oscillatory integrals with a fixed
-polynomial bump cutoff.
+polar quadrature (Gauss-Legendre in the radius, the periodic trapezoid rule
+in the angle) for oscillatory integrals with a fixed polynomial bump cutoff,
+whose work is bounded before it starts.
 
 Determinism contract: estimates depend only on (seed, budget).  Monte Carlo
 uses one PCG64 stream per fixed-size block (jumped streams, integer counts),
@@ -33,6 +34,7 @@ from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
                     isolate_real_roots, poly_value, refine_root)
 
 _BLOCK = 1 << 16          # Monte Carlo block size; fixed so threading cannot reorder sums
+_CHUNK = 1 << 18          # elements per quadrature array
 _ROOT_WIDTH = Fraction(1, 2 ** 60)
 
 
@@ -652,22 +654,74 @@ def slice_domination_check(g: PuiseuxPoly, a, alpha, beta: int, m, N, x0,
 # oscillatory integrals
 
 
-def _bump_values(cutoff: Cutoff, X, Y):
-    R2 = (X * X + Y * Y) / cutoff.radius ** 2
-    base = np.maximum(0.0, 1.0 - R2)
-    return base ** cutoff.order
+# the ladder's level k has _PANELS0 * 2^k Gauss-Legendre panels on rho in
+# [0, r] and _ANGLES0 * 2^k equispaced angles
+_PANELS0, _ANGLES0 = 3, 48
+# |grad S| <= G(r) bounds the swing of lam*S along a radius and along a circle
+# by |lam|*r*G(r) radians.  G overstates the swing up to ~10x on the benchmark
+# catalog, so a ladder starts at the first level with at least 1/_SLACK of that
+# many angles; starting higher would only skip levels that are cheap anyway.
+_SLACK = 16
+
+
+def _start_level(swing: float) -> float:
+    """First ladder level with at least swing/_SLACK angles (inf if none)."""
+    if not swing <= 2.0 ** 1000:
+        return math.inf
+    # (q - 1).bit_length() is the least k with 2^k >= q
+    return max(0, math.ceil(swing / (_SLACK * _ANGLES0)) - 1).bit_length()
+
+
+def _polar_level(degrees, cutoff: Cutoff, nodes: int, level: int,
+                 run: List[float]) -> List[complex]:
+    """Estimates of the integral of e^{i lam S} phi at one ladder level, one per
+    lam in run.  In polar coordinates rho = r*t the bump is the 1-D weight
+    (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta)."""
+    panels, angles = _PANELS0 << level, _ANGLES0 << level
+    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * gl_x[None, :]) / panels).ravel()
+    # Gauss-Legendre in rho (Jacobian r*rho) times the periodic trapezoid in theta
+    r = float(cutoff.radius)
+    w = (np.tile(gl_w, panels) * (math.pi * r * r / (panels * angles))
+         * t * (1.0 - t * t) ** cutoff.order)
+    theta = (2.0 * math.pi / angles) * np.arange(angles)
+    cos, sin = np.cos(theta), np.sin(theta)
+    radial = [t ** d for d in degrees]
+    angular = [sum(c * cos ** a * sin ** b for c, a, b in terms)
+               for terms in degrees.values()]
+    # per lam, the sums of cos(lam S) and sin(lam S) over each circle
+    circles = np.empty((len(run), 2, len(t)))
+    rows = max(1, _CHUNK // angles)
+    S, arg, tmp = (np.empty((rows, angles)) for _ in range(3))
+    for i in range(0, len(t), rows):
+        n = min(rows, len(t) - i)
+        Sb, ab, tb = S[:n], arg[:n], tmp[:n]
+        Sb.fill(0.0)
+        for rad, ang in zip(radial, angular):
+            np.multiply.outer(rad[i:i + n], ang, out=tb)
+            Sb += tb
+        for k, lam in enumerate(run):
+            np.multiply(Sb, lam, out=ab)
+            np.cos(ab, out=tb)
+            tb.sum(axis=1, out=circles[k, 0, i:i + n])
+            np.sin(ab, out=tb)
+            tb.sum(axis=1, out=circles[k, 1, i:i + n])
+    return [complex(np.sum(w * c[0]), np.sum(w * c[1])) for c in circles]
 
 
 def oscillatory_integral(p: PuiseuxPoly, cutoff: Cutoff, lam,
                          depth: int = 9, rtol: float = 1e-3,
                          atol: float = 1e-9, nodes: int = 10) -> complex:
-    """Tensor Gauss-Legendre quadrature of integral of e^{i lam S} phi.
+    """Polar quadrature of integral of e^{i lam S} phi: Gauss-Legendre panels
+    in the radius, the periodic trapezoid rule in the angle.
 
-    Panel count doubles until two consecutive estimates agree to rtol
-    (relative) or atol (absolute).  Non-convergence at the requested depth
-    raises RuntimeError carrying the last estimate in .achieved.  Negative
-    lam is evaluated by conjugation of the positive-lam integral.  This is
-    decay_pairs on a one-value grid.
+    Panel and angle counts double until two consecutive estimates agree to
+    rtol (relative) or atol (absolute).  A lam whose phase swing (from a
+    bound on |grad S| over the disk) leaves no doubling within depth is
+    refused before any work; it and a lam that does not converge by depth
+    raise RuntimeError carrying the last estimate (nan for a refused lam)
+    in .achieved.  Negative lam is evaluated by conjugation of the
+    positive-lam integral.  This is decay_pairs on a one-value grid.
     """
     return decay_pairs(p, cutoff, [lam], depth=depth, rtol=rtol, atol=atol,
                        nodes=nodes)[0][1]
@@ -678,14 +732,16 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
                 nodes: int = 10) -> List[Tuple[float, complex]]:
     """(lam, oscillatory_integral(p, cutoff, lam)) for each lam, in input order.
 
-    One panel ladder serves the whole grid, bit-identical to one call per
-    lam: each level evaluates the bump, the phase and the weight products
-    once per chunk and reuses them for every lam still on the ladder, and a
-    lam leaves at the level where its own ladder stops.  A negative lam is
-    computed at |lam| and conjugated, a repeated one once, and a non-finite
-    one raises ValueError.  If some lam has not converged after depth
-    doublings, the RuntimeError of the first such lam in input order is
-    raised (for a negative lam, that of |lam|).
+    One level ladder serves the whole grid, bit-identical to one call per
+    lam: each level builds the weights and the phase once per chunk and
+    reuses them for every lam on the ladder at that level.  A lam enters at
+    the level its swing |lam|*r*G(r) gives and leaves at the level where its
+    own ladder stops.  A negative lam is computed at |lam| and conjugated, a
+    repeated one once, and a non-finite one raises ValueError.  A refused lam
+    raises its RuntimeError before any work (the first refused one in input
+    order); otherwise, if some lam has not converged at level depth, the
+    RuntimeError of the first such lam in input order is raised (for a
+    negative lam, that of |lam|).
     """
     lams = [float(l) for l in lams]
     if not all(math.isfinite(l) for l in lams):
@@ -696,56 +752,51 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     r = float(cutoff.radius)
     if r <= 0.0:
         raise ValueError("cutoff radius must be positive")
-    gl_x, gl_w = np.polynomial.legendre.leggauss(int(nodes))
-
-    def estimates(panels: int, run: List[float]) -> List[complex]:
-        h = 2.0 * r / panels
-        centers = -r + h * (np.arange(panels) + 0.5)
-        X = (centers[:, None] + 0.5 * h * gl_x[None, :]).ravel()
-        W = np.tile(0.5 * h * gl_w, panels)
-        Y, WY = X[None, :], W[None, :]
-        totals = [0.0 + 0.0j] * len(run)
-        chunk = max(1, 4_000_000 // len(X))
-        for i in range(0, len(X), chunk):
-            Xb = X[i:i + chunk][:, None]
-            phi = _bump_values(cutoff, Xb, Y)
-            S = _eval_phase(terms, Xb, Y)
-            WW = W[i:i + chunk][:, None] * WY
-            z = np.empty(S.shape, dtype=complex)
-            for k, lam in enumerate(run):
-                # the operations of (WW * (phi * exp(1j*lam*S))).sum(), in place
-                np.multiply(1j * lam, S, out=z)
-                np.exp(z, out=z)
-                z *= phi
-                z *= WW
-                totals[k] += complex(z.sum())
-        return totals
+    # G(r) = sum |c| (a+b) r^(a+b-1) >= |grad S| on the disk, so r*G(r) is the
+    # swing at |lam| = 1; the coefficients of the phase in t = rho/r are
+    # c r^(a+b), grouped by degree
+    degrees: Dict[int, list] = {}
+    try:
+        unit_swing = r * sum(abs(c) * (a + b) * r ** (a + b - 1) for c, a, b in terms)
+        for c, a, b in terms:
+            degrees.setdefault(a + b, []).append((c * r ** (a + b), a, b))
+    except OverflowError:
+        unit_swing = math.inf
 
     # each distinct |lam| runs once, keyed by its bits so that 0.0 and -0.0
     # stay apart
     keys = [(-lam if lam < 0.0 else lam).hex() for lam in lams]
+    start = {key: _start_level(float.fromhex(key) * unit_swing) for key in keys}
+    for lam, key in zip(lams, keys):
+        if start[key] >= depth:
+            err = RuntimeError(
+                f"oscillatory quadrature refused lambda {abs(lam)!r}: a phase swing "
+                f"of up to {abs(lam) * unit_swing:.3g} radians needs a ladder deeper "
+                f"than depth {depth}")
+            err.achieved = complex(math.nan, math.nan)
+            raise err
     active = list(dict.fromkeys(keys))
-    prev = dict(zip(active, estimates(8, [float.fromhex(k) for k in active])))
+    prev: Dict[str, complex] = {}
     done: Dict[str, complex] = {}
-    panels = 8
-    for _ in range(int(depth)):
+    for level in range(min(start.values()), int(depth) + 1):
         if not active:
             break
-        panels *= 2
-        still = []
-        for key, cur in zip(active, estimates(panels, [float.fromhex(k) for k in active])):
-            if abs(cur - prev[key]) <= max(rtol * abs(cur), atol):
+        run = [key for key in active if start[key] <= level]
+        ests = _polar_level(degrees, cutoff, int(nodes), level,
+                            [float.fromhex(key) for key in run]) if run else []
+        for key, cur in zip(run, ests):
+            if key in prev and abs(cur - prev[key]) <= max(rtol * abs(cur), atol):
                 done[key] = cur
+                active.remove(key)
             else:
                 prev[key] = cur
-                still.append(key)
-        active = still
 
     out = []
     for lam, key in zip(lams, keys):
         if key not in done:
             err = RuntimeError(
-                f"oscillatory quadrature did not converge by {panels} panels; "
+                f"oscillatory quadrature did not converge by level {depth} "
+                f"({_PANELS0 << depth} panels x {_ANGLES0 << depth} angles); "
                 f"last estimate {prev[key]!r}")
             err.achieved = prev[key]
             raise err

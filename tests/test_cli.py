@@ -375,6 +375,21 @@ def test_exit_2_with_failure_marker(tmp_path, capsys):
     assert "chart certification failed after 20 retries" in marker.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["oscillate", "x^2+y^2", "--radius", "1e150", "--lambda", "1..2:2"],
+    ["oscillate", "x^2+y^2", "--lambda", "1e9..1e9:1"],
+])
+def test_oscillate_refuses_unbounded_work(tmp_path, capsys, argv):
+    # the phase swing lam*r*max|grad S| needs more angles than the finest
+    # level has: refused before any quadrature, with the non-convergence exit
+    start = time.monotonic()
+    code = run(argv + ["--out", str(tmp_path)])
+    assert time.monotonic() - start < 5.0
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert "oscillatory quadrature refused" in (tmp_path / "oscillate.FAILED").read_text()
+
+
 @pytest.mark.parametrize("argv,needle", [
     # a linear term puts the phase outside the model: it is rejected before
     # any shear, not sheared through ever larger expansions
@@ -457,17 +472,17 @@ def _phases(draw):
 
 # valid values first, then garbage; the valid ones keep each call cheap
 # (1e300 is refused by measure and oscillate and fails resolve's certification;
-# a finite-square radius such as 1e100 would make oscillate run away)
+# at 1e100 and at lambda 1e9 oscillate refuses the work its phase swing needs)
 _RATS = ["1/8", "1/4", "1/2", "0", "-1", "2", "abc", "1/0", ""]
 _FLAG_VALUES = {
     "--seed": ["0", "5", "-1", "x", "1.5"],
     "--samples": ["1", "16", "0", "-3", "abc", "2.5"],
     "--eps": ["1e-1..1e-3:3", "0.5", "nonsense", "0..1", "nan..1e-2:4",
               "1e-3..inf:3", "1..2:0"],
-    "--lambda": ["10..20:2", "5..5:1", "x", "0..10", "10..20:0"],
+    "--lambda": ["10..20:2", "5..5:1", "x", "0..10", "10..20:0", "1e9..1e9:1"],
     "--mode": ["exact", "numeric", "telepathic", ""],
     "--xi": _RATS, "--delta": _RATS, "--eta": _RATS,
-    "--radius": ["1/2", "1", "0", "-1", "abc", "1/0", "1e300"],
+    "--radius": ["1/2", "1", "0", "-1", "abc", "1/0", "1e300", "1e100"],
     "--t-grid": ["-1,1/2", "0,1,inf", "1/2", "", "abc", "1/0", "inf"],
     "--config": ["no/such/file.cfg"],
 }

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import j0
 
 from newton_sublevel import (
     CurvedTriangle,
@@ -23,6 +25,7 @@ from newton_sublevel import (
     measure_csv,
     monomial_measure_exact,
     oscillatory_integral,
+    parse_expression,
     region_area,
     slice_domination_check,
     sublevel_measure,
@@ -30,6 +33,7 @@ from newton_sublevel import (
     vdc_check,
     vdc_sublevel_bound,
 )
+from newton_sublevel import measure_lab
 from helpers import phase
 
 
@@ -333,6 +337,32 @@ def test_oscillation_stationary_phase_morse():
     assert oscillatory_integral(p, cut, lam) == val
 
 
+def _osc_closed_form(expr, lam):
+    """The integral of e^{i lam S} (1 - x^2 - y^2)^3_+ as a 1-D quadrature: in
+    polar coordinates x^2 + y^2 leaves pi * int_0^1 e^{i lam s} (1 - s)^3 ds,
+    and x^2 - y^2 leaves pi * int_0^1 (1 - s)^3 J0(lam s) ds; x*y is x^2 - y^2
+    at lam / 2 after a rotation by pi/4."""
+    if expr == "x^2 + y^2":
+        re, _ = quad(lambda s: (1 - s) ** 3, 0.0, 1.0, weight="cos", wvar=lam)
+        im, _ = quad(lambda s: (1 - s) ** 3, 0.0, 1.0, weight="sin", wvar=lam)
+        return math.pi * complex(re, im)
+    mu = lam if expr == "x^2 - y^2" else lam / 2.0
+    val, _ = quad(lambda s: (1 - s) ** 3 * j0(mu * s), 0.0, 1.0, limit=2000,
+                  epsabs=1e-13, epsrel=1e-10)
+    return complex(math.pi * val, 0.0)
+
+
+@pytest.mark.parametrize("grid", [(10, 200, 4), (20, 400, 4), (200, 800, 3)])
+@pytest.mark.parametrize("expr", ["x^2 + y^2", "x^2 - y^2", "x*y"])
+def test_decay_pairs_match_closed_forms(expr, grid):
+    # the lambda grids of the benchmark's oscillate reports, at the default
+    # stop rule: each value within 1e-6 of its 1-D closed form
+    lams = [float(v) for v in np.geomspace(*grid)]
+    for lam, val in decay_pairs(parse_expression(expr).poly, Cutoff(1.0, 3), lams):
+        ref = _osc_closed_form(expr, lam)
+        assert abs(val - ref) <= 1e-6 * abs(ref), (lam, val, ref)
+
+
 def test_oscillation_linear_phase_is_tiny():
     val = oscillatory_integral(phase((1, 1, 0)), Cutoff(1.0, 3), 1000.0)
     assert abs(val) < 1e-8
@@ -347,6 +377,28 @@ def test_non_finite_epsilon_and_lambda_rejected(bad):
         sublevel_measure(p, Disk(1.0), bad, budget=4, method="GRID")
     with pytest.raises(ValueError, match="lambda"):
         decay_pairs(p, Cutoff(1.0, 3), [100.0, bad])
+
+
+def test_decay_pairs_refuse_before_any_work(monkeypatch):
+    # |lam| * r * G(r) = 1e9 * 1 * 4 radians: far past what depth 9 can resolve
+    def no_work(*args):
+        raise AssertionError("quadrature ran for a refused lambda")
+
+    monkeypatch.setattr(measure_lab, "_polar_level", no_work)
+    p = phase((1, 2, 0), (1, 0, 2))
+    for lams, cut in (([100.0, -1e9], Cutoff(1.0, 3)), ([1.0], Cutoff(1e150, 3))):
+        with pytest.raises(RuntimeError, match="refused") as info:
+            decay_pairs(p, cut, lams)
+        assert math.isnan(info.value.achieved.real)
+
+
+def test_decay_pairs_nonconvergence_carries_the_last_estimate():
+    # an unreachable tolerance: the ladder runs to depth and reports its last level
+    p = phase((1, 2, 0), (1, 0, 2))
+    with pytest.raises(RuntimeError, match="did not converge by level 2") as info:
+        oscillatory_integral(p, Cutoff(1.0, 3), 50.0, depth=2, rtol=0.0, atol=0.0)
+    got = info.value.achieved
+    assert abs(got - oscillatory_integral(p, Cutoff(1.0, 3), 50.0)) < 1e-6
 
 
 def test_oscillation_rejects_fractional_x():
