@@ -757,7 +757,8 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     # c r^(a+b), grouped by degree
     degrees: Dict[int, list] = {}
     try:
-        unit_swing = r * sum(abs(c) * (a + b) * r ** (a + b - 1) for c, a, b in terms)
+        unit_swing = r * sum(abs(c) * (a + b) * r ** (a + b - 1)
+                             for c, a, b in terms if a + b)
         for c, a, b in terms:
             degrees.setdefault(a + b, []).append((c * r ** (a + b), a, b))
     except OverflowError:
