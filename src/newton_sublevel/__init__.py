@@ -10,7 +10,6 @@ including their stability under one-parameter perturbations.
 __version__ = "0.1.0"
 
 from .exact_poly import (
-    DEFAULT_TRUNCATION_ORDER,
     PuiseuxPoly,
     Rational,
     deriv_x,

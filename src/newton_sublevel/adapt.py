@@ -29,6 +29,8 @@ from .newton import (
 )
 from .roots import IsolatedRoot, isolate_real_roots
 
+_MAX_SHEARS = 64          # shears before the reduction is declared stalled
+
 
 @dataclass(frozen=True)
 class GrowthIndex:
@@ -132,7 +134,7 @@ def _index_from_check(chk: SuperadaptedCheck) -> GrowthIndex:
                        morse_hyperbolic=bool(at_vertex and chk.distance == 1))
 
 
-def to_superadapted(p: PuiseuxPoly, max_iter: int = 64) -> AdaptReport:
+def to_superadapted(p: PuiseuxPoly) -> AdaptReport:
     """Shear until superadapted; error when the reduction leaves this model.
 
     Raises ValueError up front when a term has order <= 1 (the origin is not
@@ -144,7 +146,7 @@ def to_superadapted(p: PuiseuxPoly, max_iter: int = 64) -> AdaptReport:
     _require_critical(p)
     original = p
     steps: List[ShearStep] = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_SHEARS):
         chk = is_superadapted(p)
         if chk.ok:
             return AdaptReport(original=original, final=p,
@@ -164,7 +166,7 @@ def to_superadapted(p: PuiseuxPoly, max_iter: int = 64) -> AdaptReport:
         p = subst_shear(p, 1, curve)
         steps.append(ShearStep(m=m, root=r, x_sign=w.x_sign, curve=curve))
     raise RuntimeError("failed to reach superadapted coordinates "
-                       f"in {max_iter} shears; reduction is not making progress")
+                       f"in {_MAX_SHEARS} shears; reduction is not making progress")
 
 
 def growth_index(p: PuiseuxPoly) -> GrowthIndex:

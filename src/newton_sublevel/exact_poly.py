@@ -23,8 +23,6 @@ Rational = Fraction
 
 ExpPair = Tuple[Fraction, int]
 
-DEFAULT_TRUNCATION_ORDER = 40
-
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -119,9 +117,6 @@ class PuiseuxPoly:
 
     def y_degree(self) -> int:
         return max((b for (_a, b) in self.terms), default=0)
-
-    def min_total_order(self) -> Optional[Fraction]:
-        return min((a + b for (a, b) in self.terms), default=None)
 
     def as_y_coefficients(self) -> Dict[int, "PuiseuxPoly"]:
         """Group terms by y-degree; values are polynomials in x alone."""

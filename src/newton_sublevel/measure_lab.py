@@ -25,7 +25,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class MeasureSample:
     estimate: float
     stderr: float
     n_samples: int
-    method: str            # MC | GRID | EXACT
+    method: str            # MC | GRID
 
 
 @dataclass(frozen=True)
@@ -305,9 +305,8 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     method MC: budget = number of samples (conditional hit estimator on the
     bounding box; stderr from the binomial count).  method GRID: budget =
     dyadic depth, midpoint rule on a 2^budget x 2^budget grid; stderr is the
-    difference against depth-1.  method EXACT: delegates to
-    monomial_measure_exact; only single-term phases on a monomial curved
-    triangle qualify.
+    difference against depth-1.  The closed form for a monomial phase on a
+    monomial curved triangle is monomial_measure_exact.
     """
     single = np.ndim(epsilon) == 0
     eps = [float(e) for e in ([epsilon] if single else epsilon)]
@@ -316,29 +315,14 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     if not eps:
         return []
     area = region_area(region)
-
-    if method == "EXACT":
-        if len(p.terms) != 1 or not isinstance(region, CurvedTriangle):
-            raise ValueError("EXACT method needs a monomial phase on a curved triangle")
-        if not region.lower.is_zero() or len(region.upper.terms) != 1:
-            raise ValueError("EXACT method needs a monomial curved triangle based at y = 0")
-        ((ea, eb), ec), = p.items()
-        ((ma, mb), mc), = region.upper.items()
-        if mb != 0 or mc <= 0:
-            raise ValueError("EXACT method needs an upper boundary N x^m with N > 0")
-        out = [MeasureSample(e, monomial_measure_exact(abs(ec), ea, eb, ma, mc,
-                                                       region.x_max, e).value,
-                             0.0, 0, "EXACT")
-               for e in eps]
+    box = _bounding_box(region)
+    terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
+    if method == "MC":
+        out = _mc_samples(terms, region, box, area, eps, int(budget), seed, threads)
+    elif method == "GRID":
+        out = _grid_samples(terms, region, box, area, eps, int(budget))
     else:
-        box = _bounding_box(region)
-        terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
-        if method == "MC":
-            out = _mc_samples(terms, region, box, area, eps, int(budget), seed, threads)
-        elif method == "GRID":
-            out = _grid_samples(terms, region, box, area, eps, int(budget))
-        else:
-            raise ValueError("method must be MC, GRID, or EXACT")
+        raise ValueError("method must be MC or GRID")
     return out[0] if single else out
 
 
@@ -413,14 +397,14 @@ def _wls(A, target, w):
     return coef, rms
 
 
-def _two_regressor_fit(xvals, yvals, log_reg, p_fixed, span_decades, what,
+def _two_regressor_fit(xvals, yvals, log_reg, span_decades, what, fitted,
                        weights=None):
     x = np.asarray(xvals, dtype=float)
     y = np.asarray(yvals, dtype=float)
     if len(x) < 4:
         raise ValueError(f"need at least 4 {what} samples to fit")
     if np.any(y <= 0.0):
-        raise ValueError(f"all {what} values must be positive to fit in log space")
+        raise ValueError(f"all {fitted} must be positive to fit in log space")
     if np.any(x == 1.0):
         raise ValueError(f"{what} = 1 makes the log regressor singular")
     span = np.max(x) / np.min(x)
@@ -432,15 +416,6 @@ def _two_regressor_fit(xvals, yvals, log_reg, p_fixed, span_decades, what,
     G = np.log(np.abs(np.log(x)))
     target = np.log(y)
     w = np.ones_like(L) if weights is None else np.asarray(weights, dtype=float)
-
-    if p_fixed is not None:
-        A = np.column_stack([np.ones_like(L), log_reg * L])
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise ValueError("degenerate design matrix: widen the sample range")
-        coef, rms = _wls(A, target - float(p_fixed) * G, w)
-        return FitResult(float(coef[1]), float(p_fixed), float(math.exp(coef[0])),
-                         rms, int(p_fixed))
 
     A_free = np.column_stack([np.ones_like(L), log_reg * L, G])
     sv = np.linalg.svd(A_free, compute_uv=False)
@@ -462,15 +437,13 @@ def _two_regressor_fit(xvals, yvals, log_reg, p_fixed, span_decades, what,
                      float(math.exp(coef[0])), rms, p_rounded)
 
 
-def fit_growth(samples: Sequence[MeasureSample],
-               p_fixed: Optional[int] = None) -> FitResult:
+def fit_growth(samples: Sequence[MeasureSample]) -> FitResult:
     """Fit log M = log C + j log eps + p log|log eps| by weighted least squares.
 
     Requires >= 4 samples with positive estimates spanning >= 3 decades of
     epsilon.  Sample stderr supplies the weights (noiseless points count as
-    precisely as the best noisy one).  p_fixed freezes the log exponent;
-    otherwise p is chosen by the log-presence ratio test and the continuous
-    p_hat of the free fit is reported alongside.
+    precisely as the best noisy one).  p is chosen by the log-presence ratio
+    test, and the continuous p_hat of the free fit is reported alongside.
     """
     eps = [s.epsilon for s in samples]
     est = [s.estimate for s in samples]
@@ -484,12 +457,11 @@ def fit_growth(samples: Sequence[MeasureSample],
     weights = None
     if positive.size:
         weights = 1.0 / np.maximum(rel2, float(positive.min()))
-    return _two_regressor_fit(eps, est, +1.0, p_fixed, 3.0, "epsilon",
+    return _two_regressor_fit(eps, est, +1.0, 3.0, "epsilon", "measure estimates",
                               weights=weights)
 
 
-def fit_decay(pairs: Sequence[Tuple[float, float]],
-              p_fixed: Optional[int] = None) -> FitResult:
+def fit_decay(pairs: Sequence[Tuple[float, float]]) -> FitResult:
     """Fit log|J| = log D - j log lam + p log log lam.
 
     Requires >= 4 pairs spanning >= 1.2 decades of lambda (the shipped
@@ -499,7 +471,7 @@ def fit_decay(pairs: Sequence[Tuple[float, float]],
     vals = [q[1] for q in pairs]
     if any(l <= 1.0 for l in lams):
         raise ValueError("decay fit needs lambda > 1")
-    return _two_regressor_fit(lams, vals, -1.0, p_fixed, 1.2, "lambda")
+    return _two_regressor_fit(lams, vals, -1.0, 1.2, "lambda", "|J| values")
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +626,11 @@ def slice_domination_check(g: PuiseuxPoly, a, alpha, beta: int, m, N, x0,
 # oscillatory integrals
 
 
-# the ladder's level k has _PANELS0 * 2^k Gauss-Legendre panels on rho in
-# [0, r] and _ANGLES0 * 2^k equispaced angles
-_PANELS0, _ANGLES0 = 3, 48
+# the ladder's level k has _PANELS0 * 2^k Gauss-Legendre panels of _NODES
+# nodes each on rho in [0, r] and _ANGLES0 * 2^k equispaced angles
+_PANELS0, _ANGLES0, _NODES = 3, 48, 10
+# a lam's ladder stops when two levels agree to _RTOL relative or _ATOL absolute
+_RTOL, _ATOL = 1e-3, 1e-9
 # |grad S| <= G(r) bounds the swing of lam*S along a radius and along a circle
 # by |lam|*r*G(r) radians.  G overstates the swing up to ~10x on the benchmark
 # catalog, so a ladder starts at the first level with at least 1/_SLACK of that
@@ -672,13 +646,13 @@ def _start_level(swing: float) -> float:
     return max(0, math.ceil(swing / (_SLACK * _ANGLES0)) - 1).bit_length()
 
 
-def _polar_level(degrees, cutoff: Cutoff, nodes: int, level: int,
+def _polar_level(degrees, cutoff: Cutoff, level: int,
                  run: List[float]) -> List[complex]:
     """Estimates of the integral of e^{i lam S} phi at one ladder level, one per
     lam in run.  In polar coordinates rho = r*t the bump is the 1-D weight
     (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta)."""
     panels, angles = _PANELS0 << level, _ANGLES0 << level
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES)
     t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * gl_x[None, :]) / panels).ravel()
     # Gauss-Legendre in rho (Jacobian r*rho) times the periodic trapezoid in theta
     r = float(cutoff.radius)
@@ -710,26 +684,23 @@ def _polar_level(degrees, cutoff: Cutoff, nodes: int, level: int,
 
 
 def oscillatory_integral(p: PuiseuxPoly, cutoff: Cutoff, lam,
-                         depth: int = 9, rtol: float = 1e-3,
-                         atol: float = 1e-9, nodes: int = 10) -> complex:
+                         depth: int = 9) -> complex:
     """Polar quadrature of integral of e^{i lam S} phi: Gauss-Legendre panels
     in the radius, the periodic trapezoid rule in the angle.
 
     Panel and angle counts double until two consecutive estimates agree to
-    rtol (relative) or atol (absolute).  A lam whose phase swing (from a
+    1e-3 (relative) or 1e-9 (absolute).  A lam whose phase swing (from a
     bound on |grad S| over the disk) leaves no doubling within depth is
     refused before any work; it and a lam that does not converge by depth
     raise RuntimeError carrying the last estimate (nan for a refused lam)
     in .achieved.  Negative lam is evaluated by conjugation of the
     positive-lam integral.  This is decay_pairs on a one-value grid.
     """
-    return decay_pairs(p, cutoff, [lam], depth=depth, rtol=rtol, atol=atol,
-                       nodes=nodes)[0][1]
+    return decay_pairs(p, cutoff, [lam], depth=depth)[0][1]
 
 
 def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
-                depth: int = 9, rtol: float = 1e-3, atol: float = 1e-9,
-                nodes: int = 10) -> List[Tuple[float, complex]]:
+                depth: int = 9) -> List[Tuple[float, complex]]:
     """(lam, oscillatory_integral(p, cutoff, lam)) for each lam, in input order.
 
     One level ladder serves the whole grid, bit-identical to one call per
@@ -783,10 +754,10 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
         if not active:
             break
         run = [key for key in active if start[key] <= level]
-        ests = _polar_level(degrees, cutoff, int(nodes), level,
+        ests = _polar_level(degrees, cutoff, level,
                             [float.fromhex(key) for key in run]) if run else []
         for key, cur in zip(run, ests):
-            if key in prev and abs(cur - prev[key]) <= max(rtol * abs(cur), atol):
+            if key in prev and abs(cur - prev[key]) <= max(_RTOL * abs(cur), _ATOL):
                 done[key] = cur
                 active.remove(key)
             else:
@@ -805,13 +776,15 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     return out
 
 
-def decay_coefficient_cap(index, samples: Sequence[MeasureSample],
-                          phi_sup: float = 1.0, safety: float = 3.0) -> float:
+_CAP_SAFETY = 3.0
+
+
+def decay_coefficient_cap(index, samples: Sequence[MeasureSample]) -> float:
     """Predicted ceiling for |J| lam^j / (ln lam)^p from sublevel data.
 
     Transfers the growth constant sup_eps M(eps)/(eps^j |ln eps|^p) to the
-    oscillatory side via the factor j*Gamma(j), padded by the stated safety
-    multiple.
+    oscillatory side via the factor j*Gamma(j), for a cutoff bounded by 1,
+    padded threefold (_CAP_SAFETY).
     """
     j = float(index.j)
     pp = int(index.p)
@@ -820,7 +793,7 @@ def decay_coefficient_cap(index, samples: Sequence[MeasureSample],
         denom = s.epsilon ** j * abs(math.log(s.epsilon)) ** pp
         if denom > 0.0:
             best = max(best, s.estimate / denom)
-    return safety * j * math.gamma(j) * best * phi_sup
+    return _CAP_SAFETY * j * math.gamma(j) * best
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ import numpy as np
 
 from .adapt import _require_critical
 from .exact_poly import (
-    DEFAULT_TRUNCATION_ORDER,
     PuiseuxPoly,
     Rational,
     deriv_y,
@@ -107,7 +106,11 @@ class Chart:
     delta: Fraction
     phase: PuiseuxPoly
     band: Optional[Tuple[Fraction, Fraction]] = None  # mode B: ratio range around b
-    label: str = ""                                   # "corner" | "band"
+
+    @property
+    def label(self) -> str:
+        """"corner" for mode C, "band" for mode B."""
+        return "corner" if self.mode == "C" else "band"
 
     def contains(self, x: float, y: float) -> bool:
         u = self.sign_x * x
@@ -131,19 +134,20 @@ class TraceNode:
 
 @dataclass(frozen=True)
 class SectorDescriptor:
+    """The resolved sector {0 < x, 0 < y < roof_coeff·x^eta}, in the
+    first quadrant of the input's own axes."""
+
     eta: Fraction
     roof_coeff: Fraction = Fraction(1)
-    sign_x: int = 1
-    sign_y: int = 1
-    swapped: bool = False  # True when the x/y roles were exchanged by the caller
 
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Charts of a sector; branch curves are lifted to TRUNCATION_ORDER."""
+
     sector: SectorDescriptor
     charts: Tuple[Chart, ...]
     recursion_trace: Tuple[TraceNode, ...]
-    truncation_order: Fraction
 
     @property
     def radius(self) -> Fraction:
@@ -271,23 +275,18 @@ def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, F
 # branch curves (Newton–Puiseux lifting with a frozen derivative)
 
 
-def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot,
-                 truncation_order=None) -> PuiseuxPoly:
+def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> PuiseuxPoly:
     """Curve y = x^m·t(x) following the branch rooted at a rational edge root.
 
     t solves d_y^(o-1) s(x, t(x)) = 0 where s(x, y) = x^(-alpha)·p(x, x^m y)
     and o is the root's multiplicity; coefficients are produced by repeated
-    linear solves against the frozen derivative A = d_y^o s(0, r) != 0.  An
+    linear solves against the frozen derivative A = d_y^o s(0, r) != 0, up to
+    total order TRUNCATION_ORDER (lower if s is truncated lower).  An
     irrational root raises ValueError: following it needs an algebraic shear.
     """
     m, alpha = edge.m, edge.alpha
     o = root.multiplicity
-    if truncation_order is not None:
-        cap = Fraction(truncation_order)
-    elif p.truncation_order is not None:
-        cap = p.truncation_order
-    else:
-        cap = Fraction(DEFAULT_TRUNCATION_ORDER)
+    cap = Fraction(TRUNCATION_ORDER)
     s = divide_out_x(subst_scale(p, m), alpha)
     if s.truncation_order is not None and s.truncation_order < cap:
         cap = s.truncation_order
@@ -324,7 +323,7 @@ def _corner(p: PuiseuxPoly, vertex, lower: PuiseuxPoly, upper: PuiseuxPoly,
     return Chart(sign_x=1, sign_y=1, g=PuiseuxPoly.zero(), lower=lower, upper=upper,
                  monomial=(p.coeff(av, bv), av, int(bv)), mode="C",
                  x_max=_separation_radius(lower, upper, params.x_max),
-                 delta=params.delta, phase=p, label="corner")
+                 delta=params.delta, phase=p)
 
 
 def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
@@ -340,7 +339,7 @@ def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
                  upper=ceiling - floor, monomial=(mid, edge.alpha, 0), mode="B",
                  x_max=_separation_radius(floor, ceiling, params.x_max),
                  delta=params.delta, phase=subst_shear(p, 1, floor),
-                 band=(lo, hi), label="band")
+                 band=(lo, hi))
 
 
 def _compose_half(charts: List[Chart], s: int, g_v: PuiseuxPoly,
@@ -416,7 +415,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             if k + 1 < len(vals):
                 margins.append((r - vals[k + 1]) / 4)
             xi0 = min(v for v in margins if v > 0)
-            g_v = branch_curve(p, edge, root, truncation_order=TRUNCATION_ORDER)
+            g_v = branch_curve(p, edge, root)
             p_up = subst_shear(p, 1, g_v)
             p_dn = subst_shear(p, -1, g_v)
             forbidden: List[Fraction] = []
@@ -495,7 +494,6 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
         sector=SectorDescriptor(eta=eta),
         charts=tuple(_certify(p, c) for c in charts),
         recursion_trace=tuple(traces),
-        truncation_order=Fraction(TRUNCATION_ORDER),
     )
 
 
@@ -757,16 +755,18 @@ def _trace_json(node: TraceNode) -> dict:
 
 
 def decomposition_to_json(dec: Decomposition) -> dict:
+    """Schema decomposition/1.  Its sector signs and swap flag are fixed:
+    resolve covers the first quadrant of the input's own axes."""
     return {
         "schema": "newton-sublevel/decomposition/1",
         "sector": {
             "eta": _frac_str(dec.sector.eta),
             "roof_coeff": _frac_str(dec.sector.roof_coeff),
-            "sign_x": dec.sector.sign_x,
-            "sign_y": dec.sector.sign_y,
-            "swapped": dec.sector.swapped,
+            "sign_x": 1,
+            "sign_y": 1,
+            "swapped": False,
         },
-        "truncation_order": _frac_str(dec.truncation_order),
+        "truncation_order": _frac_str(TRUNCATION_ORDER),
         "radius": _frac_str(dec.radius),
         "charts": [
             {

@@ -299,9 +299,6 @@ class IsolatedRoot:
             return self.exact_value
         return (self.lo + self.hi) / 2
 
-    def approx(self) -> float:
-        return float(self.midpoint())
-
     def contains(self, t) -> bool:
         t = _as_fraction(t)
         return self.lo < t <= self.hi

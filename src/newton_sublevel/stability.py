@@ -24,7 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adapt import GrowthIndex, to_superadapted
 from .exact_poly import PuiseuxPoly, poly_add, poly_scale
-from .newton import NewtonPolygon, newton_distance, newton_polygon_of, polygon_subset
+from .newton import (NewtonPolygon, edge_polynomial, newton_distance, newton_polygon_of,
+                     polygon_subset)
 from .roots import IsolatedRoot, isolate_real_roots
 
 ExceptionalT = Union[Fraction, IsolatedRoot]
@@ -65,13 +66,11 @@ class ExceptionalSet:
 # exceptional candidates
 
 
-def _vertex_ts(S: PuiseuxPoly, f: PuiseuxPoly) -> List[Fraction]:
-    out = set()
-    for (a, b) in newton_polygon_of(S).vertices:
-        fv = f.coeff(a, int(b))
-        if fv != 0:
-            out.add(-S.coeff(a, int(b)) / fv)
-    return sorted(out)
+def _cancel_ts(S: PuiseuxPoly, f: PuiseuxPoly, vertices) -> List[Fraction]:
+    """-s_v/f_v at each vertex v (in order) where f has a term: the t at which
+    S + t*f loses that vertex's coefficient."""
+    return [-S.coeff(a, int(b)) / fv for (a, b) in vertices
+            if (fv := f.coeff(a, int(b))) != 0]
 
 
 def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
@@ -87,19 +86,16 @@ def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
 
 
 def _edge_line_coeffs(S, f, edge, x_sign: int):
-    """[(A_k, B_k)] for R(t, y) = sum (A_k + B_k t) y^k on the edge line."""
-    support = sorted({(a, b) for (a, b) in (set(S.terms) | set(f.terms))
-                      if a + edge.m * b == edge.alpha})
-    if x_sign == -1 and any(a.denominator != 1 for a, _ in support):
+    """[(A_k, B_k)] for R(t, y) = sum (A_k + B_k t) y^k on the edge line, from
+    the edge polynomials of S and f at x = x_sign with y^kmin divided out;
+    (None, 0) when x = -1 meets a fractional x-exponent there."""
+    try:
+        qs, qf = edge_polynomial(S, edge, x_sign), edge_polynomial(f, edge, x_sign)
+    except ValueError:
         return None, 0
-    ks = [int(b) for _, b in support]
-    kmin = min(ks)
-    pairs = {}
-    for (a, b) in support:
-        sgn = -1 if (x_sign == -1 and int(a) % 2 == 1) else 1
-        pairs[int(b) - kmin] = (sgn * S.coeff(a, int(b)), sgn * f.coeff(a, int(b)))
-    n = max(pairs)
-    return [pairs.get(i, (Fraction(0), Fraction(0))) for i in range(n + 1)], n
+    ks = sorted({b for (_a, b) in qs.terms} | {b for (_a, b) in qf.terms})
+    coeffs = [(qs.coeff(0, k), qf.coeff(0, k)) for k in range(ks[0], ks[-1] + 1)]
+    return coeffs, len(coeffs) - 1
 
 
 def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
@@ -174,13 +170,10 @@ def _edge_degenerate_ts(S, f, k0: int) -> List[ExceptionalT]:
                     out.append(r)   # irrational candidate, kept as an interval
     # cancellations at the combined polygon's vertices change the edge
     # combinatorics even when the vertex is not a vertex of N(S)
-    for (a, b) in generic.vertices:
-        fv = f.coeff(a, int(b))
-        if fv != 0:
-            t0 = -S.coeff(a, int(b)) / fv
-            if t0 not in seen_rational:
-                seen_rational.add(t0)
-                out.append(t0)
+    for t0 in _cancel_ts(S, f, generic.vertices):
+        if t0 not in seen_rational:
+            seen_rational.add(t0)
+            out.append(t0)
     rationals = sorted(t for t in out if isinstance(t, Fraction))
     others = [t for t in out if not isinstance(t, Fraction)]
     return rationals + sorted(others, key=lambda r: float(r.midpoint()))
@@ -234,8 +227,8 @@ def exceptional_candidates(S: PuiseuxPoly, f: PuiseuxPoly) -> ExceptionalSet:
         raise ValueError("the base phase must be nonzero")
     d = newton_distance(newton_polygon_of(S))
     k0 = max(2, math.ceil(d))
-    return ExceptionalSet(tuple(_vertex_ts(S, f)),
-                          tuple(_edge_degenerate_ts(S, f, k0)))
+    vertex_ts = sorted(set(_cancel_ts(S, f, newton_polygon_of(S).vertices)))
+    return ExceptionalSet(tuple(vertex_ts), tuple(_edge_degenerate_ts(S, f, k0)))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,18 @@ def test_measure_fit_near_half(tmp_path):
     assert len(csv_text.splitlines()) == 7
 
 
+def test_measure_fit_error_names_the_estimates(tmp_path):
+    # on a disk of radius 1e100, 256 samples all miss the sublevel sets: every
+    # estimate is 0 while every epsilon is positive
+    code = run(["measure", "x^2*y^2+x^5", "--radius", "1e100", "--samples", "256",
+                "--out", str(tmp_path)])
+    assert code == 0
+    blob = json.loads((tmp_path / "measure.json").read_text())
+    assert all(s["estimate"] == 0.0 for s in blob["results"]["samples"])
+    assert blob["results"]["fit"] == {
+        "error": "all measure estimates must be positive to fit in log space"}
+
+
 def test_oscillate_morse(tmp_path):
     code = run(["oscillate", "x^2 + y^2", "--out", str(tmp_path),
                 "--lambda", "50..800:6"])
