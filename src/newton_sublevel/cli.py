@@ -36,6 +36,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -901,7 +902,9 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv: List[str]) -> argparse.Namespace:
+@lru_cache(maxsize=1)
+def _parser():
+    """The argument parser, built on the first run and reused by later ones."""
     ap = _ArgParser(prog="newton-sublevel",
                     description="Newton-polygon invariants, resolution charts, and "
                                 "sublevel/oscillatory asymptotics for bivariate phases.")
@@ -910,10 +913,17 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
         sp = sub.add_parser(command)
         for name in names + ("--out", "--config"):
             sp.add_argument(name, **_ARGS[name])
+    return ap, sub
+
+
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    ap, sub = _parser()
     args = ap.parse_args(argv)
     if args.config:
         # config values become the subcommand's defaults, which argparse
-        # converts like flag values; keys for flags it lacks are ignored
+        # converts like flag values; keys for flags it lacks are ignored.  A
+        # fresh parser takes them, so that they do not leak into later runs.
+        ap, sub = _parser.__wrapped__()
         names = _COMMANDS[args.command][1] + ("--out",)
         sub.choices[args.command].set_defaults(**{
             _ARGS[flag].get("dest", flag[2:].replace("-", "_")): val

@@ -70,10 +70,17 @@ class PuiseuxPoly:
             clean = {k: v for k, v in clean.items() if k[0] + k[1] < truncation_order}
         self.terms = clean
         self.truncation_order = truncation_order
-        ram = 1
-        for (a, _b) in clean:
-            ram = ram * a.denominator // math.gcd(ram, a.denominator)
-        self.ramification = ram
+        self.ramification = math.lcm(*[a.denominator for a, _b in clean])
+
+    @classmethod
+    def _trusted(cls, terms, truncation_order, ramification: int) -> "PuiseuxPoly":
+        """Wrap terms unchecked.  The caller guarantees what __init__ would
+        establish: keys (a, b) with a nonnegative Fraction a and int b >= 0,
+        nonzero Fraction coefficients, every a + b below truncation_order (a
+        Fraction, or None), and ramification the least N with every N·a integral."""
+        self = object.__new__(cls)
+        self.terms, self.truncation_order, self.ramification = terms, truncation_order, ramification
+        return self
 
     # ---- constructors ----
 
@@ -174,23 +181,65 @@ def _coerce(v) -> PuiseuxPoly:
     return PuiseuxPoly.constant(v)
 
 
-def _min_trunc(p: PuiseuxPoly, q: PuiseuxPoly) -> Optional[Fraction]:
-    if p.truncation_order is None:
-        return q.truncation_order
-    if q.truncation_order is None:
-        return p.truncation_order
-    return min(p.truncation_order, q.truncation_order)
+def _min_trunc(*orders: Optional[Fraction]) -> Optional[Fraction]:
+    return min((t for t in orders if t is not None), default=None)
 
 
 # ---- arithmetic ----
+# poly_add, poly_mul and subst_y key each term c·x^a·y^b by the integers
+# (a·n, b), with c an integer over one common denominator.
+
+
+def _lattices(p: PuiseuxPoly, q: PuiseuxPoly):
+    """(M, n, lim, p's _lattice, q's _lattice): the min truncation order M,
+    the lcm n of the ramifications, and lim = ceil(M·n), the least a·n + b·n
+    that M cuts (inf if M is None)."""
+    trunc = _min_trunc(p.truncation_order, q.truncation_order)
+    n = math.lcm(p.ramification, q.ramification)
+    lim = math.inf if trunc is None else -(-trunc.numerator * n // trunc.denominator)
+    return trunc, n, lim, _lattice(p, n), _lattice(q, n)
+
+
+def _lattice(p: PuiseuxPoly, n: int):
+    """({(a·n, b): c·den} in p's term order, den = lcm of the denominators)."""
+    den = math.lcm(*[c.denominator for c in p.terms.values()])
+    return {(a.numerator * (n // a.denominator), b): c.numerator * (den // c.denominator)
+            for (a, b), c in p.terms.items()}, den
+
+
+def _lattice_add(acc: dict, items, scale: int, n: int, lim) -> dict:
+    """acc + scale·items below lim; new keys appended, zero sums dropped."""
+    for (a, b), c in items:
+        if a + n * b < lim:
+            acc[(a, b)] = acc[(a, b)] + c * scale if (a, b) in acc else c * scale
+    return {k: c for k, c in acc.items() if c}
+
+
+def _lattice_mul(p: dict, q: dict, n: int, lim) -> dict:
+    """p·q below lim; keys in first-occurrence order (p outer), zero sums dropped."""
+    acc: dict = {}
+    qs = [(a, b, a + n * b, c) for (a, b), c in q.items()]
+    for (a1, b1), c1 in p.items():
+        for a2, b2, s2, c2 in qs:
+            if a1 + n * b1 + s2 < lim:
+                key = (a1 + a2, b1 + b2)
+                acc[key] = acc[key] + c1 * c2 if key in acc else c1 * c2
+    return {k: c for k, c in acc.items() if c}
+
+
+def _from_lattice(acc: dict, n: int, den: int, trunc: Optional[Fraction]) -> PuiseuxPoly:
+    exps = {a: Fraction(a, n) for a in {a for a, _b in acc}}   # one per distinct exponent
+    return PuiseuxPoly._trusted({(exps[a], b): Fraction(c, den) for (a, b), c in acc.items()},
+                                trunc, n // math.gcd(n, *exps))
 
 
 def poly_add(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
     """Sum with exact cancellation; truncation order is the min of the inputs."""
-    terms = dict(p.terms)
-    for k, c in q.terms.items():
-        terms[k] = terms.get(k, Fraction(0)) + c
-    return PuiseuxPoly(terms, _min_trunc(p, q))
+    trunc, n, lim, (lp, dp), (lq, dq) = _lattices(p, q)
+    den = math.lcm(dp, dq)
+    acc = _lattice_add({}, lp.items(), den // dp, n, lim)
+    acc = _lattice_add(acc, lq.items(), den // dq, n, lim)
+    return _from_lattice(acc, n, den, trunc)
 
 
 def poly_scale(p: PuiseuxPoly, c) -> PuiseuxPoly:
@@ -200,15 +249,8 @@ def poly_scale(p: PuiseuxPoly, c) -> PuiseuxPoly:
 
 def poly_mul(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
     """Product, discarding terms at or beyond the min input truncation order."""
-    trunc = _min_trunc(p, q)
-    terms: Dict[ExpPair, Fraction] = {}
-    for (a1, b1), c1 in p.terms.items():
-        for (a2, b2), c2 in q.terms.items():
-            key = (a1 + a2, b1 + b2)
-            if trunc is not None and key[0] + key[1] >= trunc:
-                continue
-            terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-    return PuiseuxPoly(terms, trunc)
+    trunc, n, lim, (lp, dp), (lq, dq) = _lattices(p, q)
+    return _from_lattice(_lattice_mul(lp, lq, n, lim), n, dp * dq, trunc)
 
 
 def deriv_y(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
@@ -251,14 +293,18 @@ def deriv_x(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
 
 
 def subst_y(p: PuiseuxPoly, h: PuiseuxPoly) -> PuiseuxPoly:
-    """p(x, h(x, y)) by Horner's rule over the y-coefficients of p."""
-    byb = p.as_y_coefficients()
-    acc = PuiseuxPoly({}, p.truncation_order)
-    for b in range(max(byb, default=-1), -1, -1):
-        acc = poly_mul(acc, h)
-        if b in byb:
-            acc = poly_add(acc, byb[b])
-    return acc
+    """p(x, h(x, y)) by Horner's rule over the y-coefficients of p: each step
+    is poly_mul by h, then poly_add of the next y-coefficient, kept over the
+    common denominator den_p·den_h^k after k products."""
+    if not p.terms:
+        return PuiseuxPoly({}, p.truncation_order)
+    trunc, n, lim, (lp, dp), (lh, dh) = _lattices(p, h)
+    acc, scale = {}, 1
+    for b in range(max(b for _a, b in lp), -1, -1):
+        scale *= dh
+        coeff_b = [((a, 0), c) for (a, bb), c in lp.items() if bb == b]
+        acc = _lattice_add(_lattice_mul(acc, lh, n, lim), coeff_b, scale, n, lim)
+    return _from_lattice(acc, n, dp * scale, trunc)
 
 
 def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
@@ -277,18 +323,11 @@ def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
     if any(a <= 0 for (a, _b) in g.terms):
         raise ValueError("not a curve substitution: g has a term with x-exponent <= 0")
 
-    if p.truncation_order is None and g.truncation_order is None:
-        trunc = None
-    else:
-        cands = []
-        g_ord = min((a for (a, _b) in g.terms), default=Fraction(1))
-        if p.truncation_order is not None:
-            # a hidden term x^a y^b with a + b >= M lands at order >= a + b*min(1, ord g)
-            cands.append(p.truncation_order * min(Fraction(1), g_ord))
-        if g.truncation_order is not None:
-            # a hidden tail of g enters linearly through each y-power
-            cands.append(g.truncation_order)
-        trunc = min(cands)
+    g_ord = min((a for (a, _b) in g.terms), default=Fraction(1))
+    # a hidden term x^a y^b with a + b >= M lands at order >= a + b*min(1, ord g),
+    # and a hidden tail of g enters linearly through each y-power
+    trunc = _min_trunc(None if p.truncation_order is None
+                       else p.truncation_order * min(Fraction(1), g_ord), g.truncation_order)
 
     shear = PuiseuxPoly({(Fraction(0), 1): sign_y, **g.terms}, g.truncation_order)
     return PuiseuxPoly(subst_y(p, shear).terms, trunc)

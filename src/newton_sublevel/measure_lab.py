@@ -317,6 +317,14 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     area = region_area(region)
     box = _bounding_box(region)
     terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
+    # sum |c|·r^(a+b), r the box's largest |coordinate|, bounds every power, term
+    # and partial sum of S on the box: when it is finite nothing overflows
+    r = np.float64(max(map(abs, box)))
+    with np.errstate(all="ignore"):
+        bound = sum(abs(c) * r ** (a + b) for c, a, b in terms)
+    if not np.isfinite(bound):
+        raise ValueError("phase values overflow floats on this region: "
+                         "sum |c|*r^(a+b) is not finite")
     if method == "MC":
         out = _mc_samples(terms, region, box, area, eps, int(budget), seed, threads)
     elif method == "GRID":

@@ -39,7 +39,6 @@ from .exact_poly import (
     divide_out_x,
     eval_rational,
     eval_real,
-    poly_add,
     poly_mul,
     poly_scale,
     subst_scale,
@@ -272,17 +271,17 @@ def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, F
 
 
 # ---------------------------------------------------------------------------
-# branch curves (Newton–Puiseux lifting with a frozen derivative)
+# branch curves (Newton–Puiseux lifting by Newton's iteration)
 
 
 def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> PuiseuxPoly:
     """Curve y = x^m·t(x) following the branch rooted at a rational edge root.
 
-    t solves d_y^(o-1) s(x, t(x)) = 0 where s(x, y) = x^(-alpha)·p(x, x^m y)
-    and o is the root's multiplicity; coefficients are produced by repeated
-    linear solves against the frozen derivative A = d_y^o s(0, r) != 0, up to
-    total order TRUNCATION_ORDER (lower if s is truncated lower).  An
-    irrational root raises ValueError: following it needs an algebraic shear.
+    t(0) = r and h(x, t(x)) = 0 for h = d_y^(o-1) s, s(x, y) = x^(-alpha)·p(x, x^m y),
+    o the root's multiplicity; the pivot h_y(0, r) != 0 makes t unique.  Newton's
+    iteration t <- t - h(x,t)/h_y(x,t) (Kung–Traub 1978) doubles the x-order to which
+    t is exact per pass, up to total order TRUNCATION_ORDER (lower if s is truncated
+    lower).  An irrational root raises ValueError: it needs an algebraic shear.
     """
     m, alpha = edge.m, edge.alpha
     o = root.multiplicity
@@ -294,21 +293,26 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> Puise
     r = root.exact_value
     if r is None:
         raise ValueError(_IRRATIONAL_ROOT)
+    # t has valuation 0, so every cut is by x-order and goes on t; h and h_y are
+    # used whole (a total-order cut would drop x^a·y^b with a < end <= a + b)
+    end = cap if h.truncation_order is None else min(cap, h.truncation_order)
+    h = PuiseuxPoly(h.terms)
     hy = deriv_y(h, 1)
     a_coef = eval_rational(hy, Fraction(0), r)
     if a_coef == 0:
         raise RuntimeError("branch lifting pivot vanished (contradicts root multiplicity)")
-    t = PuiseuxPoly({(Fraction(0), 0): r}, cap)
-    for _ in range(500):
-        e = subst_y(h, t)
-        if e.is_zero():
+    t = PuiseuxPoly.constant(r)
+    u = PuiseuxPoly.constant(1 / a_coef)   # 1/h_y(x, t), exact below x^k
+    k = Fraction(1, h.ramification)         # t is exact below x^k
+    while not (e := subst_y(h, PuiseuxPoly(t.terms, end))).is_zero():
+        k = min(2 * k, end)
+        t = PuiseuxPoly(t.terms, k) - poly_mul(PuiseuxPoly(e.terms, k), u)
+        if k == end:
             break
-        (a_star, _), c_star = min(e.terms.items())
-        if a_star >= cap:
-            break
-        t = poly_add(t, _monocurve(-c_star / a_coef, a_star))
-    else:
+        u = PuiseuxPoly(poly_mul(u, 2 - poly_mul(subst_y(hy, t), u)).terms)
+    if len(t.terms) > 500:
         raise RuntimeError("branch lifting did not terminate within 500 corrections")
+    t = PuiseuxPoly(dict(sorted(t.terms.items())), cap)
     return poly_mul(_monocurve(Fraction(1), m), t)
 
 

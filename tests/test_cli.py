@@ -4,6 +4,7 @@ import itertools
 import json
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,15 +213,31 @@ def test_measure_fit_near_half(tmp_path):
 
 
 def test_measure_fit_error_names_the_estimates(tmp_path):
-    # on a disk of radius 1e100, 256 samples all miss the sublevel sets: every
+    # on a disk of radius 1e30, 256 samples all miss the sublevel sets: every
     # estimate is 0 while every epsilon is positive
-    code = run(["measure", "x^2*y^2+x^5", "--radius", "1e100", "--samples", "256",
+    code = run(["measure", "x^2*y^2+x^5", "--radius", "1e30", "--samples", "256",
                 "--out", str(tmp_path)])
     assert code == 0
     blob = json.loads((tmp_path / "measure.json").read_text())
     assert all(s["estimate"] == 0.0 for s in blob["results"]["samples"])
     assert blob["results"]["fit"] == {
         "error": "all measure estimates must be positive to fit in log space"}
+
+
+@pytest.mark.parametrize("mode", ["numeric", "exact"])
+def test_measure_refuses_a_disk_where_the_phase_overflows(tmp_path, capsys, mode):
+    # x^5 at radius 1e100 is 1e500: refused before any sampling, so no numpy
+    # overflow warning and no NaN counted as outside every sublevel set
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["measure", "x^2*y^2+x^5", "--radius", "1e100", "--samples", "256",
+                    "--mode", mode, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "sum |c|*r^(a+b) is not finite" in err
+    assert "not finite" in (tmp_path / "measure.FAILED").read_text()
+    assert not (tmp_path / "measure.json").exists()
 
 
 def test_oscillate_morse(tmp_path):
@@ -484,7 +501,9 @@ def _phases(draw):
 
 # valid values first, then garbage; the valid ones keep each call cheap
 # (1e300 is refused by measure and oscillate and fails resolve's certification;
-# at 1e100 and at lambda 1e9 oscillate refuses the work its phase swing needs)
+# at 1e100 measure refuses phases of degree 4 and up, whose values overflow
+# floats there, and at 1e100 and at lambda 1e9 oscillate refuses the work its
+# phase swing needs)
 _RATS = ["1/8", "1/4", "1/2", "0", "-1", "2", "abc", "1/0", ""]
 _FLAG_VALUES = {
     "--seed": ["0", "5", "-1", "x", "1.5"],
@@ -581,6 +600,35 @@ def test_config_keys_apply_only_where_declared(tmp_path):
     cfg.write_text("samples = 0\n")
     assert run(["check-vdc", "--config", str(cfg), "--out", str(tmp_path / "v")]) == 1
     assert not (tmp_path / "v").exists()
+
+
+def test_config_defaults_do_not_leak_into_later_runs(tmp_path, capsys):
+    # runs share one parser; a --config run must leave its defaults behind
+    def usage_errors():
+        msgs = []
+        for argv in (["measure", "x^2 + y^2", "--eps", "nonsense"], ["measure"],
+                     ["analyze", "x^2", "--seed", "3"], ["resolve", "x^2", "--xi", "abc"]):
+            assert run(argv + ["--out", str(tmp_path / "u")]) == 1
+            msgs.append(capsys.readouterr().err)
+        return msgs
+
+    before = usage_errors()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 9\neps = 1e-1..1e-2:2\n")
+    assert run(["measure", "x^2 + y^2", "--config", str(cfg), "--samples", "1000",
+                "--out", str(tmp_path / "a")]) == 0
+    blob = json.loads((tmp_path / "a" / "measure.json").read_text())
+    assert blob["config"]["seed"] == 9
+    assert [s["epsilon"] for s in blob["results"]["samples"]] == [0.1, 0.01]
+    assert run(["measure", "x^2 + y^2", "--samples", "1000",
+                "--out", str(tmp_path / "b")]) == 0
+    blob = json.loads((tmp_path / "b" / "measure.json").read_text())
+    assert blob["config"]["seed"] == 0
+    eps = [s["epsilon"] for s in blob["results"]["samples"]]
+    assert len(eps) == 8 and eps[0] == 1e-2 and abs(eps[-1] - 1e-6) < 1e-18
+    assert not (tmp_path / "u").exists()
+    capsys.readouterr()
+    assert usage_errors() == before
 
 
 # ---------------------------------------------------------------------------

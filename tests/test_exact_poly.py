@@ -21,6 +21,7 @@ from newton_sublevel import (
     reflect_axes,
     subst_scale,
     subst_shear,
+    subst_y,
 )
 from helpers import phase
 
@@ -215,3 +216,96 @@ def test_format_poly_readable():
     assert s == "y^2 - 2*x^2*y + x^4"
     assert format_poly(PuiseuxPoly.zero()) == "0"
     assert "x^(1/2)" in format_poly(phase((1, Fraction(1, 2), 0)))
+
+
+# ---- differential: the integer-exponent kernel against plain Fraction code ----
+#
+# A reference polynomial is (terms, truncation_order, ramification), built
+# the way PuiseuxPoly.__init__ builds one: nonzero terms below the
+# truncation order, in insertion order.
+
+
+def _ref(terms, trunc):
+    kept = {k: c for k, c in terms.items()
+            if c != 0 and (trunc is None or k[0] + k[1] < trunc)}
+    return kept, trunc, math.lcm(*[a.denominator for a, _b in kept])
+
+
+def _ref_of(p):
+    return dict(p.terms), p.truncation_order, p.ramification
+
+
+def _ref_min(t1, t2):
+    return t2 if t1 is None else (t1 if t2 is None else min(t1, t2))
+
+
+def _ref_add(p, q):
+    terms = dict(p[0])
+    for k, c in q[0].items():
+        terms[k] = terms.get(k, Fraction(0)) + c
+    return _ref(terms, _ref_min(p[1], q[1]))
+
+
+def _ref_mul(p, q):
+    trunc = _ref_min(p[1], q[1])
+    terms = {}
+    for (a1, b1), c1 in p[0].items():
+        for (a2, b2), c2 in q[0].items():
+            key = (a1 + a2, b1 + b2)
+            if trunc is None or key[0] + key[1] < trunc:
+                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+    return _ref(terms, trunc)
+
+
+def _ref_subst_y(p, h):
+    byb = {}
+    for (a, b), c in p[0].items():
+        byb.setdefault(b, {})[(a, 0)] = c
+    acc = ({}, p[1], 1)
+    for b in range(max(byb, default=-1), -1, -1):
+        acc = _ref_mul(acc, h)
+        if b in byb:
+            acc = _ref_add(acc, _ref(byb[b], p[1]))
+    return acc
+
+
+def _ref_subst_shear(p, sign_y, g):
+    if p[1] is None and g[1] is None:
+        trunc = None
+    else:
+        g_ord = min((a for (a, _b) in g[0]), default=Fraction(1))
+        trunc = _ref_min(None if p[1] is None else p[1] * min(Fraction(1), g_ord), g[1])
+    shear = _ref({(Fraction(0), 1): Fraction(sign_y), **g[0]}, g[1])
+    return _ref(_ref_subst_y(p, shear)[0], trunc)
+
+
+def _same(got, want):
+    # terms in the same insertion order, with the same bounds
+    assert list(got.terms.items()) == list(want[0].items())
+    assert got.truncation_order == want[1]
+    assert got.ramification == want[2]
+
+
+@st.composite
+def truncated_polys(draw):
+    return PuiseuxPoly(draw(polys(max_terms=6)).terms, draw(truncations))
+
+
+@given(truncated_polys(), truncated_polys())
+def test_add_and_mul_match_the_fraction_reference(p, q):
+    _same(poly_add(p, q), _ref_add(_ref_of(p), _ref_of(q)))
+    _same(poly_mul(p, q), _ref_mul(_ref_of(p), _ref_of(q)))
+    _same(p - p, _ref_add(_ref_of(p), _ref_of(poly_scale(p, -1))))
+    # (p + q)(p - q): the cross terms cancel, so zero sums must be dropped
+    s, d = p + q, p - q
+    _same(poly_mul(s, d), _ref_mul(_ref_of(s), _ref_of(d)))
+
+
+@given(truncated_polys(), truncated_polys())
+def test_subst_y_matches_the_fraction_reference(p, h):
+    _same(subst_y(p, h), _ref_subst_y(_ref_of(p), _ref_of(h)))
+
+
+@given(truncated_polys(), st.sampled_from((1, -1)), curves())
+def test_subst_shear_matches_the_fraction_reference(p, sign_y, g):
+    _same(subst_shear(p, sign_y, g), _ref_subst_shear(_ref_of(p), sign_y, _ref_of(g)))

@@ -1,11 +1,15 @@
 """Resolution into monomial-comparable charts: tiling, certification, maps."""
 
 import dataclasses
+import importlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from newton_sublevel import (
     PuiseuxPoly,
@@ -13,18 +17,29 @@ from newton_sublevel import (
     chart_apply,
     chart_unapply,
     decomposition_to_json,
+    deriv_y,
+    divide_out_x,
     edge_polynomial,
+    eval_rational,
     eval_real,
     isolate_real_roots,
     newton_polygon_of,
     parse_expression,
+    poly_add,
+    poly_mul,
     resolve,
     ResolveParams,
+    subst_scale,
+    subst_shear,
+    subst_y,
     verify_chart,
 )
 from helpers import phase, CATALOG, RESOLVE_EXTRAS
 
 ALL_PHASES = [(n, p) for n, p, *_ in CATALOG] + RESOLVE_EXTRAS
+RESOLVE = importlib.import_module("newton_sublevel.resolve")
+# the slowest resolve known: one branch curve of 73 terms below order 40
+SLOW_PHASE = "3*x^6*y^3 - 3/2*x^5*y^4 - 3*x^5 + 3*x^4*y^2"
 
 
 def _sector_samples(dec, n, seed):
@@ -210,3 +225,109 @@ def test_certification_counts_a_zero_model_as_a_failed_attempt():
     p = parse_expression("3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2").poly
     with pytest.raises(RuntimeError, match="certification failed after 20 retries"):
         resolve(p)
+
+
+# ---- branch lifting: Newton's iteration against one correction per pass ----
+
+
+def _branch_curve_by_corrections(p, edge, root):
+    """Reference lifting with a frozen derivative: each pass evaluates
+    h(x, t) in full by Horner's rule and adds the one term that cancels its
+    lowest-order residual."""
+    cap = Fraction(RESOLVE.TRUNCATION_ORDER)
+    s = divide_out_x(subst_scale(p, edge.m), edge.alpha)
+    if s.truncation_order is not None and s.truncation_order < cap:
+        cap = s.truncation_order
+    h = deriv_y(s, root.multiplicity - 1)
+    r = root.exact_value
+    a_coef = eval_rational(deriv_y(h, 1), Fraction(0), r)
+    t = PuiseuxPoly({(Fraction(0), 0): r}, cap)
+    for _ in range(500):
+        e = subst_y(h, t)
+        if e.is_zero():
+            break
+        (a_star, _), c_star = min(e.terms.items())
+        if a_star >= cap:
+            break
+        t = poly_add(t, PuiseuxPoly.monomial(-c_star / a_coef, a_star, 0))
+    else:
+        raise RuntimeError("branch lifting did not terminate within 500 corrections")
+    return poly_mul(PuiseuxPoly.monomial(1, edge.m, 0), t)
+
+
+def _lifts(p, depth=2):
+    """(p, edge, root) for each rational positive edge root of p, then again
+    in p sheared both ways along each curve found, as resolve's strips are
+    (the sheared phases carry truncation orders)."""
+    out = []
+    if p.is_zero():
+        return out
+    for e in newton_polygon_of(p).edges:
+        for root in isolate_real_roots(edge_polynomial(p, e, 1), domain="positive"):
+            if root.exact_value is None:
+                continue
+            out.append((p, e, root))
+            if depth:
+                g = branch_curve(p, e, root)
+                for sign_y in (1, -1):
+                    out += _lifts(subst_shear(p, sign_y, g), depth - 1)
+    return out
+
+
+def _assert_same_curves(p, depth=2):
+    lifts = _lifts(p, depth)
+    for q, e, root in lifts:
+        got = branch_curve(q, e, root)
+        want = _branch_curve_by_corrections(q, e, root)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert got.truncation_order == want.truncation_order
+        assert got.ramification == want.ramification
+
+
+# h(x, y) has x^35·y^6: a total-order cut at 40 would drop its x^35 in h(x, t)
+# | a triple root whose child strip has a double root on an edge of slope 1/2,
+# where h's truncation order, not 40, bounds the exact terms of t
+LIFT_CASES = ALL_PHASES + [(name, parse_expression(expr).poly) for name, expr in (
+    ("slow", SLOW_PHASE), ("x-order-cut", "y - x + x^30*y^6"),
+    ("truncated-double", "(y - x^(1/4))*(y - x^(1/4) - x^(1/2) - x^(1/2)*y)^2"))]
+
+
+@pytest.mark.parametrize("name,p", LIFT_CASES, ids=[n for n, _ in LIFT_CASES])
+def test_newton_lifting_matches_one_correction_per_pass(name, p):
+    # the catalog, the extras, the slow phase and the two truncation traps,
+    # term for term and in order
+    _assert_same_curves(p)
+
+
+@st.composite
+def two_branch_phases(draw):
+    """(y - c1·x^m1)^k1·(y - c2·x^m2)^k2 + tail·x^n, n = k1·m1 + k2·m2 + 1."""
+    m1, m2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k1, k2 = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    c1, c2 = (draw(st.sampled_from((-3, -2, -1, 1, 2, 3))) for _ in range(2))
+    assume((m1, c1) != (m2, c2))
+    tail = draw(st.sampled_from((-2, -1, 1, 2)))
+    return parse_expression(f"(y - ({c1})*x^{m1})^{k1}*(y - ({c2})*x^{m2})^{k2} "
+                            f"+ ({tail})*x^{k1 * m1 + k2 * m2 + 1}").poly
+
+
+@given(two_branch_phases())
+def test_newton_lifting_matches_on_the_two_branch_family(p):
+    _assert_same_curves(p, depth=1)
+
+
+def test_slow_phase_lifting_takes_log_many_horner_passes(monkeypatch):
+    p = parse_expression(SLOW_PHASE).poly
+    (q, e, root), = _lifts(p, depth=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return subst_y(*args)
+
+    monkeypatch.setattr(RESOLVE, "subst_y", counted)
+    curve = branch_curve(q, e, root)
+    # one correction per pass would take 74 passes; Newton's iteration doubles
+    # the exact x-order per pass, one Horner pass for h and one for h_y
+    assert len(curve.terms) == 73
+    assert len(calls) <= 2 * math.ceil(math.log2(RESOLVE.TRUNCATION_ORDER * curve.ramification))
