@@ -54,7 +54,6 @@ from .adapt import (
     growth_index,
     is_morse,
     is_superadapted,
-    lex_compare,
     to_superadapted,
 )
 from .resolve import (
@@ -105,7 +104,6 @@ from .stability import (
 from .cli import (
     ParseError,
     PhaseExpr,
-    ReportEnvelope,
     parse_expression,
     print_expression,
     run,

@@ -41,17 +41,8 @@ class GrowthIndex:
     morse_hyperbolic: bool = False  # saddle with d = 1: oscillatory decay drops the log
 
     def key(self) -> Tuple[Fraction, int]:
+        """The order of indices: a smaller key (-j, p) is faster decay."""
         return (-self.j, self.p)
-
-
-def lex_compare(g1: GrowthIndex, g2: GrowthIndex) -> int:
-    """-1/0/+1 comparing (-j, p) lexicographically (smaller = faster decay)."""
-    k1, k2 = g1.key(), g2.key()
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ Exit codes: 0 on success; 1 on usage or parse errors and on input outside
 the model (a ValueError); 2 when a construction, verification or
 certification step fails (a RuntimeError, or a failed check); 3 on any other
 exception, reported in one line without a traceback.  Usage and parse errors
-write nothing; every other failure leaves a ``<command>.FAILED`` marker next
-to any partial outputs.  Reports carry no timestamps and serialize with
+write nothing; every other failure writes a ``<command>.FAILED`` marker, next
+to the reports after a failed check and alone after an exception.  Each
+subcommand returns its report and run writes it, so a subcommand that raises
+leaves no partial outputs.  Reports carry no timestamps and serialize with
 sorted keys so equal runs produce equal bytes; rationals appear as
 "num/den" strings.  NEWTON_SUBLEVEL_THREADS caps sampling parallelism.
 """
@@ -72,7 +74,6 @@ REPORT_SCHEMA = "newton-sublevel/report/1"
 __all__ = [
     "ParseError",
     "PhaseExpr",
-    "ReportEnvelope",
     "parse_expression",
     "print_expression",
     "run",
@@ -405,21 +406,16 @@ def parse_expression(text: str) -> PhaseExpr:
 
 
 @dataclass(frozen=True)
-class ReportEnvelope:
-    command: str
-    inputs: Dict[str, object]
-    config: Dict[str, object]
-    results: Dict[str, object]
+class _Report:
+    """What a subcommand hands to run, which writes the files, prints the
+    lines and sets the exit status."""
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "schema": REPORT_SCHEMA,
-            "command": self.command,
-            "input": self.inputs,
-            "config": self.config,
-            "results": self.results,
-            "versions": {"newton-sublevel": __version__},
-        }
+    name: str                                  # the JSON report's file name
+    inputs: Dict[str, object]
+    results: Dict[str, object]
+    files: Tuple[Tuple[str, str], ...] = ()    # (name, text) written before the JSON
+    lines: Tuple[str, ...] = ()                # the summary, after the "wrote" lines
+    failure: Optional[str] = None              # a failed check: marker text, exit 2
 
 
 def _fstr(q: Fraction) -> str:
@@ -435,8 +431,8 @@ def _write_text(out: Path, name: str, text: str) -> Path:
     return path
 
 
-def _write_json(out: Path, name: str, obj: Dict[str, object]) -> Path:
-    return _write_text(out, name, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+def _json_text(obj: Dict[str, object]) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
 def _fail_marker(out: Path, command: str, message: str) -> None:
@@ -522,14 +518,20 @@ def _frac_opt(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}")
 
 
-def _positive_int(s: str) -> int:
-    try:
-        n = int(s)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expects a positive integer, got {s!r}")
-    return n
+def _int_at_least(lo: int):
+    """The converter of integers >= lo: 1 for --samples, 0 for --seed."""
+    kind = "positive" if lo == 1 else "nonnegative"
+
+    def convert(s: str) -> int:
+        try:
+            n = int(s)
+        except ValueError:
+            n = lo - 1
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expects a {kind} integer, got {s!r}")
+        return n
+
+    return convert
 
 
 def _mode(s: str) -> str:
@@ -555,8 +557,8 @@ _ARGS: Dict[str, Dict[str, object]] = {
     "perturbation": dict(type=_phase),
     "--out": dict(default=".", metavar="DIR", help="output directory (default: .)"),
     "--config": dict(metavar="FILE", help="key = value defaults; explicit flags win"),
-    "--seed": dict(type=int, default=0),
-    "--samples": dict(type=_positive_int, metavar="N"),
+    "--seed": dict(type=_int_at_least(0), default=0, metavar="N"),
+    "--samples": dict(type=_int_at_least(1), metavar="N"),
     "--eps": dict(type=_parse_range, default="1e-2..1e-6:8", metavar="LO..HI[:COUNT]"),
     "--lambda": dict(type=_parse_range, default="50..800:8", dest="lam",
                      metavar="LO..HI[:COUNT]"),
@@ -593,10 +595,11 @@ def _load_config(path: str) -> Dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads the parsed arguments its table row declares
+# subcommands: each reads the parsed arguments its table row declares and
+# returns its report; run writes it
 
 
-def _cmd_analyze(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_analyze(args) -> _Report:
     expr = args.expr
     np_ = newton_polygon_of(expr.poly)
     d = newton_distance(np_)
@@ -613,16 +616,13 @@ def _cmd_analyze(args, out: Path, cfg: Dict[str, object]) -> int:
         "shears_to_superadapted": rep.iterations,
         "index": _index_json(rep.index),
     }
-    env = ReportEnvelope("analyze", {"expr": expr.source}, cfg, results)
-    path = _write_json(out, "analyze.json", env.as_dict())
-    print(f"wrote {path}")
     # d is read in the input coordinates, j = 1/d in superadapted ones
-    print(f"d = {d} (input coordinates), {1 / rep.index.j} (superadapted), "
-          f"index (j, p) = ({rep.index.j}, {rep.index.p})")
-    return 0
+    line = (f"d = {d} (input coordinates), {1 / rep.index.j} (superadapted), "
+            f"index (j, p) = ({rep.index.j}, {rep.index.p})")
+    return _Report("analyze.json", {"expr": expr.source}, results, lines=(line,))
 
 
-def _cmd_adapt(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_adapt(args) -> _Report:
     rep = to_superadapted(args.expr.poly)
     results = {
         "original": format_poly(rep.original),
@@ -636,15 +636,11 @@ def _cmd_adapt(args, out: Path, cfg: Dict[str, object]) -> int:
         "final_polygon": _polygon_json(newton_polygon_of(rep.final)),
         "index": _index_json(rep.index),
     }
-    env = ReportEnvelope("adapt", {"expr": args.expr.source}, cfg, results)
-    path = _write_json(out, "adapt.json", env.as_dict())
-    print(f"wrote {path}")
-    print(f"{results['original']}  ->  {results['final']}  "
-          f"({rep.iterations} shear(s))")
-    return 0
+    line = f"{results['original']}  ->  {results['final']}  ({rep.iterations} shear(s))"
+    return _Report("adapt.json", {"expr": args.expr.source}, results, lines=(line,))
 
 
-def _cmd_resolve(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_resolve(args) -> _Report:
     given = {"eta": args.eta, "xi": args.xi, "delta": args.delta, "x_max": args.radius}
     try:
         params = ResolveParams(**{k: v for k, v in given.items() if v is not None})
@@ -652,7 +648,6 @@ def _cmd_resolve(args, out: Path, cfg: Dict[str, object]) -> int:
         raise _UsageError(str(exc))
     expr = args.expr
     dec = resolve(expr.poly, params)
-    _write_json(out, "resolution.json", decomposition_to_json(dec))
 
     samples = args.samples if args.samples is not None else 1000
     rows = []
@@ -675,16 +670,11 @@ def _cmd_resolve(args, out: Path, cfg: Dict[str, object]) -> int:
         "verify": rows,
         "all_passed": all_ok,
     }
-    env = ReportEnvelope("resolve", {"expr": expr.source}, cfg, results)
-    path = _write_json(out, "verify.json", env.as_dict())
-    print(f"wrote {out / 'resolution.json'}")
-    print(f"wrote {path}")
-    print(f"{len(dec.charts)} charts, radius {dec.radius}, "
-          f"verification {'passed' if all_ok else 'FAILED'}")
-    if not all_ok:
-        _fail_marker(out, "resolve", "chart verification failed; see verify.json")
-        return 2
-    return 0
+    return _Report("verify.json", {"expr": expr.source}, results,
+                   files=(("resolution.json", _json_text(decomposition_to_json(dec))),),
+                   lines=(f"{len(dec.charts)} charts, radius {dec.radius}, "
+                          f"verification {'passed' if all_ok else 'FAILED'}",),
+                   failure=None if all_ok else "chart verification failed; see verify.json")
 
 
 def _fit_json(fit, data) -> Dict[str, object]:
@@ -718,7 +708,7 @@ def _disk_radius(radius: Optional[Fraction]) -> float:
     return r
 
 
-def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_measure(args) -> _Report:
     budget = args.samples if args.samples is not None else 10**6
     method = "GRID" if args.mode == "exact" else "MC"
     if method == "GRID":
@@ -728,7 +718,6 @@ def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
     samples = sublevel_measure(args.expr.poly, region, args.eps, budget=budget,
                                seed=args.seed, method=method,
                                threads=_threads_from_env())
-    _write_text(out, "measure.csv", measure_csv(samples))
     results = {
         "region": {"type": "disk", "radius": float(region.radius)},
         "method": method,
@@ -739,20 +728,16 @@ def _cmd_measure(args, out: Path, cfg: Dict[str, object]) -> int:
         ],
         "fit": _fit_json(fit_growth, samples),
     }
-    env = ReportEnvelope("measure", {"expr": args.expr.source}, cfg, results)
-    path = _write_json(out, "measure.json", env.as_dict())
-    print(f"wrote {out / 'measure.csv'}")
-    print(f"wrote {path}")
-    print(_fit_line(results["fit"], "fit: j = {j_hat:.4f}, p = {p_hat:.3f} "
-                                    "(rounded {p_rounded})"))
-    return 0
+    return _Report("measure.json", {"expr": args.expr.source}, results,
+                   files=(("measure.csv", measure_csv(samples)),),
+                   lines=(_fit_line(results["fit"], "fit: j = {j_hat:.4f}, p = {p_hat:.3f} "
+                                                    "(rounded {p_rounded})"),))
 
 
-def _cmd_oscillate(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_oscillate(args) -> _Report:
     radius = _disk_radius(args.radius)
     cutoff = Cutoff(radius=radius, order=3)
     pairs = decay_pairs(args.expr.poly, cutoff, args.lam)
-    _write_text(out, "oscillate.csv", decay_csv(pairs))
     results = {
         "cutoff": {"radius": radius, "order": cutoff.order},
         "pairs": [
@@ -761,13 +746,10 @@ def _cmd_oscillate(args, out: Path, cfg: Dict[str, object]) -> int:
         ],
         "fit": _fit_json(fit_decay, [(lam, abs(val)) for lam, val in pairs]),
     }
-    env = ReportEnvelope("oscillate", {"expr": args.expr.source}, cfg, results)
-    path = _write_json(out, "oscillate.json", env.as_dict())
-    print(f"wrote {out / 'oscillate.csv'}")
-    print(f"wrote {path}")
-    print(_fit_line(results["fit"], "fit: decay exponent j = {j_hat:.4f}, "
-                                    "p = {p_hat:.3f}"))
-    return 0
+    return _Report("oscillate.json", {"expr": args.expr.source}, results,
+                   files=(("oscillate.csv", decay_csv(pairs)),),
+                   lines=(_fit_line(results["fit"], "fit: decay exponent j = {j_hat:.4f}, "
+                                                    "p = {p_hat:.3f}"),))
 
 
 def _sweep_row_json(r, mixture: bool) -> Dict[str, object]:
@@ -785,7 +767,7 @@ def _sweep_row_json(r, mixture: bool) -> Dict[str, object]:
     return row
 
 
-def _cmd_sweep(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_sweep(args) -> _Report:
     mixture = args.mixture
     grid = args.t_grid
     if grid is None:
@@ -794,23 +776,16 @@ def _cmd_sweep(args, out: Path, cfg: Dict[str, object]) -> int:
         raise _UsageError("'inf' is only meaningful with --mixture")
     sweep = mixture_sweep if mixture else stability_sweep
     rows, verdict = sweep(args.expr.poly, args.perturbation.poly, grid)
-    _write_text(out, "sweep.csv", sweep_csv(rows, mixture))
     results = {"kind": "mixture" if mixture else "stability",
                "rows": [_sweep_row_json(r, mixture) for r in rows],
                "verdict": verdict}
-    env = ReportEnvelope("sweep", {"expr": args.expr.source,
-                                   "perturbation": args.perturbation.source},
-                         cfg, results)
-    path = _write_json(out, "sweep.json", env.as_dict())
-    print(f"wrote {out / 'sweep.csv'}")
-    print(f"wrote {path}")
     ok = bool(verdict["ok"])
-    print(f"verdict: {'ok' if ok else 'VIOLATIONS'}")
-    if not ok:
-        _fail_marker(out, "sweep", "index bound violated on a non-flagged row; "
-                                   "see sweep.json")
-        return 2
-    return 0
+    return _Report("sweep.json", {"expr": args.expr.source,
+                                  "perturbation": args.perturbation.source}, results,
+                   files=(("sweep.csv", sweep_csv(rows, mixture)),),
+                   lines=(f"verdict: {'ok' if ok else 'VIOLATIONS'}",),
+                   failure=None if ok else ("index bound violated on a non-flagged row; "
+                                            "see sweep.json"))
 
 
 def _random_vdc_instance(rng: np.random.Generator, k: int):
@@ -848,7 +823,7 @@ def _random_vdc_instance(rng: np.random.Generator, k: int):
         return coeffs, c
 
 
-def _cmd_check_vdc(args, out: Path, cfg: Dict[str, object]) -> int:
+def _cmd_check_vdc(args) -> _Report:
     per_k = args.samples if args.samples is not None else 200
     seed = args.seed
     interval = (Fraction(0), Fraction(1))
@@ -873,15 +848,10 @@ def _cmd_check_vdc(args, out: Path, cfg: Dict[str, object]) -> int:
                            "max_measured_over_bound": max_ratio})
     results = {"per_k": per_k_rows, "violations": violations,
                "max_measured_over_bound": worst}
-    env = ReportEnvelope("check-vdc", {}, cfg, results)
-    path = _write_json(out, "vdc.json", env.as_dict())
-    print(f"wrote {path}")
-    print(f"{3 * per_k} instances, {violations} violations, "
-          f"max measured/bound = {worst:.4f}")
-    if violations:
-        _fail_marker(out, "check-vdc", f"{violations} sublevel bound violations")
-        return 2
-    return 0
+    return _Report("vdc.json", {}, results,
+                   lines=(f"{3 * per_k} instances, {violations} violations, "
+                          f"max measured/bound = {worst:.4f}",),
+                   failure=f"{violations} sublevel bound violations" if violations else None)
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +932,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "samples": getattr(args, "samples", None),
     }
     try:
-        return _COMMANDS[command][0](args, out, cfg_echo)
+        rep = _COMMANDS[command][0](args)
+        envelope = {"schema": REPORT_SCHEMA, "command": command, "input": rep.inputs,
+                    "config": cfg_echo, "results": rep.results,
+                    "versions": {"newton-sublevel": __version__}}
+        paths = [_write_text(out, name, text)
+                 for name, text in rep.files + ((rep.name, _json_text(envelope)),)]
+        for line in [f"wrote {path}" for path in paths] + list(rep.lines):
+            print(line)
+        if rep.failure is None:
+            return 0
+        _fail_marker(out, command, rep.failure)
+        return 2
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -160,10 +160,6 @@ class Decomposition:
 # small exact helpers
 
 
-def _monocurve(c, a) -> PuiseuxPoly:
-    return PuiseuxPoly.monomial(c, a, 0)
-
-
 def _falling(a: Rational, k: int) -> Fraction:
     """a·(a-1)···(a-k+1), exactly, from the integers of a = n/d."""
     n, d = a.numerator, a.denominator
@@ -313,7 +309,7 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> Puise
     if len(t.terms) > 500:
         raise RuntimeError("branch lifting did not terminate within 500 corrections")
     t = PuiseuxPoly(dict(sorted(t.terms.items())), cap)
-    return poly_mul(_monocurve(Fraction(1), m), t)
+    return poly_mul(PuiseuxPoly.monomial(1, m, 0), t)
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +352,6 @@ def _compose_half(charts: List[Chart], s: int, g_v: PuiseuxPoly,
             for c in charts]
 
 
-def _perturb_xi(xi: Fraction, forbidden: List[Fraction]) -> Fraction:
-    for _ in range(64):
-        if all(xi != f for f in forbidden):
-            return xi
-        xi *= Fraction(63, 64)
-    raise RuntimeError("could not perturb strip half-width off the root set")
-
-
 def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
     """The positive roots of an edge polynomial, largest first; all rational."""
     if len(q.terms) <= 1:
@@ -377,13 +365,22 @@ def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
 def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                     depth: int, params: ResolveParams
                     ) -> Tuple[List[Chart], List[TraceNode]]:
-    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame)."""
+    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame).
+
+    Invariant: the strip at the edge root r has half-width xi at most 1/4 of
+    r, of the gap to each neighbouring root and of the gap from the largest
+    root to the level's top, so every margin is positive.  At slope m the
+    shifted phase p(x, ±y + g_r) has the edge polynomial q(r ± Y), since every
+    other term has higher weight; its positive roots |r_j - r| (at least r for
+    r_j <= 0) are all >= 4·xi, so none lies on the strip wall.  The band above
+    each strip has height >= gap/2 > 0, and the strip walls differ by 2·xi·x^m.
+    """
     if depth > MAX_DEPTH:
         raise RuntimeError("resolution recursion exceeded max_depth "
                            "(order decrease violated)")
     poly = newton_polygon_of(p)
     edges = [e for e in poly.edges if e.m >= roof_exp]
-    roof = _monocurve(roof_coeff, roof_exp)
+    roof = PuiseuxPoly.monomial(roof_coeff, roof_exp, 0)
     if not edges:
         # single dominating vertex over the whole sector
         vertex = min(poly.vertices, key=lambda v: (v[0] + roof_exp * v[1], v[1]))
@@ -406,7 +403,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             rmax = roots[0].exact_value if roots else Fraction(0)
             hi = _vertex_cut(p, edge, params.delta, 2 * rmax + 2, upper=True)
             # corner chart between the previous level's floor and this cut
-            hic = _monocurve(hi, m)
+            hic = PuiseuxPoly.monomial(hi, m, 0)
             charts.append(_corner(p, edge.upper_vertex, hic, prev_curve, params))
             prev_curve, prev_limit, top_coeff = hic, hi, hi
 
@@ -418,32 +415,18 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
                 margins.append((vals[k - 1] - r) / 4)
             if k + 1 < len(vals):
                 margins.append((r - vals[k + 1]) / 4)
-            xi0 = min(v for v in margins if v > 0)
+            xi = min(margins)
             g_v = branch_curve(p, edge, root)
-            p_up = subst_shear(p, 1, g_v)
-            p_dn = subst_shear(p, -1, g_v)
-            forbidden: List[Fraction] = []
-            for child in (p_up, p_dn):
-                for e in newton_polygon_of(child).edges:
-                    if e.m == m:
-                        for rr in isolate_real_roots(edge_polynomial(child, e, 1),
-                                                     domain="positive"):
-                            if rr.exact_value is not None:
-                                forbidden.append(rr.exact_value)
-            xi = _perturb_xi(xi0, forbidden)
 
             # band chart between the current upper boundary and this strip
-            strip_top = g_v + _monocurve(xi, m)
-            if prev_limit > r + xi:
-                charts.append(_band(p, q, edge, strip_top, prev_curve, r + xi,
-                                    prev_limit, params))
+            strip_top = g_v + PuiseuxPoly.monomial(xi, m, 0)
+            charts.append(_band(p, q, edge, strip_top, prev_curve, r + xi, prev_limit, params))
 
             # the strip itself: resolve both halves against the branch curve
-            strip_bot = g_v - _monocurve(xi, m)
-            up, up_tr = _resolve_sector(p_up, xi, m, depth + 1, params)
-            dn, dn_tr = _resolve_sector(p_dn, xi, m, depth + 1, params)
-            cap = min(_separation_radius(PuiseuxPoly.zero(), strip_bot, params.x_max),
-                      _separation_radius(strip_bot, strip_top, params.x_max))
+            strip_bot = g_v - PuiseuxPoly.monomial(xi, m, 0)
+            up, up_tr = _resolve_sector(subst_shear(p, 1, g_v), xi, m, depth + 1, params)
+            dn, dn_tr = _resolve_sector(subst_shear(p, -1, g_v), xi, m, depth + 1, params)
+            cap = _separation_radius(PuiseuxPoly.zero(), strip_bot, params.x_max)
             charts += _compose_half(up, 1, g_v, cap) + _compose_half(dn, -1, g_v, cap)
             traces.append(TraceNode(m=m, root=r, order=root.multiplicity,
                                     curve=g_v, xi=xi, children=tuple(up_tr + dn_tr)))
@@ -452,7 +435,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
         # floor cut and the band reaching down to it
         c_bot = _vertex_cut(p, edge, params.delta, prev_limit, upper=False)
         if c_bot < prev_limit:
-            floor_curve = _monocurve(c_bot, m)
+            floor_curve = PuiseuxPoly.monomial(c_bot, m, 0)
             charts.append(_band(p, q, edge, floor_curve, prev_curve, c_bot,
                                 prev_limit, params))
             prev_curve, prev_limit = floor_curve, c_bot
@@ -537,12 +520,9 @@ def chart_unapply(c: Chart, u: float, v: float) -> Tuple[float, float]:
 @dataclass(frozen=True)
 class VerifyReport:
     passed: bool
-    mode: str
     max_ratio_violation: float
     derivative_check: Optional[Dict[str, object]]
     sign_ok: bool
-    samples: int
-    seed: int
     x_max: float
 
 
@@ -728,10 +708,8 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
         else:
             raise ValueError(f"unknown chart mode {c.mode!r}")
 
-    return VerifyReport(passed=passed, mode=c.mode,
-                        max_ratio_violation=worst_ratio,
-                        derivative_check=deriv_report, sign_ok=sign_ok,
-                        samples=samples, seed=seed, x_max=x_hi)
+    return VerifyReport(passed=passed, max_ratio_violation=worst_ratio,
+                        derivative_check=deriv_report, sign_ok=sign_ok, x_max=x_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from newton_sublevel import (
     growth_index,
     is_morse,
     is_superadapted,
-    lex_compare,
     newton_polygon_of,
     parse_expression,
     to_superadapted,
@@ -91,15 +90,14 @@ def test_negative_root_shear():
     assert rep.index.j == Fraction(5, 8) and rep.index.p == 0
 
 
-def test_lex_compare_orders_by_j_then_p():
+def test_key_orders_by_j_then_p():
     a = GrowthIndex(j=Fraction(1, 2), p=0, morse_hyperbolic=False)
     b = GrowthIndex(j=Fraction(1, 2), p=1, morse_hyperbolic=False)
     c = GrowthIndex(j=Fraction(2, 3), p=0, morse_hyperbolic=False)
     # larger j decays better: c is the best, then a, then b
-    assert lex_compare(c, a) < 0
-    assert lex_compare(a, b) < 0
-    assert lex_compare(b, b) == 0
-    assert lex_compare(b, c) > 0
+    assert c.key() < a.key() < b.key()
+    assert b.key() == b.key()
+    assert sorted([b, a, c], key=GrowthIndex.key) == [c, a, b]
 
 
 def test_is_morse():

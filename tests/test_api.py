@@ -29,6 +29,7 @@ FIELDS = {
     "Decomposition": ["sector", "charts", "recursion_trace"],
     "Chart": ["sign_x", "sign_y", "g", "lower", "upper", "monomial", "mode", "x_max",
               "delta", "phase", "band"],
+    "VerifyReport": ["passed", "max_ratio_violation", "derivative_check", "sign_ok", "x_max"],
 }
 
 
@@ -46,6 +47,8 @@ def test_removed_names_stay_removed():
     assert not hasattr(ns, "DEFAULT_TRUNCATION_ORDER")
     assert not hasattr(ns.IsolatedRoot, "approx")
     assert not hasattr(ns.PuiseuxPoly, "min_total_order")
+    assert not hasattr(ns, "lex_compare")
+    assert not hasattr(ns, "ReportEnvelope")
 
 
 def test_sublevel_measure_methods_are_mc_and_grid():

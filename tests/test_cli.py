@@ -359,6 +359,24 @@ def test_samples_must_be_positive(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["resolve", "x^2 + y^2", "--samples", "16"],
+    ["measure", "x^2 + y^2", "--samples", "100"],
+    ["check-vdc", "--samples", "1"],
+])
+def test_seed_must_be_nonnegative(tmp_path, capsys, argv):
+    # one converter for --seed, explicit or from --config: a usage error that
+    # writes nothing, not numpy's error from inside the sampler
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 1
+    assert "argument --seed: expects a nonnegative integer, got '-1'" in capsys.readouterr().err
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = -1\n")
+    assert run(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert "argument --seed: expects a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["measure", "y^2 - x^3", "--eps", "nan..1e-2:4", "--samples", "1000"],
     ["measure", "y^2 - x^3", "--eps", "1e-3..inf:3"],
     ["oscillate", "x^2 + y^2", "--lambda", "nan..100:2"],
@@ -466,6 +484,36 @@ def test_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: internal error: KeyError: 'lost'\n"
     assert "internal error: KeyError" in (tmp_path / "analyze.FAILED").read_text()
+
+
+def test_run_writes_a_failed_check_with_its_marker(tmp_path, capsys, monkeypatch):
+    # a subcommand returns its report; run writes the other files, then the
+    # JSON, prints "wrote" for each and the summary, and a failed check adds
+    # the marker and exit 2 without an error line
+    def failing(args):
+        return cli._Report("analyze.json", {"expr": args.expr.source}, {"ok": False},
+                           files=(("a.csv", "x\n"),), lines=("summary",),
+                           failure="check failed")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (failing, cli._COMMANDS["analyze"][1]))
+    assert run(["analyze", "x^2", "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"wrote {tmp_path / 'a.csv'}\nwrote {tmp_path / 'analyze.json'}\nsummary\n"
+    assert err == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "analyze.FAILED",
+                                                          "analyze.json"]
+    assert (tmp_path / "analyze.FAILED").read_text() == "check failed\n"
+    blob = json.loads((tmp_path / "analyze.json").read_text())
+    assert blob["command"] == "analyze" and blob["results"] == {"ok": False}
+
+
+def test_resolve_that_raises_in_verification_writes_only_the_marker(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("verification broke")
+
+    monkeypatch.setattr(cli, "verify_chart", broken)
+    assert run(["resolve", "x^2 + y^2", "--out", str(tmp_path)]) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["resolve.FAILED"]
 
 
 def test_resolve_two_high_order_branches(tmp_path):

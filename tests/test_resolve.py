@@ -331,3 +331,60 @@ def test_slow_phase_lifting_takes_log_many_horner_passes(monkeypatch):
     # the exact x-order per pass, one Horner pass for h and one for h_y
     assert len(curve.terms) == 73
     assert len(calls) <= 2 * math.ceil(math.log2(RESOLVE.TRUNCATION_ORDER * curve.ramification))
+
+
+# ---------------------------------------------------------------------------
+# strip half-widths: safe by their margins, with no probe of the child phases
+
+
+@st.composite
+def stacked_root_phases(draw):
+    """prod (y - c_i·x^m) + tail·x^(k·m + 1) over 2 to 4 distinct positive c_i."""
+    cs = draw(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4),
+                       min_size=2, max_size=4, unique=True))
+    m = draw(st.integers(1, 2))
+    tail = draw(st.sampled_from((-2, -1, 1, 2)))
+    expr = "*".join(f"(y - {c}*x^{m})" for c in cs) + f" + ({tail})*x^{len(cs) * m + 1}"
+    return parse_expression(expr).poly, sorted(cs)
+
+
+@given(stacked_root_phases())
+def test_strip_half_width_is_never_a_child_edge_root(case):
+    # the recursion without certification, which does not touch the strips
+    p, cs = case
+    _, traces = RESOLVE._resolve_sector(p, Fraction(1), Fraction(1, 2), 0, ResolveParams())
+    roots = [node.root for node in traces]
+    assert sorted(roots) == cs
+    for node in traces:
+        # the reference is the probe the recursion once ran before each strip:
+        # the positive roots of the slope-m edge polynomials of both halves
+        for sign in (1, -1):
+            child = subst_shear(p, sign, node.curve)
+            for e in newton_polygon_of(child).edges:
+                if e.m == node.m:
+                    found = [r.exact_value for r in isolate_real_roots(
+                        edge_polynomial(child, e, 1), domain="positive")]
+                    assert node.xi not in found
+                    assert all(r >= 4 * node.xi for r in found if r is not None)
+        assert node.xi <= node.root / 4
+        assert all(node.xi <= abs(node.root - r) / 4 for r in roots if r != node.root)
+
+
+def test_resolve_builds_two_polygons_per_strip(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return newton_polygon_of(p)
+
+    monkeypatch.setattr(RESOLVE, "newton_polygon_of", counted)
+    dec = resolve(parse_expression("(y - x)^2*(y - 2*x) + x^4").poly)
+
+    def nodes(trace):
+        return sum(1 + nodes(node.children) for node in trace)
+
+    n = nodes(dec.recursion_trace)
+    assert n > len(dec.recursion_trace)      # the double root's strip recurses
+    # one polygon for the default roof exponent, one for the whole sector,
+    # and one for each half of each strip
+    assert len(calls) == 2 + 2 * n

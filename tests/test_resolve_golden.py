@@ -20,8 +20,12 @@ PARAMS = {
 }
 
 # The catalog and the two extra phases, seven members of the benchmark's
-# two-branch family plus (y - x)*(y + x) + x^3, then five phases that fail:
-# the band-range and certification failures and the irrational edge root.
+# two-branch family plus (y - x)*(y + x) + x^3, five phases whose edges carry
+# two or three positive roots (so the strips are stacked and each strip's
+# half-width is bounded by the gaps to its neighbours), then five phases that
+# fail: the band-range and certification failures and the irrational edge
+# root.  Each of the five stacked phases has a strip at a simple root, so a
+# change to how such a strip is charted will re-record them.
 # Each value is the hex digest of json.dumps(decomposition_to_json(dec),
 # sort_keys=True), or the (type, message) of the exception.
 GOLDEN = {
@@ -153,6 +157,46 @@ GOLDEN = {
         "034ce5834c08646e3c821853f9ef930c5ed0ca2d14fa2ab13f2abb5c504a7a0d",
     ("(y - x)*(y + x) + x^3", "wide"):
         "fb07171f47b885759c5a0d7d7790df09bba03a84ff7964964d02abb2f7a96c9d",
+    ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "default"):
+        "741dc075df8e341efe89ae41e1a2089cc627dc171f04d660a3bf24d9adcd96cb",
+    ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "narrow"):
+        "3ca19e9534fca23055d32f1b8463cd018d143708eb7e20997d7f2589a79fe63f",
+    ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "eta"):
+        "be92744f79244ebfc3140d1983a16ef721342330bf5e7f6ff7ee68d10175c81b",
+    ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "wide"):
+        "0aa3e256e6e0db7630c3050a5430cf807ef1adeccf3358a13da68ab8c051636a",
+    ("(y - x^2)*(y - 2*x^2) + x^5", "default"):
+        "bcd40856633019e6a08ea37f0b9509ad87118aad1a31ee07d1ffa2b8b98677fc",
+    ("(y - x^2)*(y - 2*x^2) + x^5", "narrow"):
+        "117d943eb7203c6b006d52552b78186804345846dfcac3e2559d0eace3c11572",
+    ("(y - x^2)*(y - 2*x^2) + x^5", "eta"):
+        "d02a6779bca2633a3ad0d6f603bc0b3ff988de6d21080c5d824fe2bb09ca6d81",
+    ("(y - x^2)*(y - 2*x^2) + x^5", "wide"):
+        "9e52d115072bd5252f351cd823c8df4d20cb22d404c5f3b0a34275ad20a85c3c",
+    ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "default"):
+        "a4042b51a72417a69830c29f7e7a5df3fb9d6aae1768807f3af2b716d31c5919",
+    ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "narrow"):
+        "794e30f842bcdb41f9be1e52f4c18fc095c615d89b50afb3a1687b92c565aa7f",
+    ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "eta"):
+        "f6f28ef3dd46455aeaa1e8a398c4921ba3cbb676a6afcb15acb07bdbb8e3b7b4",
+    ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "wide"):
+        "a2c731f3a5e912a422bed3122c07774ff3ff6ff6efb30722e9189755e717aecb",
+    ("(y - x)^2*(y - 2*x) + x^4", "default"):
+        "4fafbb8189e78aff52d2e4003605d409ef27b104c28109c01ef240994462d205",
+    ("(y - x)^2*(y - 2*x) + x^4", "narrow"):
+        "7c7b31bda05da17fd60f34e2be9e3ecadb2f60c13cfce7159fc4aef7460201b9",
+    ("(y - x)^2*(y - 2*x) + x^4", "eta"):
+        "b13109832b024d6a5c11054a9faa33dd8dce9edf9a293c7f7e7a2296c7e2d009",
+    ("(y - x)^2*(y - 2*x) + x^4", "wide"):
+        "2e5fe7574f86300227a36febf08b6727ddecf227d3dccb465d6444af28c79559",
+    ("(y - x)*(y - 2*x)^2 + x^5", "default"):
+        "c7bfd8a69596b25af922bedde15ff3d2673ccdfb9f6dab5e7dd554f68c86aebd",
+    ("(y - x)*(y - 2*x)^2 + x^5", "narrow"):
+        "4d776d656e2e169769aeb433d74ca63e014de6a2ecf6d0423094bc2e37f49adf",
+    ("(y - x)*(y - 2*x)^2 + x^5", "eta"):
+        "df2e3c455677f92113a2642ef37ab95fc17e768ba6e84b798c758011bc434046",
+    ("(y - x)*(y - 2*x)^2 + x^5", "wide"):
+        "d58ac7b735423d9d624229399a1a20de478ef713d6cb535862200d25a3f62f8f",
     ("(y - 3*x^3)^3 + x^9", "default"):
         ("RuntimeError",
          "edge band [17/8, 384] is not bounded away from zero (range [-447955/4096, 226535226139/4096])"),

@@ -31,22 +31,24 @@ def _resolved(expr):
     return p, resolve(p).charts
 
 
-def _outcome(fn) -> str:
-    """One line per call: every report field as float.hex, or the exception."""
+def _outcome(fn, mode, samples, seed) -> str:
+    """One line per call: the chart mode and the call's samples and seed, then
+    every report field as float.hex, or the exception."""
     try:
         rep = fn()
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         return f"{type(exc).__name__}: {exc}"
     d = rep.derivative_check
     deriv = "-" if d is None else f"{float.hex(d['max_violation'])} {d['orders']}"
-    return (f"{rep.mode} passed={rep.passed} sign_ok={rep.sign_ok} "
+    return (f"{mode} passed={rep.passed} sign_ok={rep.sign_ok} "
             f"ratio={float.hex(rep.max_ratio_violation)} deriv={deriv} "
-            f"n={rep.samples} seed={rep.seed} x_max={float.hex(rep.x_max)}")
+            f"n={samples} seed={seed} x_max={float.hex(rep.x_max)}")
 
 
 def _lines(expr, samples, seed):
     p, charts = _resolved(expr)
-    return [_outcome(lambda c=replace(c, x_max=c.x_max * s): verify_chart(p, c, samples, seed))
+    return [_outcome(lambda c=replace(c, x_max=c.x_max * s): verify_chart(p, c, samples, seed),
+                     c.mode, samples, seed)
             for c in charts for s in SCALES]
 
 
@@ -193,7 +195,7 @@ ERROR_MESSAGES = {
 def test_verify_errors_golden(case):
     p, _ = _resolved("x^2 + y^2")
     bad = ERROR_CASES[case](_corner())
-    got = [_outcome(lambda s=s: verify_chart(p, bad, *s)) for s in SETTINGS]
+    got = [_outcome(lambda s=s: verify_chart(p, bad, *s), bad.mode, *s) for s in SETTINGS]
     assert got == ERROR_MESSAGES[case]
 
 
@@ -319,10 +321,8 @@ def reference_verify_chart(p, c, samples=1000, seed=0):
     else:
         raise ValueError(f"unknown chart mode {c.mode!r}")
 
-    return VerifyReport(passed=passed, mode=c.mode,
-                        max_ratio_violation=worst_ratio,
-                        derivative_check=deriv_report, sign_ok=sign_ok,
-                        samples=samples, seed=seed, x_max=x_hi)
+    return VerifyReport(passed=passed, max_ratio_violation=worst_ratio,
+                        derivative_check=deriv_report, sign_ok=sign_ok, x_max=x_hi)
 
 
 def _repr_or_error(fn) -> str:
@@ -347,5 +347,5 @@ def test_verify_errors_match_scalar_reference(case):
     p, _ = _resolved("x^2 + y^2")
     bad = ERROR_CASES[case](_corner())
     for s in SETTINGS:
-        assert _outcome(lambda: verify_chart(p, bad, *s)) \
-            == _outcome(lambda: reference_verify_chart(p, bad, *s))
+        assert _outcome(lambda: verify_chart(p, bad, *s), bad.mode, *s) \
+            == _outcome(lambda: reference_verify_chart(p, bad, *s), bad.mode, *s)
