@@ -18,8 +18,8 @@ another subcommand is ignored, an unknown key is an error, and a value goes
 through the same converter as the flag's own.
 
 Exit codes: 0 on success; 1 on usage or parse errors and on input outside
-the model (a ValueError); 2 when a construction, verification or
-certification step fails (a RuntimeError, or a failed check); 3 on any other
+the model (a ValueError); 2 when a construction or proof step fails or an
+audit cannot be evaluated (a RuntimeError), or a check fails; 3 on any other
 exception, reported in one line without a traceback.  Usage and parse errors
 write nothing; every other failure writes a ``<command>.FAILED`` marker, next
 to the reports after a failed check and alone after an exception.  Each
@@ -651,10 +651,11 @@ def _cmd_resolve(args) -> _Report:
 
     samples = args.samples if args.samples is not None else 1000
     rows = []
-    all_ok = True
     for i, chart in enumerate(dec.charts):
-        rep = verify_chart(expr.poly, chart, samples=samples, seed=args.seed)
-        all_ok = all_ok and rep.passed
+        try:
+            rep = verify_chart(expr.poly, chart, samples=samples, seed=args.seed)
+        except (ValueError, ArithmeticError) as exc:
+            raise RuntimeError(f"chart {i}: the float audit cannot be evaluated ({exc})")
         rows.append({
             "chart": i,
             "label": chart.label,
@@ -664,17 +665,19 @@ def _cmd_resolve(args) -> _Report:
             "sign_ok": rep.sign_ok,
             "x_max": rep.x_max,
         })
+    failed = [row["chart"] for row in rows if not row["passed"]]
     results = {
         "charts": len(dec.charts),
         "radius": _fstr(dec.radius),
         "verify": rows,
-        "all_passed": all_ok,
+        "all_passed": not failed,
     }
     return _Report("verify.json", {"expr": expr.source}, results,
                    files=(("resolution.json", _json_text(decomposition_to_json(dec))),),
                    lines=(f"{len(dec.charts)} charts, radius {dec.radius}, "
-                          f"verification {'passed' if all_ok else 'FAILED'}",),
-                   failure=None if all_ok else "chart verification failed; see verify.json")
+                          f"verification {'FAILED' if failed else 'passed'}",),
+                   failure=(f"verification failed on charts {failed}; see verify.json"
+                            if failed else None))
 
 
 def _fit_json(fit, data) -> Dict[str, object]:
@@ -949,7 +952,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:        # input outside the model
         code, message = 1, str(exc)
-    except RuntimeError as exc:      # a construction or certification step failed
+    except RuntimeError as exc:      # a construction, proof or audit step failed
         code, message = 2, str(exc)
     except Exception as exc:         # a defect: one line, no traceback
         code, message = 3, f"internal error: {type(exc).__name__}: {exc}"

@@ -3,8 +3,8 @@
 The engine tiles the sector {0 < x < r, 0 < y < c·x^eta} with charts
 (x, y) -> (sign_x·x, sign_y·y - g(x)) on whose curved-triangle domains the
 phase is comparable to a single monomial b·x^alpha·y^beta ("corner" charts,
-mode C, with derivative bounds) or to b·x^alpha with a certified ratio band
-("band" charts, mode B, no y factor).
+mode C, with derivative bounds) or to b·x^alpha within a ratio band ("band"
+charts, mode B, no y factor), each on a radius proved in exact arithmetic.
 
 The recursion works level by level down the Newton polygon.  At each level
 (a compact edge of reciprocal slope m) the positive real roots r of the
@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,17 +46,14 @@ from .exact_poly import (
     subst_y,
 )
 from .newton import CompactEdge, edge_polynomial, newton_polygon_of
-from .roots import (IsolatedRoot, coeffs_of, derivative, isolate_real_roots, poly_value,
-                    refine_root)
+from .roots import IsolatedRoot, isolate_real_roots
 
 # ---------------------------------------------------------------------------
 # parameters and result types
 
 MAX_DEPTH = 16            # recursion levels; each strictly lowers the root order
 TRUNCATION_ORDER = 40     # total order to which branch curves are lifted
-CERTIFY_RETRIES = 20      # radius halvings before a chart's certification fails
-VERIFY_SAMPLES = 400      # verify_chart sample count used by certification
-VERIFY_SEED = 1729        # verify_chart seed used by certification
+PROOF_SLACK = 1 - Fraction(1, 2**20)  # a proof uses delta·PROOF_SLACK, room for float audits
 
 _IRRATIONAL_ROOT = "irrational edge root: outside the model (needs an algebraic shear)"
 
@@ -64,8 +61,8 @@ _IRRATIONAL_ROOT = "irrational edge root: outside the model (needs an algebraic 
 @dataclass(frozen=True)
 class ResolveParams:
     """The settings of a resolution; construction rejects any value outside
-    the model with a ValueError naming the field.  Each chart is certified by
-    sampling (see resolve), not proven."""
+    the model with a ValueError naming the field.  Each chart's radius is
+    proved (see resolve), not sampled."""
 
     eta: Optional[Fraction] = None      # sector roof exponent > 0; default min(1/2, m_min/2)
     xi: Fraction = Fraction(1, 8)       # strip half-width cap > 0
@@ -111,13 +108,6 @@ class Chart:
         """"corner" for mode C, "band" for mode B."""
         return "corner" if self.mode == "C" else "band"
 
-    def contains(self, x: float, y: float) -> bool:
-        u = self.sign_x * x
-        if not 0.0 < u < float(self.x_max):
-            return False
-        yc = self.sign_y * y - eval_real(self.g, u, 0.0)
-        return eval_real(self.lower, u, 0.0) < yc < eval_real(self.upper, u, 0.0)
-
 
 @dataclass(frozen=True)
 class TraceNode:
@@ -152,9 +142,6 @@ class Decomposition:
     def radius(self) -> Fraction:
         return min((c.x_max for c in self.charts), default=Fraction(0))
 
-    def locate(self, x: float, y: float) -> List[int]:
-        return [i for i, c in enumerate(self.charts) if c.contains(x, y)]
-
 
 # ---------------------------------------------------------------------------
 # small exact helpers
@@ -169,50 +156,42 @@ def _falling(a: Rational, k: int) -> Fraction:
     return Fraction(num, d ** k)
 
 
-def _rational_below(x: float) -> Fraction:
-    """A positive rational safely under the float bound x."""
-    if x <= 0.0:
-        return Fraction(0)
-    if math.isinf(x):
-        return Fraction(10**9)
-    return Fraction(x) * Fraction((1 << 20) - 1, 1 << 20)
+@lru_cache(maxsize=1024)
+def _pow_up(X: Fraction, e: Fraction) -> Fraction:
+    """A rational >= X^e (X, e >= 0): X^e itself for an integer e, else the integer
+    d-th root of X^n (e = n/d) by Newton's iteration, rounded up at 2^-64 relative."""
+    n, d = e.numerator, e.denominator
+    v = X ** n
+    if d == 1 or v == 0:
+        return v
+    big = v.numerator * v.denominator ** (d - 1) << 64 * d
+    r = 1 << -(-big.bit_length() // d)
+    while (q := ((d - 1) * r + big // r ** (d - 1)) // d) < r:
+        r = q
+    return Fraction(r + (r ** d < big), v.denominator << 64)
 
 
-def _separation_radius(lo: PuiseuxPoly, up: PuiseuxPoly, cap: Fraction) -> Fraction:
-    """Largest radius up to cap guaranteeing up(x) - lo(x) > 0 on (0, radius].
-
-    The difference's leading term must be positive; each remaining term is
-    forced below an equal share of half the leading coefficient.
-    """
-    terms = sorted((up - lo).terms.items())
-    if not terms or terms[0][1] <= 0:
-        return Fraction(0)
-    (a0, _), c0 = terms[0]
-    for (a, _), c in terms[1:]:
-        # |c| x^(a-a0) <= share
-        share = Fraction(c0, 2 * (len(terms) - 1))
-        cap = min(cap, _rational_below(float(share / abs(c)) ** (1.0 / float(a - a0))))
-    return cap
+def _wall(w: PuiseuxPoly, X: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+    """(d0 - r, d0 + r, s), between which w(x)/x^s lies on (0, X], for the wall
+    w = d0·x^s + sum d_j·x^s_j and r = sum |d_j|·X^(s_j - s); the zero wall gives zeros."""
+    terms = sorted((a, d) for (a, _b), d in w.items()) or [(Fraction(0), Fraction(0))]
+    (s, d0), rest = terms[0], terms[1:]
+    r = sum(abs(d) * _pow_up(X, a - s) for a, d in rest)
+    return d0 - r, d0 + r, s
 
 
 # ---------------------------------------------------------------------------
 # cut sizing: vertex domination with derivative-order headroom
 
 
-def _order_headroom(others, vertex) -> Fraction:
-    """Worst falling-factorial inflation of the other edge terms over the
-    derivative orders checked at this vertex (k <= ceil(a_v), l <= b_v)."""
+@lru_cache(maxsize=4096)
+def _headroom(a: Rational, b: int, vertex) -> Fraction:
+    """The largest |fall(a, k)·fall(b, l)| over the derivative orders that
+    verify_chart gates at the model x^av·y^bv (k <= ceil(av), l <= bv): how far
+    d_x^k d_y^l inflates the term x^a·y^b against the model's own derivative."""
     av, bv = vertex
-    kmax = max(0, math.ceil(av))
-    worst = Fraction(1)
-    for (a, b), _ in others:
-        for k in range(kmax + 1):
-            fa = abs(_falling(a, k))
-            for l in range(bv + 1):
-                fb = abs(_falling(b, l))
-                if fa * fb > worst:
-                    worst = fa * fb
-    return worst
+    return (max(abs(_falling(a, k)) for k in range(math.ceil(av) + 1))
+            * max(abs(_falling(b, l)) for l in range(int(bv) + 1)))
 
 
 def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fraction,
@@ -224,7 +203,8 @@ def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
     bv = int(bv)
     others = [((a, b), abs(cf)) for (a, b), cf in p.items()
               if a + edge.m * b == edge.alpha and b != bv]
-    target = delta * abs(p.coeff(av, bv)) / (4 * _order_headroom(others, (av, bv)))
+    headroom = max((_headroom(a, b, (av, bv)) for (a, b), _ in others), default=1)
+    target = delta * abs(p.coeff(av, bv)) / (4 * headroom)
     step = 2 if upper else Fraction(1, 2)
     c = start
     for _ in range(512):
@@ -236,34 +216,34 @@ def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
 
 
 # ---------------------------------------------------------------------------
-# exact range of an edge polynomial on a root-free interval
+# exact range of a polynomial on an interval [0, top] (Garloff 1986)
 
 
-def _band_range(q: PuiseuxPoly, c1: Fraction, c2: Fraction) -> Tuple[Fraction, Fraction]:
-    """Rigorous [min, max] of the edge polynomial on [c1, c2] (no roots inside)."""
-    cs = coeffs_of(q)
-    dcs = derivative(cs)
-    cands = [poly_value(cs, c1), poly_value(cs, c2)]
-    width_cap = (c2 - c1) / 10**6
-    pad = Fraction(0)
-    if any(dcs):
-        big = max(abs(c1), abs(c2), Fraction(1))
-        slope_bound = sum(abs(c) * big**i for i, c in enumerate(dcs))
-        for r in isolate_real_roots(dcs, domain="all"):
-            if r.hi <= c1 or r.lo >= c2:
-                continue
-            while r.width > width_cap:
-                r = refine_root(r, r.width / 4)
-            lo = min(max(r.lo, c1), c2)
-            hi = min(max(r.hi, c1), c2)
-            cands.append(poly_value(cs, lo))
-            cands.append(poly_value(cs, hi))
-            pad = max(pad, slope_bound * (hi - lo))
-    qmin, qmax = min(cands) - pad, max(cands) + pad
-    if qmin <= 0 <= qmax:
-        raise RuntimeError(
-            f"edge band [{c1}, {c2}] is not bounded away from zero (range [{qmin}, {qmax}])")
-    return qmin, qmax
+def _halves(b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Bernstein coefficients of the two halves of the interval (de Casteljau)."""
+    left, right = [], []
+    while b:
+        left.append(b[0])
+        right.append(b[-1])
+        b = [(u + v) / 2 for u, v in zip(b, b[1:])]
+    return left, right[::-1]
+
+
+def _lower_bound(cs: List[Fraction], top: Fraction, delta: Fraction) -> Fraction:
+    """A lower bound on the minimum of sum cs[i]·u^i over [0, top], within delta/16
+    of it: on each piece the polynomial lies above its least Bernstein coefficient
+    and its end coefficients are values, so a piece whose bound is further than
+    that below the least value found is halved, down to width top·2^-64."""
+    n = len(cs) - 1
+    a = [c * top ** i / math.comb(n, i) for i, c in enumerate(cs)]
+    pieces = [[sum(math.comb(k, i) * a[i] for i in range(k + 1)) for k in range(n + 1)]]
+    for _ in range(64):
+        cut = min(min(b[0], b[-1]) for b in pieces)
+        cut -= delta / 16 * abs(cut)
+        if min(min(b) for b in pieces) >= cut:
+            break
+        pieces = [h for b in pieces for h in (_halves(b) if min(b) < cut else (b,))]
+    return min(min(b) for b in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +302,7 @@ def _corner(p: PuiseuxPoly, vertex, lower: PuiseuxPoly, upper: PuiseuxPoly,
     av, bv = vertex
     return Chart(sign_x=1, sign_y=1, g=PuiseuxPoly.zero(), lower=lower, upper=upper,
                  monomial=(p.coeff(av, bv), av, int(bv)), mode="C",
-                 x_max=_separation_radius(lower, upper, params.x_max),
-                 delta=params.delta, phase=p)
+                 x_max=params.x_max, delta=params.delta, phase=p)
 
 
 def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
@@ -331,15 +310,18 @@ def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
           params: ResolveParams) -> Chart:
     """Band chart floor < y < ceiling, sheared by the floor, where the edge
     polynomial q stays away from zero on the coefficients [c_lo, c_hi] at
-    the edge's scale x^m; its model is q's midpoint value times x^alpha."""
-    bmin, bmax = _band_range(q, c_lo, c_hi)
+    the edge's scale x^m; its model is q's midpoint value times x^alpha, and
+    its band the range of q/mid there, read off the phase as E of _split."""
     mid = eval_rational(q, Fraction(0), (c_lo + c_hi) / 2)
-    lo, hi = sorted((bmin / mid, bmax / mid))
+    phase = subst_shear(p, 1, floor)
+    e, _ = _split(phase, mid, edge.alpha, edge.m)
+    band = tuple(sg * _lower_bound([sg * v for v in e], c_hi - c_lo, params.delta)
+                 for sg in (1, -1))
+    if not band[0] > 0:
+        raise RuntimeError(f"edge band [{c_lo}, {c_hi}] is not bounded away from zero")
     return Chart(sign_x=1, sign_y=1, g=floor, lower=PuiseuxPoly.zero(),
                  upper=ceiling - floor, monomial=(mid, edge.alpha, 0), mode="B",
-                 x_max=_separation_radius(floor, ceiling, params.x_max),
-                 delta=params.delta, phase=subst_shear(p, 1, floor),
-                 band=(lo, hi))
+                 x_max=params.x_max, delta=params.delta, phase=phase, band=band)
 
 
 def _compose_half(charts: List[Chart], s: int, g_v: PuiseuxPoly,
@@ -363,9 +345,10 @@ def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
 
 
 def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
-                    depth: int, params: ResolveParams
+                    depth: int, params: ResolveParams, poly=None
                     ) -> Tuple[List[Chart], List[TraceNode]]:
-    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame).
+    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame),
+    whose Newton polygon poly is built here unless the caller has it.
 
     Invariant: the strip at the edge root r has half-width xi at most 1/4 of
     r, of the gap to each neighbouring root and of the gap from the largest
@@ -378,7 +361,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
     if depth > MAX_DEPTH:
         raise RuntimeError("resolution recursion exceeded max_depth "
                            "(order decrease violated)")
-    poly = newton_polygon_of(p)
+    poly = poly or newton_polygon_of(p)
     edges = [e for e in poly.edges if e.m >= roof_exp]
     roof = PuiseuxPoly.monomial(roof_coeff, roof_exp, 0)
     if not edges:
@@ -426,7 +409,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             strip_bot = g_v - PuiseuxPoly.monomial(xi, m, 0)
             up, up_tr = _resolve_sector(subst_shear(p, 1, g_v), xi, m, depth + 1, params)
             dn, dn_tr = _resolve_sector(subst_shear(p, -1, g_v), xi, m, depth + 1, params)
-            cap = _separation_radius(PuiseuxPoly.zero(), strip_bot, params.x_max)
+            cap = _radius(lambda X: _wall(strip_bot, X)[0] > 0, params.x_max, "strip meets 0")
             charts += _compose_half(up, 1, g_v, cap) + _compose_half(dn, -1, g_v, cap)
             traces.append(TraceNode(m=m, root=r, order=root.multiplicity,
                                     curve=g_v, xi=xi, children=tuple(up_tr + dn_tr)))
@@ -450,26 +433,26 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
 
     The input must already be reflected into the first quadrant (use
     reflect_axes for the other sectors).  Branches are followed by rational
-    shears y -> y + c·x^m only.  Charts are certified by sampling
-    (verify_chart at VERIFY_SAMPLES points, seed VERIFY_SEED), halving each
-    chart's radius up to CERTIFY_RETRIES times until its comparability check
-    passes.  Input outside the model raises ValueError: a zero phase, one
-    without a critical point at the origin, or an irrational edge root
-    (ResolveParams raises it for a setting outside the model).  A step of
-    the construction or its certification that fails raises RuntimeError.
+    shears y -> y + c·x^m only.  Each chart's radius is proved, in exact
+    arithmetic, on the chart's own phase c.phase (_prove); nothing is sampled.
+    Input outside the model raises ValueError: a zero phase, one without a
+    critical point at the origin, or an irrational edge root (ResolveParams
+    raises it for a setting outside the model).  A step of the construction
+    that fails, or a chart that is comparable at no radius, raises RuntimeError.
     """
     if params is None:
         params = ResolveParams()
     if p.is_zero():
         raise ValueError("cannot resolve the zero phase")
     _require_critical(p)
+    poly = newton_polygon_of(p)
     eta = params.eta
     if eta is None:
-        slopes = [e.m for e in newton_polygon_of(p).edges]
+        slopes = [e.m for e in poly.edges]
         eta = min(Fraction(1, 2), min(slopes) / 2) if slopes else Fraction(1, 2)
     eta = Fraction(eta)
 
-    charts, traces = _resolve_sector(p, Fraction(1), eta, 0, params)
+    charts, traces = _resolve_sector(p, Fraction(1), eta, 0, params, poly)
 
     bs = [b for (_, b) in p.support()]
     span = max(1, max(bs) - min(bs))
@@ -479,25 +462,87 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
 
     return Decomposition(
         sector=SectorDescriptor(eta=eta),
-        charts=tuple(_certify(p, c) for c in charts),
+        charts=tuple(_prove(c, c.phase) for c in charts),
         recursion_trace=tuple(traces),
     )
 
 
-def _certify(p: PuiseuxPoly, c: Chart) -> Chart:
-    """Halve the chart's radius until verify_chart passes.  A radius at which
-    the check cannot be evaluated in floats (an empty domain, a power that
-    overflows, a model that underflows to zero) counts as a failed attempt."""
-    for _ in range(CERTIFY_RETRIES):
-        try:
-            if verify_chart(p, c, samples=VERIFY_SAMPLES, seed=VERIFY_SEED).passed:
-                return c
-        except (ValueError, ArithmeticError):
-            pass
-        c = replace(c, x_max=c.x_max / 2)
-    raise RuntimeError(
-        f"chart certification failed after {CERTIFY_RETRIES} retries "
-        f"(mode {c.mode}, monomial {c.monomial})")
+# ---------------------------------------------------------------------------
+# proved chart radii
+
+
+def _radius(ok, cap: Fraction, never: str) -> Fraction:
+    """cap·2^-k for the least k >= 0 with ok(cap·2^-k), for an ok monotone in the
+    radius, by doubling and then bisection; if ok(0) fails, RuntimeError(never)."""
+    lo, hi = -1, 0                  # ok fails at cap·2^-lo (if lo >= 0), holds at cap·2^-hi
+    while not ok(cap / 2 ** hi):
+        if hi == 0 and not ok(Fraction(0)):
+            raise RuntimeError(never)
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(cap / 2 ** mid) else (mid, hi)
+    return cap / 2 ** hi
+
+
+def _split(phase: PuiseuxPoly, b0: Fraction, alpha: Fraction, s: Fraction):
+    """phase/(b0·x^alpha) in u = y/x^s as E(u) + sum x^w·u^j·c: the dense
+    coefficients of its weight-0 part E, and sum |c| per (w, j) of the rest."""
+    e, rest = [Fraction(0)] * (phase.y_degree() + 1), {}
+    for (a, j), cf in phase.items():
+        w = a + s * j - alpha
+        if w:
+            rest[w, j] = rest.get((w, j), 0) + abs(cf / b0)
+        else:
+            e[j] += cf / b0
+    return e, rest
+
+
+def _obligation(c: Chart, phase: PuiseuxPoly):
+    """ok(X): whether on 0 < x <= X the walls of c are apart and phase is comparable
+    to c's model, exactly, with slack delta·PROOF_SLACK; ok(0) is the limit x -> 0.
+
+    Mode C: sum over the other terms of |c/b|·_headroom·sup x^(a-alpha)·y^(b-beta)
+    <= slack bounds the ratio, its sign and every gated derivative at once; the
+    sup is on the upper wall for b >= beta, on the lower wall for b < beta.
+    Mode B: on u = y/x^s in [0, top] (the upper wall), with E and the rest from
+    _split and A(u) = sum |c|·X^w·u^j over the rest, E - A >= band_lo·(1 - slack)
+    and E + A <= band_hi·(1 + slack), pointwise in u."""
+    b0, alpha, beta = c.monomial
+    slack = c.delta * PROOF_SLACK
+    s = _wall(c.upper, Fraction(0))[2]
+    if c.mode == "B":
+        e, rest = _split(phase, b0, alpha, s)
+        gates = (c.band[0] * (1 - slack), -c.band[1] * (1 + slack))
+
+        def ok(X):
+            low, top, _ = _wall(c.upper, X)
+            a = [sum(k * _pow_up(X, w) for (w, i), k in rest.items() if i == j)
+                 for j in range(len(e))]
+            return low > 0 and all(_lower_bound([sg * u - v for u, v in zip(e, a)], top,
+                                                c.delta) >= gate
+                                   for sg, gate in zip((1, -1), gates))
+        return ok if all(w > 0 for w, _ in rest) else lambda X: False
+
+    sl, gap = _wall(c.lower, Fraction(0))[2], c.upper - c.lower
+    terms = sorted(((abs(cf / b0) * _headroom(a, b, (alpha, beta)), b - beta,
+                     a - alpha + (s if b >= beta else sl) * (b - beta), b >= beta)
+                    for (a, b), cf in phase.items() if (a, b) != (alpha, beta)),
+                   key=lambda t: t[2])   # lowest x exponent, largest share, first
+
+    def ok(X):
+        wall = {True: _wall(c.upper, X)[1], False: _wall(c.lower, X)[0]}
+        return (_wall(gap, X)[0] > 0 and all(wall[up] > 0 for *_, up in terms)
+                and all(t <= slack for t in accumulate(k * wall[up] ** d * _pow_up(X, e)
+                                                       for k, d, e, up in terms)))
+    return ok if all(e >= 0 for _, _, e, _ in terms) else lambda X: False
+
+
+def _prove(c: Chart, phase: PuiseuxPoly) -> Chart:
+    """c at the radius c.x_max·2^-k for the least k >= 0 at which its walls are
+    proved apart and phase is proved comparable to its model (_obligation)."""
+    never = f"chart is not comparable at any radius (mode {c.mode}, monomial {c.monomial})"
+    return replace(c, x_max=_radius(_obligation(c, phase), c.x_max, never))
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +666,16 @@ def _fold_max(v: np.ndarray) -> float:
 
 def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
                  seed: int = 0) -> VerifyReport:
-    """Sample the chart domain and check comparability to the monomial model.
+    """Sample the chart domain and check comparability to the monomial model:
+    the CLI's float audit of the charts that resolve proved, and the tests'
+    oracle; resolve itself never calls it.
 
-    The check reads the chart's own phase c.phase, as the recursion built it,
-    and never reads p.  c.phase is truncated at total order TRUNCATION_ORDER,
-    so it is not p∘phi: on a chart next to a branch, the truncated branch
-    curve leaves a residual of order TRUNCATION_ORDER + 1 in p∘phi that
-    c.phase drops, and where the model is far smaller than that residual
-    p∘phi is not comparable to it although the check passes.
+    The check, like the proof, reads the chart's own phase c.phase, as the
+    recursion built it, and never reads p.  c.phase is truncated at total
+    order TRUNCATION_ORDER, so it is not p∘phi: on a chart next to a branch,
+    the truncated branch curve leaves a residual of order TRUNCATION_ORDER + 1
+    in p∘phi that c.phase drops, and where the model is far smaller than that
+    residual p∘phi is not comparable to it although the check passes.
 
     Mode C gates both the ratio |S∘phi / (b x^a y^b) - 1| <= delta and the
     derivative bounds |d_x^k d_y^l S∘phi - b·fall(a,k)·fall(b,l)·x^(a-k)y^(b-l)|

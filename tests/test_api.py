@@ -6,6 +6,7 @@ was made a constant, and these pins keep it from returning unnoticed.
 """
 
 import dataclasses
+import importlib
 import inspect
 
 import pytest
@@ -49,6 +50,11 @@ def test_removed_names_stay_removed():
     assert not hasattr(ns.PuiseuxPoly, "min_total_order")
     assert not hasattr(ns, "lex_compare")
     assert not hasattr(ns, "ReportEnvelope")
+    assert not hasattr(ns.Decomposition, "locate")
+    assert not hasattr(ns.Chart, "contains")
+    for name in ("_certify", "CERTIFY_RETRIES", "VERIFY_SAMPLES", "VERIFY_SEED",
+                 "_separation_radius", "_rational_below"):
+        assert not hasattr(importlib.import_module("newton_sublevel.resolve"), name)
 
 
 def test_sublevel_measure_methods_are_mc_and_grid():

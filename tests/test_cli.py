@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_sublevel import ParseError, parse_expression, print_expression, run
+from newton_sublevel import (ParseError, ResolveParams, parse_expression, print_expression,
+                             resolve, run)
 from newton_sublevel import cli
 from newton_sublevel.cli import _tokenize
 
@@ -411,15 +412,36 @@ def test_exit_1_on_value_outside_the_model(tmp_path, argv):
 
 
 def test_exit_2_with_failure_marker(tmp_path, capsys):
-    # a float power overflows at every halved radius: certification fails (a
-    # RuntimeError), within a second and without a traceback
+    # x^2 + y^2 is homogeneous, so its band and bottom corner are proved at
+    # any radius, within a second; the float audit of the band chart then
+    # overflows, which names the chart (a RuntimeError), without a traceback
     start = time.monotonic()
-    code = run(["resolve", "x^2 + y^2", "--radius", "1e200", "--out", str(tmp_path)])
+    dec = resolve(parse_expression("x^2 + y^2").poly, ResolveParams(x_max=Fraction(10) ** 200))
     assert time.monotonic() - start < 1.0
+    assert dec.charts[1].x_max == Fraction(10) ** 200
+    code = run(["resolve", "x^2 + y^2", "--radius", "1e200", "--out", str(tmp_path)])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     marker = tmp_path / "resolve.FAILED"
-    assert "chart certification failed after 20 retries" in marker.read_text()
+    assert marker.read_text().startswith("chart 1: the float audit cannot be evaluated")
+
+
+def test_resolve_audit_failure_names_the_chart(tmp_path, capsys):
+    # the proved corner 27·x^6·y^5 has x_max = 2^-48, where the audit's
+    # product of phase and model underflows to 0.0 and reads as a sign change
+    code = run(["resolve", "3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2", "--out", str(tmp_path)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "resolve.FAILED").read_text() == \
+        "verification failed on charts [2]; see verify.json\n"
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_resolve_passes_its_audit_at_every_seed(tmp_path, seed):
+    # a radius sampled at one fixed seed fails this audit at seed 1; a proved
+    # one passes at every seed
+    argv = ["resolve", "(y - x)^2*(y + x^2) + 2*x^5", "--seed", str(seed)]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -548,7 +570,7 @@ def _phases(draw):
 
 
 # valid values first, then garbage; the valid ones keep each call cheap
-# (1e300 is refused by measure and oscillate and fails resolve's certification;
+# (1e300 is refused by measure and oscillate and can fail resolve's float audit;
 # at 1e100 measure refuses phases of degree 4 and up, whose values overflow
 # floats there, and at 1e100 and at lambda 1e9 oscillate refuses the work its
 # phase swing needs)

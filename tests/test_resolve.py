@@ -1,4 +1,4 @@
-"""Resolution into monomial-comparable charts: tiling, certification, maps."""
+"""Resolution into monomial-comparable charts: tiling, proved radii, maps."""
 
 import dataclasses
 import importlib
@@ -42,6 +42,18 @@ RESOLVE = importlib.import_module("newton_sublevel.resolve")
 SLOW_PHASE = "3*x^6*y^3 - 3/2*x^5*y^4 - 3*x^5 + 3*x^4*y^2"
 
 
+def _locate(dec, x, y):
+    # the indices of the charts whose domain holds the frame point (x, y)
+    found = []
+    for i, c in enumerate(dec.charts):
+        u = c.sign_x * x
+        if 0.0 < u < float(c.x_max):
+            yc = c.sign_y * y - eval_real(c.g, u, 0.0)
+            if eval_real(c.lower, u, 0.0) < yc < eval_real(c.upper, u, 0.0):
+                found.append(i)
+    return found
+
+
 def _sector_samples(dec, n, seed):
     # uniform points of the decomposed sector {0 < x < r, 0 < y < x^eta}
     rng = np.random.default_rng(seed)
@@ -56,7 +68,7 @@ def _sector_samples(dec, n, seed):
 def test_charts_tile_the_sector(name, p):
     dec = resolve(p)
     x, y = _sector_samples(dec, 4000, seed=7)
-    hits = [len(dec.locate(float(xi), float(yi))) for xi, yi in zip(x, y)]
+    hits = [len(_locate(dec, float(xi), float(yi))) for xi, yi in zip(x, y)]
     assert all(h == 1 for h in hits), f"{name}: {hits.count(0)} uncovered, " \
                                       f"{sum(h > 1 for h in hits)} double-covered"
 
@@ -66,7 +78,7 @@ def test_chart_maps_roundtrip(name, p):
     dec = resolve(p)
     x, y = _sector_samples(dec, 200, seed=11)
     for xi, yi in zip(x, y):
-        for ci in dec.locate(float(xi), float(yi)):
+        for ci in _locate(dec, float(xi), float(yi)):
             c = dec.charts[ci]
             u, v = chart_apply(c, float(xi), float(yi))
             xb, yb = chart_unapply(c, u, v)
@@ -219,14 +231,6 @@ def test_irrational_edge_root_outside_the_model():
         resolve(phase((1, 0, 2), (-2, 2, 0), (1, 3, 0)))
 
 
-def test_certification_counts_a_zero_model_as_a_failed_attempt():
-    # the corner model 27·x^6·y^5 underflows to 0.0 at sample points of every
-    # halved radius: certification fails (RuntimeError), not ZeroDivisionError
-    p = parse_expression("3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2").poly
-    with pytest.raises(RuntimeError, match="certification failed after 20 retries"):
-        resolve(p)
-
-
 # ---- branch lifting: Newton's iteration against one correction per pass ----
 
 
@@ -350,7 +354,7 @@ def stacked_root_phases(draw):
 
 @given(stacked_root_phases())
 def test_strip_half_width_is_never_a_child_edge_root(case):
-    # the recursion without certification, which does not touch the strips
+    # the recursion alone: the proof of chart radii does not touch the strips
     p, cs = case
     _, traces = RESOLVE._resolve_sector(p, Fraction(1), Fraction(1, 2), 0, ResolveParams())
     roots = [node.root for node in traces]
@@ -370,7 +374,7 @@ def test_strip_half_width_is_never_a_child_edge_root(case):
         assert all(node.xi <= abs(node.root - r) / 4 for r in roots if r != node.root)
 
 
-def test_resolve_builds_two_polygons_per_strip(monkeypatch):
+def test_resolve_builds_one_polygon_plus_two_per_strip(monkeypatch):
     calls = []
 
     def counted(p):
@@ -385,6 +389,104 @@ def test_resolve_builds_two_polygons_per_strip(monkeypatch):
 
     n = nodes(dec.recursion_trace)
     assert n > len(dec.recursion_trace)      # the double root's strip recurses
-    # one polygon for the default roof exponent, one for the whole sector,
-    # and one for each half of each strip
-    assert len(calls) == 2 + 2 * n
+    # one polygon for the input, which picks the default roof exponent and
+    # tiles the whole sector, and one for each half of each strip
+    assert len(calls) == 1 + 2 * n
+
+
+@given(stacked_root_phases(), st.integers(0, 2**16))
+def test_stacked_root_charts_pass_the_audit(case, seed):
+    # a proved radius holds at any seed of the float audit
+    p, _ = case
+    for i, c in enumerate(resolve(p).charts):
+        assert verify_chart(p, c, samples=400, seed=seed).passed, (i, c.mode, c.monomial)
+
+
+# ---------------------------------------------------------------------------
+# proved radii: an exact oracle, and no sampling inside resolve()
+
+# the five multi-root phases of the resolution golden
+MULTI_ROOT = [(expr, parse_expression(expr).poly) for expr in (
+    "(y - x)*(y - 2*x)*(y - 3*x) + x^4", "(y - x^2)*(y - 2*x^2) + x^5",
+    "(y - x)*(y - 5/4*x)*(y + x) + x^5", "(y - x)^2*(y - 2*x) + x^4",
+    "(y - x)*(y - 2*x)^2 + x^5")]
+# x*y, x^2*y^2 + x^5 and y^2 - x^3 have a fractional exponent in every chart
+ORACLE_PHASES = [(n, p) for n, p in ALL_PHASES + MULTI_ROOT
+                 if n not in ("x*y", "x^2y^2+x^5", "y^2-x^3")]
+
+
+def _integral(c):
+    return all(a.denominator == 1
+               for q in (c.g, c.phase, c.lower, c.upper) for a, _ in q.terms)
+
+
+def _exact(poly, x, y=Fraction(0), k=0, l=0):
+    # d_x^k d_y^l of an integer-exponent polynomial at a rational point
+    return sum(cf * RESOLVE._falling(a, k) * RESOLVE._falling(b, l) * x ** int(a - k)
+               * y ** (b - l) for (a, b), cf in poly.items() if b >= l)
+
+
+def _violations(c, x, y):
+    """The gates that the chart's phase breaks at the chart point (x, y), exactly."""
+    b0, alpha, beta = c.monomial
+    if c.mode == "B":
+        ratio = _exact(c.phase, x, y) / (b0 * x ** int(alpha))
+        ok = c.band[0] * (1 - c.delta) <= ratio <= c.band[1] * (1 + c.delta)
+        return [] if ok else [("band", ratio)]
+    out = []
+    for k in range(math.ceil(alpha) + 1):
+        for l in range(beta + 1):
+            model = x ** int(alpha - k) * y ** (beta - l)
+            fall = RESOLVE._falling(alpha, k) * RESOLVE._falling(beta, l)
+            dev = abs(_exact(c.phase, x, y, k, l) - b0 * fall * model) / (abs(b0) * model)
+            if dev > c.delta:
+                out.append(((k, l), dev))
+    return out
+
+
+@pytest.mark.parametrize("name,p", ORACLE_PHASES, ids=[n for n, _ in ORACLE_PHASES])
+def test_proved_charts_hold_at_exact_points(name, p):
+    # the ratio (k = l = 0) and the derivative forms of a corner chart, and
+    # the band gate of a band chart, in Fraction at its far edge and walls
+    checked = 0
+    for i, c in enumerate(resolve(p).charts):
+        if not _integral(c):
+            continue
+        checked += 1
+        for x in (c.x_max * (1 - Fraction(1, 2**10)), c.x_max / 16):
+            lo, up = _exact(c.lower, x), _exact(c.upper, x)
+            for w in (Fraction(1, 10**6), Fraction(1, 2), 1 - Fraction(1, 10**6)):
+                assert not _violations(c, x, lo + (up - lo) * w), (name, i, x, w)
+    assert checked
+
+
+def test_false_band_chart_is_closed():
+    # a band chart of this criterion-4 phase with model (255025/256)·x^4 over
+    # the floor y = (9/8)·x^2 and x_max = 1/4, as sampling certified it, holds
+    # this point, where S/model = 7.65e-6 lies below (1 - delta)·band_lo; a
+    # proved chart that holds it keeps its gate
+    _, p = RESOLVE_EXTRAS[1]
+    x, y = Fraction(1, 5), Fraction(9, 200) + Fraction(1, 10**12)
+    for c in filter(_integral, resolve(p).charts):
+        v = c.sign_y * y - _exact(c.g, x)
+        if 0 < x < c.x_max and _exact(c.lower, x) < v < _exact(c.upper, x):
+            assert not _violations(c, x, v), c.monomial
+
+
+def test_resolve_makes_no_verify_call(monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("resolve() sampled a chart")
+
+    p = RESOLVE_EXTRAS[1][1]
+    want = decomposition_to_json(resolve(p))
+    monkeypatch.setattr(RESOLVE, "verify_chart", broken)
+    assert decomposition_to_json(resolve(p)) == want
+
+
+def test_chart_comparable_at_no_radius_is_refused():
+    # x^2 over the corner 0 < y < x: the term y^2/x^2 reaches 1 > delta on the
+    # upper wall at every radius, so the search for one must not start
+    c = RESOLVE._corner(parse_expression("x^2 + y^2").poly, (Fraction(2), 0),
+                        PuiseuxPoly.zero(), PuiseuxPoly.monomial(1, 1, 0), ResolveParams())
+    with pytest.raises(RuntimeError, match=r"not comparable at any radius \(mode C"):
+        RESOLVE._prove(c, c.phase)

@@ -22,21 +22,22 @@ PARAMS = {
 # The catalog and the two extra phases, seven members of the benchmark's
 # two-branch family plus (y - x)*(y + x) + x^3, five phases whose edges carry
 # two or three positive roots (so the strips are stacked and each strip's
-# half-width is bounded by the gaps to its neighbours), then five phases that
-# fail: the band-range and certification failures and the irrational edge
-# root.  Each of the five stacked phases has a strip at a simple root, so a
-# change to how such a strip is charted will re-record them.
+# half-width is bounded by the gaps to its neighbours), then four phases that
+# sampled certification refused (a band range padded over [-B, B], a cap of
+# 20 radius halvings) and that resolve with proved radii, and the irrational
+# edge root, which fails.  Each of the five stacked phases has a strip at a
+# simple root, so a change to how such a strip is charted will re-record them.
 # Each value is the hex digest of json.dumps(decomposition_to_json(dec),
 # sort_keys=True), or the (type, message) of the exception.
 GOLDEN = {
     ("x^2 + y^2", "default"):
-        "8b59e843fabbb446a7bd1cd1b051a18f5275712355709930a4ef76f475db0e41",
+        "ea4a88e072b30635cfa0c5ca3fd75bb9788514bf77664d705e51f618ad3897df",
     ("x^2 + y^2", "narrow"):
-        "4e8fde49f4bf14ad3df9042ddcc9d1cd3160918c62713dd1254e2b0bc184c99b",
+        "4a9f6410a45a771fde78764a7f4f348120d73e5b69961b58d3e9dd15cf47f6ee",
     ("x^2 + y^2", "eta"):
-        "63247be72aaa282bdd3c47f1f4006db01ab8431f8b58c0140cb4f7fda34c2d0b",
+        "82f67ce93759aff2e67750b306dc028e60490468ca020edc4abf0688eb97089c",
     ("x^2 + y^2", "wide"):
-        "f3f160c7c38c52b89abb2d0ea27689bf51e066a118310110b7335b6f9ceafe17",
+        "72e85f436df155856d2f504b8acf229404ae3e564447e9a5e4ef74153a93688c",
     ("x*y", "default"):
         "ee93d8658994a4e6c8c82c73443c152620b2caaacecec3d3041b2806919fbcf2",
     ("x*y", "narrow"):
@@ -46,202 +47,189 @@ GOLDEN = {
     ("x*y", "wide"):
         "41cb990a9575fc81899e5009267b4ce3967234155449428744cf0a90ec042bf0",
     ("x^2 - y^2", "default"):
-        "634be4e7295b3370cee1d24eb3d9ee0d18583e101e17b855fd294f41d6a8f40e",
+        "e9012a0453825a79a79d6c8e03e50e7158d6c8b169f8365f2141666707a10b4e",
     ("x^2 - y^2", "narrow"):
-        "b7a24f94a07e46e3a9b099d80504d5a07a94850498c542c49f975ffb7e5879b0",
+        "5b31bd8882c9d37277518f4432a9ef361c9bc5ff9526293b2981558c597cbf5d",
     ("x^2 - y^2", "eta"):
-        "95039bdac091a8da293b9a48715c6faf0a42ea224cbd954639f78f96d414d6ac",
+        "60a3a2c09bd8c214eb268b5e6e11466e45342b664997484a400b7b57dded70f1",
     ("x^2 - y^2", "wide"):
-        "85ab6755dd693f943af223cc4286084e80b508532a61195a01b445b4ec237860",
+        "3d5cd01b698cd3b9a6475f3c2c2e459c34a8c3ec69710eec10fcc2d57425c1eb",
     ("(y - x^2)^2", "default"):
-        "03b62bdb767f6c60a489d90a3ad1f11072358fc1a4602dfbe774e326803719a2",
+        "23a65a37f984a1fd12067679dd471d5fbb5c5e5d508aba20df5bcaea230054c5",
     ("(y - x^2)^2", "narrow"):
-        "4b4804fe4d8d613039939fe743833c35a3ceddad1587a1cea210c369a03ec33a",
+        "46b6e3df8b5a7dae7feb6e26b471d22589fc02be3a72f9912f7841f3fd5d44ae",
     ("(y - x^2)^2", "eta"):
-        "9cc70fa6237958558f6c25d647111b851426aa7d7e97b6a0537cc1ce34bf173f",
+        "57a28320a724ba8b5679cb26dfb9ba4c9e82376b74db8e043e1482f2cc7b7b97",
     ("(y - x^2)^2", "wide"):
-        "59f06213f061ecc9cd8b83a21961797ecf6069b38d8c1050aab7a30a62cf6a39",
+        "2ff54c9ca22bec6ba8dea0bae2815b3ce1be20bbbfd0eeef97edd45bba81a4f6",
     ("x^2*y^2 + x^5", "default"):
-        "c553b42d2f6e52c395a9ff2b5fc9a843e07d98a5886f0c928be0425597889623",
+        "d00aa0fc28f8d23465b4480b9c817e1031bdebfabcbf10dd9c20eb8172c44536",
     ("x^2*y^2 + x^5", "narrow"):
-        "2d7a054f3e2a09b424326cd37a4b83ceb3a11e8d8f359a1d4c022871a7bd8047",
+        "1f4ed28649c691fdf72666040ee8d59c5e1f11e95a098f4f16393872dcdb6ff5",
     ("x^2*y^2 + x^5", "eta"):
-        "eaf398029f175c4e7546457f1a6ac2319252d9f21a563e398d985616790e8281",
+        "7c3079f65455937a928da3f90febd1c03404fc24663fcda0d71ea16a249725a8",
     ("x^2*y^2 + x^5", "wide"):
-        "0cec40455da3cf52f59334c98d28013e866209269e44081638d4860eb2dadc58",
+        "f49145ba2886f622f93e4925ac6b300507cca10fc1102bf8973da68249efbadc",
     ("y^2 - x^3", "default"):
-        "790e0c92fc2528be74471f657e5b82e4dece4642bb78497d6a7bdc98917a7405",
+        "0539a85adc15c3b48ee3c8bfe81074f7c04300c72a21e4d4bad929d5e6d1e8ba",
     ("y^2 - x^3", "narrow"):
-        "d30d4497c70f0ed8f89581f79923083a453274f29c2db8abe77b0366d52d895d",
+        "c4c42733fdf02e487c2d32f11c1e4a4e8fb55f3d2c6445a9785556b5c9cec998",
     ("y^2 - x^3", "eta"):
-        "eff93d8230daf54cde063dd1f6657116e201d316ac03df9f8ca8942d287a7882",
+        "ba1fb9894959070296a7cb83fa759bb618d209142dcea72ceec7c9cdd963779e",
     ("y^2 - x^3", "wide"):
-        "f21ae009ff9850cff15e5866a24567360b8ec73e1ba95aa0cc895a4dc4163da9",
+        "9d150d8fa37c4b19c2026dd027c2ca5cdce67778a088bb8ff8bb8be96db8a89d",
     ("(y - x^2 - x^3)^2 - x^9", "default"):
-        "c1f3049db710701902362ce325b3dfd017b032a545f033b194b288b596b9231b",
+        "d403e74c2d63e51c211e3cea1b7b5d9023101eb8c18cc82ed2705e91d199d92b",
     ("(y - x^2 - x^3)^2 - x^9", "narrow"):
-        "44200ea9dbef84586f6b982001947eead0f7d63f35b539789d07612a2c9dd2a6",
+        "8199cace63cbff9e8732716e42a8e918ce114c2834d935b2e030562b919f9506",
     ("(y - x^2 - x^3)^2 - x^9", "eta"):
-        "9cf95f3d850db6a7c57587909d342fb85b50e4bbc2a6ecff281624096b6dd31a",
+        "588684a57ab94b59e0c7f8bdfc4da5cdbf7ba23c73d7ca3bb18a04c483f01b81",
     ("(y - x^2 - x^3)^2 - x^9", "wide"):
-        "c0dc044b5b8188d545798e378ea9eb17ffc97071c37cb501395a63fd6ed1f2bc",
+        "ac181298af45e126a43440ac69273f3f45d84481fecab269cf4cf352141e7981",
     ("y^2 - 2*x^2*y + x^4 - x^7", "default"):
-        "6f3fa46262a2d57438fc0b4648a0c40b329ef2c5fc344504dfeaf9dec25388ee",
+        "cd72c11fc65cd0521fc3a72c6d9d6dc05e653611c796f27d0af6f223478ecdab",
     ("y^2 - 2*x^2*y + x^4 - x^7", "narrow"):
-        "98617f1b5b6b5b07fdec73b77750c166a7e807e5fc55da8aa37c0cbc6068332e",
+        "5deac0a52876d38ea1e8e2328db407987db62565c4d30fc1e4bd3574cb90358d",
     ("y^2 - 2*x^2*y + x^4 - x^7", "eta"):
-        "e9cd6aebbb98acf25479749904779f4582683af05bead8911e940830f3e23e08",
+        "eedf8e120c261a5a16bbef0013056981702b113177a9e72a8980cdf7f94e7d57",
     ("y^2 - 2*x^2*y + x^4 - x^7", "wide"):
-        "05c591726534b86ae8565ff2a220ee7d830bddfef1e88cc4cfed818ca2368b69",
+        "3b3ba072eed66ff07dadb1585f9bfec6854e2c043f3d5e3c49f59793ec7da249",
     ("(y + 2*x)*(y + 3*x^2) + 2*x^4", "default"):
-        "ba60886bbd9d80409980ea7451b4883fdb4989c124ab3cd0cade2b4d7d686728",
+        "5b98ad19826f0456002f827a1edacc593f31b373cbc4f247a5a93e0db2941f12",
     ("(y + 2*x)*(y + 3*x^2) + 2*x^4", "narrow"):
-        "f41abcb22f58922903488eed6b24059c4088e29c77dd38defe29d8710ecf74ff",
+        "585552b3c627fa665349c6f4bf395afa42aa17af232f21b1337f3d196f08f2b1",
     ("(y + 2*x)*(y + 3*x^2) + 2*x^4", "eta"):
-        "34c6bec0829668f9b4422eac32d2bc6c73c9af485140cf0996b2a8687313a6f3",
+        "6ec7504801d63281d6ffb9e52a8d4eda58116e542556a442085ea0bd747377e9",
     ("(y + 2*x)*(y + 3*x^2) + 2*x^4", "wide"):
-        "5599ba9a0b50b86d773d1eabda7906bd8e56cd58ad343cee714d0b5c6f4b6a9f",
+        "47c5614948207bf792acbef44c71c842da89dd31912b02966ad875bae3ea0e15",
     ("(y + 3*x)*(y - 1*x)^2 + 1*x^4", "default"):
-        "ac3be9935bf1b968eb6a41bd12e156bfcbe0d4ce6b8457609f238e2ed1df64f8",
+        "45e4abdc56ddeef2573e4b32bbd84f0987fc91cdc462da0a5cf0e9387b92d49d",
     ("(y + 3*x)*(y - 1*x)^2 + 1*x^4", "narrow"):
-        "cbc13a9f7c4170fe98322b79ad018ed72c356377d05f0adbc10b687c86ba339b",
+        "71c7bb91b2f8e386fafea3db3a783a095e5ba889bb4e4487b5382dbf40d48d30",
     ("(y + 3*x)*(y - 1*x)^2 + 1*x^4", "eta"):
-        "452f7abba23495c855eb63eb7ab3805f5191fa959473036dbd8a637ac62a59bf",
+        "90f039e04e18a54025be63a2b7b37df05727f7020f4c525cb5c8e7685acb5c8d",
     ("(y + 3*x)*(y - 1*x)^2 + 1*x^4", "wide"):
-        "985e6aeb6be9644e03b537082f69487e7db4834cfb9a5496ec9d6b3c4ee236fd",
+        "8e78c9da09a4d8bf93ea1da0de745ba7a2fbaf09a4a773399a65445ad446edf2",
     ("(y - 2*x)^2*(y + 3*x)^2 + 1*x^5", "default"):
-        "79836ced60b2c76d0112df1f89ac7751b832eca0a7edab231c9e27fede1c58a0",
+        "e7ff070a8c558121709649effde74c3b745e8bf3f6a38423c7dd24fc1cf3b85b",
     ("(y - 2*x)^2*(y + 3*x)^2 + 1*x^5", "narrow"):
-        "87800d352ab252c432a001466edac32a3d4a61eff474e2495b80fbcb0d75cc74",
+        "c15d4be0e83b88b19db7a88051e088e9062c78c28d5a0db6f38a3f36de435a98",
     ("(y - 2*x)^2*(y + 3*x)^2 + 1*x^5", "eta"):
-        "0a88b27cfe4177345bb89da9c52c53f15db7d1e13f2b34d2f867b9a8b8e29b80",
+        "f7289383bee66f32a385fd83b6892606720effe8bb71a19506275075447d3151",
     ("(y - 2*x)^2*(y + 3*x)^2 + 1*x^5", "wide"):
-        "10a0a6aa1298557d1cfe9983f22cc035a707f889bbcb8895e96452fafaa79415",
+        "b107a5165e7c10c91f7c587dcfb5ead4abe28dac687da568b206ad4abecf231c",
     ("(y - 2*x)^2*(y + 3*x^2) + 1*x^5", "default"):
-        "353e72852878780c0edc089a3a3e4ed2531611e7195c2b14ee16a9f1c9b5659d",
+        "d63b57e7f2ea14e28fa051d335263f3c2466e685b2ab651838ae4aa8905f522a",
     ("(y - 2*x)^2*(y + 3*x^2) + 1*x^5", "narrow"):
-        "123a8db21fd9e5632f0fc492f36dda5f69444e2cc3cda6127d843ae1b993c467",
+        "30b3737091003341e894b6fc2aa0f2ac2cea2fddd34d831459b170449fb3c23b",
     ("(y - 2*x)^2*(y + 3*x^2) + 1*x^5", "eta"):
-        "0c55ee6d06b6bd2485c88f7f17149c3d800a154b779cad4289c34283ec73aab7",
+        "4d7faf0e30e67b137035869ab5092e8b6dbe704f0dda093a7946921a03549582",
     ("(y - 2*x)^2*(y + 3*x^2) + 1*x^5", "wide"):
-        "858eb601966a72bdcdc3adf189edc36b510cb17e19f8169ac22ffb2a5be0142a",
+        "f4a23600912574e6c30e4545eb8bce97b90f1cb4f4e82e68d6d307787c03ef02",
     ("(y - 1*x)^2*(y + 2*x^3) + 1*x^6", "default"):
-        "2cad76b1148c885c704dbfb79f1c319ff38185870040e30c3e157c5035cf5fb7",
+        "ab33b2d2d7312dd65c87df0ca94359c9659c395e76067907e37f37a705fb5d2a",
     ("(y - 1*x)^2*(y + 2*x^3) + 1*x^6", "narrow"):
-        "64a9e4ad1e63defd8169b905368fa001a60eab59077ce9876fb7f3c8e76c56a2",
+        "d1674f7e1b996a8a937a3391dad7634abb6e01a9a88898d3bbbe3eb5597ff1d3",
     ("(y - 1*x)^2*(y + 2*x^3) + 1*x^6", "eta"):
-        "aee3deed53eb0911166b3ebaf337bafb3e7552727ba9cb749ee724d04b7e4c42",
+        "cac92712bcbaad72b4cbcc5976b125f37b47b800fffb679cc897bab7f22179d8",
     ("(y - 1*x)^2*(y + 2*x^3) + 1*x^6", "wide"):
-        "a319698905e20512eed0d921524d9b673a243deb22aa050b32ea8791570bf4be",
+        "e8ce07c04524e90bed110825ca5cdf7e7fa858361390e486998c811b60a07369",
     ("(y - 1*x^2)^2*(y + 2*x^2) + 2*x^7", "default"):
-        "6c9b394792db27a471232695d6f4be19d31f43e95e49e876428343d28150e6f9",
+        "f393533c899b5e88076fb6bc4b02f4843b9495984c86c4e8076e409e675bd2c8",
     ("(y - 1*x^2)^2*(y + 2*x^2) + 2*x^7", "narrow"):
-        "30552da0d0a8f5d17fba48df66c190240e82e35d72ac7782fe338202e4aedce1",
+        "4cf77cf2ddc4e18559751432cb3b6c117cdd1089b181a9142a22e286f6de6a85",
     ("(y - 1*x^2)^2*(y + 2*x^2) + 2*x^7", "eta"):
-        "f5b506f15496b2c4c6202911f6484915d2c5f824fb03f2a88c543cba03b8eb9f",
+        "fcc3f99ca6084a16cc2b5b31ec062376985d341c92566bedfca3f563e7c6c3c2",
     ("(y - 1*x^2)^2*(y + 2*x^2) + 2*x^7", "wide"):
-        "9a042b392094585c78090d879793087eaa1b63ae1a53a135fa9afeb5b080557f",
+        "c5d92c939d6caeccc0e9c5fd47d2a8085c08345de5757a578a172dcfd5deec64",
     ("(y + 2*x)*(y - 3*x^3)^2 + 1*x^8", "default"):
-        "9dc91968c510cd4e9bf3d8dbf0ee68843bc1aa05891948a380de91b4804916e2",
+        "3eb62039e3ac079bf61a9705eeeeada1f8ef5d685013d4c4d304a2185fb69054",
     ("(y + 2*x)*(y - 3*x^3)^2 + 1*x^8", "narrow"):
-        "7bc7da46a2168ad8ad1f10d51ab2dd7b19715f7ecf234ccfc5db60483e9fd9b6",
+        "7fff9d8b1b18c297650a9d3e4effb924444c459aec122c57d263f348f15f0e85",
     ("(y + 2*x)*(y - 3*x^3)^2 + 1*x^8", "eta"):
-        "d57e50535ee34d60506421b20ee1fa493fcfe592ee5e1c762c05b9472f852576",
+        "afb0033aeccea75bb74fddb1af7c34d62a5dc4f8637f5d947e3bc921e32a385f",
     ("(y + 2*x)*(y - 3*x^3)^2 + 1*x^8", "wide"):
-        "4c388a80e16c74fbb5de4eb0a9d0c7bfbb786a759eede7a71b5db653679df08d",
+        "b7489d79319f1d31253ceaed0498d2bbdacd6f4580e75000d73a1ec1567a8b65",
     ("(y - x)*(y + x) + x^3", "default"):
-        "3f72f0a63b5c0ffa8c284e60e27d423fe7b2074d03b7b8970c04b9d1fc17cacf",
+        "4992553c276f8ed8cc7a587bad752bcd8f927a21a40fda7dbbfb884c8c904715",
     ("(y - x)*(y + x) + x^3", "narrow"):
-        "60171785ed5d8e4df1f274bde239c9f724a621189bece4482f7395d9a48ac043",
+        "7a391600a189f887c2a15a23c80a22e514d039cd3c5149fd7353f4615469e343",
     ("(y - x)*(y + x) + x^3", "eta"):
-        "034ce5834c08646e3c821853f9ef930c5ed0ca2d14fa2ab13f2abb5c504a7a0d",
+        "89bae92bccac34fcd7763148eef79839ca1ef39f3498d5ed1754313295ffe275",
     ("(y - x)*(y + x) + x^3", "wide"):
-        "fb07171f47b885759c5a0d7d7790df09bba03a84ff7964964d02abb2f7a96c9d",
+        "1166e3d11edbd99db134fdb6f54883438ab8da891596e08337b49767a1bfaa7b",
     ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "default"):
-        "741dc075df8e341efe89ae41e1a2089cc627dc171f04d660a3bf24d9adcd96cb",
+        "13ac432dcd0cedad0f0e0eaed331a52e2297cd2bcc4465bb0b75f90a4e2be240",
     ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "narrow"):
-        "3ca19e9534fca23055d32f1b8463cd018d143708eb7e20997d7f2589a79fe63f",
+        "d037c75ac9bca482ba0ca75a9ba141349fdf0cd046b7021d8f28cbe3bf2b37bc",
     ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "eta"):
-        "be92744f79244ebfc3140d1983a16ef721342330bf5e7f6ff7ee68d10175c81b",
+        "9dcfc1bf1212f18f94953c0ad5ae5ef4ee0aa95a5fb86e22b6133c19b161aa37",
     ("(y - x)*(y - 2*x)*(y - 3*x) + x^4", "wide"):
-        "0aa3e256e6e0db7630c3050a5430cf807ef1adeccf3358a13da68ab8c051636a",
+        "4e58348630460f766ab72bd53c4a5ee520e18e2e472e4c9a004f59dd3db82728",
     ("(y - x^2)*(y - 2*x^2) + x^5", "default"):
-        "bcd40856633019e6a08ea37f0b9509ad87118aad1a31ee07d1ffa2b8b98677fc",
+        "a7a1193e2460dac44f797183ccc39da352c94b2d8a11b0a832e03bc96b550539",
     ("(y - x^2)*(y - 2*x^2) + x^5", "narrow"):
-        "117d943eb7203c6b006d52552b78186804345846dfcac3e2559d0eace3c11572",
+        "7c55a2a79c6fc2f965c9111cd14743e5bcd84ba56ed20326509955aabac70825",
     ("(y - x^2)*(y - 2*x^2) + x^5", "eta"):
-        "d02a6779bca2633a3ad0d6f603bc0b3ff988de6d21080c5d824fe2bb09ca6d81",
+        "967be8ed2305f66d3b1ac431fc9e160a620feafe1f9b6ad4e639a02260dfa94a",
     ("(y - x^2)*(y - 2*x^2) + x^5", "wide"):
-        "9e52d115072bd5252f351cd823c8df4d20cb22d404c5f3b0a34275ad20a85c3c",
+        "2a7581a5c82e4fea3ef0e12334fa65d6bc2aa655411bec48563acd4858d6478c",
     ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "default"):
-        "a4042b51a72417a69830c29f7e7a5df3fb9d6aae1768807f3af2b716d31c5919",
+        "85db868ae4e27ce19a72015c217f0846e9cce0cfdc748a726e17db33b86cd80c",
     ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "narrow"):
-        "794e30f842bcdb41f9be1e52f4c18fc095c615d89b50afb3a1687b92c565aa7f",
+        "4667c4305e66ae6b8b005ab2553315f5c9524d11ee1d6bf55717ff58a16254c9",
     ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "eta"):
-        "f6f28ef3dd46455aeaa1e8a398c4921ba3cbb676a6afcb15acb07bdbb8e3b7b4",
+        "adc8cc13a1b4a2bdd6f4524d6ba4de7fd2fd9ed35de6ddc4902ada90f5da743b",
     ("(y - x)*(y - 5/4*x)*(y + x) + x^5", "wide"):
-        "a2c731f3a5e912a422bed3122c07774ff3ff6ff6efb30722e9189755e717aecb",
+        "d6125e5b5f2820290230a4b3d2f10bdeac66e9eb9e323c7a86d0a5f2850cd730",
     ("(y - x)^2*(y - 2*x) + x^4", "default"):
-        "4fafbb8189e78aff52d2e4003605d409ef27b104c28109c01ef240994462d205",
+        "ccd6c5e8e1e2885834a54096a6dcd269b5f17c4f3b9c054aaf3e2f779eda2fef",
     ("(y - x)^2*(y - 2*x) + x^4", "narrow"):
-        "7c7b31bda05da17fd60f34e2be9e3ecadb2f60c13cfce7159fc4aef7460201b9",
+        "085a4f9cd5b2ecd700cf5365ae163849d7e4b55fdec2cc7948e8c2900fb644b4",
     ("(y - x)^2*(y - 2*x) + x^4", "eta"):
-        "b13109832b024d6a5c11054a9faa33dd8dce9edf9a293c7f7e7a2296c7e2d009",
+        "917109e29a88f605bcc146db80a86afc045d7be15ef8f9f90f46d5ce769dfe95",
     ("(y - x)^2*(y - 2*x) + x^4", "wide"):
-        "2e5fe7574f86300227a36febf08b6727ddecf227d3dccb465d6444af28c79559",
+        "49ce79c38c70b07d5e0792b760b72f8b307414c380808afa85f8851576c851fa",
     ("(y - x)*(y - 2*x)^2 + x^5", "default"):
-        "c7bfd8a69596b25af922bedde15ff3d2673ccdfb9f6dab5e7dd554f68c86aebd",
+        "9aa601942300ff6c3019f8e9205fb9155c9f42deebb8697e55f8466428dfa281",
     ("(y - x)*(y - 2*x)^2 + x^5", "narrow"):
-        "4d776d656e2e169769aeb433d74ca63e014de6a2ecf6d0423094bc2e37f49adf",
+        "bd549739769879849405e94d2e5c1eceedc5955bbc70348c67680799237121ac",
     ("(y - x)*(y - 2*x)^2 + x^5", "eta"):
-        "df2e3c455677f92113a2642ef37ab95fc17e768ba6e84b798c758011bc434046",
+        "376ecf0d214a21d1782a80a451977d2f48e347606adaa6d5778cc9eea5105dc7",
     ("(y - x)*(y - 2*x)^2 + x^5", "wide"):
-        "d58ac7b735423d9d624229399a1a20de478ef713d6cb535862200d25a3f62f8f",
+        "86a45a131533f97866d0710b5882bdc5a082aa9e05fa331f7c67ecb88dc867e8",
     ("(y - 3*x^3)^3 + x^9", "default"):
-        ("RuntimeError",
-         "edge band [17/8, 384] is not bounded away from zero (range [-447955/4096, 226535226139/4096])"),
+        "0b972558bc30987b24c079bff931e4719ed5e2c4850bad6b165f62e8170c1163",
     ("(y - 3*x^3)^3 + x^9", "narrow"):
-        ("RuntimeError",
-         "edge band [33/16, 192] is not bounded away from zero (range [-111191/16384, 110612921755/16384])"),
+        "7e96053ab55c21d13ccd6d707bcf760cc0b761682385e5f1375f6c2debd3ce98",
     ("(y - 3*x^3)^3 + x^9", "eta"):
-        ("RuntimeError",
-         "edge band [17/8, 384] is not bounded away from zero (range [-447955/4096, 226535226139/4096])"),
+        "64840599cb56164bee7b37eeb94d8d1ffd806c2e87ff6bb48c2e44529d7b782a",
     ("(y - 3*x^3)^3 + x^9", "wide"):
-        ("RuntimeError",
-         "edge band [9/4, 768] is not bounded away from zero (range [-1780955/4096, 1833769211419/4096])"),
+        "f4dcfe2f87d15658a8e1224c8c9b508402f4bd26a50d8e625c1d3ae3ae973d88",
     ("(y - 2*x)^2*(y + x^2)^2 + x^7", "default"):
-        ("RuntimeError",
-         "edge band [15/4096, 15/8] is not bounded away from zero (range [-7384791615/281474976710656, 134228423/134217728])"),
+        "22427326f1bbaaedf68f0e7454549cb474a83a768c20cb82a879d97d429b00e9",
     ("(y - 2*x)^2*(y + x^2)^2 + x^7", "narrow"):
-        "b0c9b9bc766effb5e4d56b016b7941b24e554b05e81de458fe8b070df717b9f1",
+        "8ef14157d98f22e5c9ae47bc99c8d11cfbf0f8dfb9461d5a90ba6c26d9c6ee69",
     ("(y - 2*x)^2*(y + x^2)^2 + x^7", "eta"):
-        ("RuntimeError",
-         "edge band [15/4096, 15/8] is not bounded away from zero (range [-7384791615/281474976710656, 134228423/134217728])"),
+        "011d6b972fe37bbaf24a1d6982ee4c128441fa2d0e98870a76570ed61e4c74ad",
     ("(y - 2*x)^2*(y + x^2)^2 + x^7", "wide"):
-        ("RuntimeError",
-         "edge band [7/4096, 7/4] is not bounded away from zero (range [-16094967455/281474976710656, 16778371/16777216])"),
+        "60795aa5e3c6238936fb7a13ffcb3e96529ca7b09d62b642cd69f4d46d7deeba",
     ("(y + x^2)^2*(y - x^2)^2 + 2*x^9", "default"):
-        ("RuntimeError",
-         "chart certification failed after 20 retries (mode C, monomial (Fraction(1, 1), Fraction(8, 1), 0))"),
+        "377351537b856a225c34639034b7f42405ad305933b59c5c5ac5f145b6c56d2b",
     ("(y + x^2)^2*(y - x^2)^2 + 2*x^9", "narrow"):
-        "989457e2d29cde2df0b8fa9f337fcfac6614165902982d6b37d83221fc3fe83a",
+        "00c4bef67ad7d50de7dab1649e3d5e680842f4d611da641b11c167f305f4afa4",
     ("(y + x^2)^2*(y - x^2)^2 + 2*x^9", "eta"):
-        ("RuntimeError",
-         "chart certification failed after 20 retries (mode C, monomial (Fraction(1, 1), Fraction(8, 1), 0))"),
+        "23edc28d68ff33bbdb8b902689fe9142abccabb389017e9827389684559d1119",
     ("(y + x^2)^2*(y - x^2)^2 + 2*x^9", "wide"):
-        ("RuntimeError",
-         "chart certification failed after 20 retries (mode B, monomial (Fraction(268476417, 4096), Fraction(9, 1), 0))"),
+        "12c2fc54f702bc1c42aad06c352ec6304296f0fc6ae9ff3c85f6c25c6a35511b",
     ("(y - x)^2*(y + x^3)^2 + 2*x^9", "default"):
-        ("RuntimeError",
-         "chart certification failed after 20 retries (mode C, monomial (Fraction(1, 1), Fraction(8, 1), 0))"),
+        "6a94a0a9b290284a8b612d07c858bad4f30038f22df4607dff34289b12bca46a",
     ("(y - x)^2*(y + x^3)^2 + 2*x^9", "narrow"):
-        "e96a24da6bd9ae7dbb33e92eba663c1b3da6fdf96c0b4f4b13b4cec556d7482c",
+        "4ac162bac207bd600f978f9a1b689688e4802fd45dfb0fd11f300262197fd901",
     ("(y - x)^2*(y + x^3)^2 + 2*x^9", "eta"):
-        ("RuntimeError",
-         "chart certification failed after 20 retries (mode C, monomial (Fraction(1, 1), Fraction(8, 1), 0))"),
+        "36fadc1bfb40da50599a5a42a3fa65f20e7fde8d2f3c3ada036b26bc83434b97",
     ("(y - x)^2*(y + x^3)^2 + 2*x^9", "wide"):
-        ("RuntimeError",
-         "edge band [3/4096, 3/4] is not bounded away from zero (range [-654532527/281474976710656, 65539/1048576])"),
+        "74e43485d0d6073499e0e3bf7da2f9c0756ce0550122d6b7336af26045342449",
     ("(y^2 - 2*x^2)^2 + x^9", "default"):
         ("ValueError",
          "irrational edge root: outside the model (needs an algebraic shear)"),

@@ -22,7 +22,7 @@ from helpers import PHASES
 FAMILY = ["(y + 1*x)*(y - 2*x)^2 + 1*x^4", "(y - 2*x)^2*(y + 1*x^3) + 1*x^6"]
 EXPRS = [expr for _, expr, *_ in PHASES] + FAMILY
 SETTINGS = [(400, 1729), (1000, 0), (400, 3)]
-SCALES = (1, 2, 4)   # certified radius, x2 and x4: the larger ones fail or raise
+SCALES = (1, 2, 4)   # proved radius, x2 and x4: the larger ones fail or raise
 
 
 @lru_cache(maxsize=None)
@@ -55,9 +55,9 @@ def _lines(expr, samples, seed):
 # every line of one small phase, charts x SCALES in order, per setting
 X2Y2_LINES = {
     (400, 1729): [
-        "C passed=True sign_ok=True ratio=0x1.fefa3f99f36a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=1729 x_max=0x1.ffffe00000000p-7",
-        "C passed=True sign_ok=True ratio=0x1.ff937bd08f560p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=1729 x_max=0x1.ffffe00000000p-6",
-        "C passed=True sign_ok=True ratio=0x1.fffffff7cca60p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=1729 x_max=0x1.ffffe00000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.ff937bdc217a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=1729 x_max=0x1.0000000000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.fffffffffdcc0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=1729 x_max=0x1.0000000000000p-4",
+        "ValueError: empty chart domain at x = 0.0904: shrink x_max",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=1729 x_max=0x1.0000000000000p-2",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=1729 x_max=0x1.0000000000000p-1",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=1729 x_max=0x1.0000000000000p+0",
@@ -66,9 +66,9 @@ X2Y2_LINES = {
         "C passed=True sign_ok=True ratio=0x1.fef9fcb0c0280p-5 deriv=0x0.0p+0 [(1, 0), (2, 0)] n=400 seed=1729 x_max=0x1.0000000000000p+0",
     ],
     (1000, 0): [
-        "C passed=True sign_ok=True ratio=0x1.fefa3f99f36a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=1000 seed=0 x_max=0x1.ffffe00000000p-7",
-        "C passed=True sign_ok=True ratio=0x1.ff937bd08f560p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=1000 seed=0 x_max=0x1.ffffe00000000p-6",
-        "C passed=True sign_ok=True ratio=0x1.fffffff7cca60p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=1000 seed=0 x_max=0x1.ffffe00000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.ff937bdc217a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=1000 seed=0 x_max=0x1.0000000000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.fffffffffdcc0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=1000 seed=0 x_max=0x1.0000000000000p-4",
+        "ValueError: empty chart domain at x = 0.0944: shrink x_max",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=1000 seed=0 x_max=0x1.0000000000000p-2",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=1000 seed=0 x_max=0x1.0000000000000p-1",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=1000 seed=0 x_max=0x1.0000000000000p+0",
@@ -77,9 +77,9 @@ X2Y2_LINES = {
         "C passed=True sign_ok=True ratio=0x1.ff964ee9c24a0p-5 deriv=0x0.0p+0 [(1, 0), (2, 0)] n=1000 seed=0 x_max=0x1.0000000000000p+0",
     ],
     (400, 3): [
-        "C passed=True sign_ok=True ratio=0x1.fefa3f99f36a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=3 x_max=0x1.ffffe00000000p-7",
-        "C passed=True sign_ok=True ratio=0x1.ff937bd08f560p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=3 x_max=0x1.ffffe00000000p-6",
-        "C passed=True sign_ok=True ratio=0x1.fffffff7cca60p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=3 x_max=0x1.ffffe00000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.ff937bdc217a0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=3 x_max=0x1.0000000000000p-5",
+        "C passed=True sign_ok=True ratio=0x1.fffffffffdcc0p-5 deriv=0x0.0p+0 [(0, 1), (0, 2)] n=400 seed=3 x_max=0x1.0000000000000p-4",
+        "ValueError: empty chart domain at x = 0.0744: shrink x_max",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=3 x_max=0x1.0000000000000p-2",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=3 x_max=0x1.0000000000000p-1",
         "B passed=True sign_ok=True ratio=0x0.0p+0 deriv=- n=400 seed=3 x_max=0x1.0000000000000p+0",
@@ -92,9 +92,9 @@ X2Y2_LINES = {
 # sha256 of "\n".join(_lines(expr, samples, seed)), per phase and setting
 LINES_SHA256: Dict[str, Dict[tuple, str]] = {
     "x^2 + y^2": {
-        (400, 1729): "eb39b3c18cebe62ae99b5a72bba5930a343f3953b54057e9c27ce7a14fa25e86",
-        (1000, 0): "edc7b25b7546ef1a85e2533ab9ac2a9fb9b8f728055b7223884f22921af0fd7a",
-        (400, 3): "125fcf087bbc4ddcd6e48082a9846830b002bd584b7c9803551eab589ce0e386",
+        (400, 1729): "913084125eb613ee76a8ca98f40e8287e07d9aef1cca6e959d925c75523a7af8",
+        (1000, 0): "cee8c5f67cb119915c75d759f5a9f952d528ba851205662f670676bfad77a49d",
+        (400, 3): "c8de69830093ae4ff1b9bfdc8761194b51dac9e0911e04f5be5b56c73f922c7e",
     },
     "x*y": {
         (400, 1729): "ed2b80eb20c41bc72f57e3ce5aa877943b11b80ccc924e369819bc233232ac45",
@@ -102,44 +102,44 @@ LINES_SHA256: Dict[str, Dict[tuple, str]] = {
         (400, 3): "7fb984348e106a0a6f5920c9ab3c781a37910adf7a7c6db89c934ce6cf6be5ae",
     },
     "x^2 - y^2": {
-        (400, 1729): "62760f3eb720e7641142b953605409be61bff7415ec29e4ebf2581d54031fe80",
-        (1000, 0): "a79005f7eb41a2fd75db4bbba5fee33041afdd023e1fe5d157c7290c34ac6cf0",
-        (400, 3): "9a72c9f4e7424bc49d307739e1eb53cc689ad77d7271e2b516f84d2b8c9a5de6",
+        (400, 1729): "8167284f04742d322f130330adb3c6eebaad47b8afe74d0c5e843521517d7716",
+        (1000, 0): "497d5cf0db42143fb2cc42ac99dc540d96991d8ea4f740a3f4d69bae103e4af6",
+        (400, 3): "7f4f4c6efeeaecec863bd2dc4f8dd4fc182dd5d47b05700c5fa0693d0e6c4f1a",
     },
     "(y - x^2)^2": {
-        (400, 1729): "39622fc7d37602de6c3e8e05eb5b46061ee1c7c8f204ff6e5a8a4cfa927d9dda",
-        (1000, 0): "4739692f039474f64652c57b724165f863ff7949ee40c2f0e64cff4384e2170b",
-        (400, 3): "a28d3f18da6473fefa8b6638ced4c33d01d1b1ee635f5195e3f0ece08107f2ab",
+        (400, 1729): "0c3d394abd7beaf8479b2e9eca88fa6e6d08ec037bfd8c3079fc0fafb8b1ef4a",
+        (1000, 0): "4835c279ce6e675f4e17e2b2e36f72d93457b47c5cc00aa5cc8a3f2798e3478a",
+        (400, 3): "760f8cdb3174968e8eec290d8c109d71b01e1c696e0a1d75097eb51bf6828d89",
     },
     "x^2*y^2 + x^5": {
-        (400, 1729): "8984cb96f837a40808846914d2ec60d2f179fb69150cf9c338b4ec4e57fab4c8",
-        (1000, 0): "aead45e16c201dc4546dc45bacc9533d39da4b2b0e1fafeec83241eea5d3b4b9",
-        (400, 3): "cb8f39265ea066906e59cdcf4efd6ef22e47c1ea8bf2f2e4c61901cbaabd1188",
+        (400, 1729): "59a670dd880c3d863664ca7731491159374679f2e7bf70f933f8631edc232797",
+        (1000, 0): "5a6bb3b6939ea83de3dd79b8d1d00f714d49994255c430a4b27bb459f031773c",
+        (400, 3): "70ba4150b123fd0e259939f205ad9384e35c27b9ab868bcee9389526e90d757b",
     },
     "y^2 - x^3": {
-        (400, 1729): "b893c7a3d5d531d21aa36fb17ea40bf1c5db7d7782dde6af2d802625e3b325ba",
-        (1000, 0): "d187e295482d1da243542814034390ea3a8d1647378ff2861b5abf1f8bf2e8bc",
-        (400, 3): "025e1154fa8d140914323f28c7a37f6ddfdc8c2712e219c1a9a50d5d9fb1ec01",
+        (400, 1729): "c216ae7f0f8dbce71555e9bb6a8587ec79150d5ce7df08e16d3d2e9f44a59e6b",
+        (1000, 0): "e3cd1c40e26e2e5dca4d57f07757f5224a7989eb7e5b451f84bc1f911ca28307",
+        (400, 3): "8dd663e6c3951ecfad8cd68a6765e4b2a5d7cb2972b74873c7da8dabd458b83a",
     },
     "(y - x^2 - x^3)^2 - x^9": {
-        (400, 1729): "be090a9d0524d2378ad484bbcee06151289eeb2f932bf951cb5ce025b74484a1",
-        (1000, 0): "fddfb1050123128a9edd74ff7d3615b642957acfb6211484ff44c358b27d6044",
-        (400, 3): "1e02a2063e51438ac7940faae7d07caf68b4ffc728162060c7a9f0ae5157aff4",
+        (400, 1729): "dee43563424970817c919a339ad2464601a4b2dd072cbb779e9d8f7f52ef385e",
+        (1000, 0): "0f3fb93c3826be71867caf82eacd11f28f7c825d982ea9f9cdd9ca5bae2e969d",
+        (400, 3): "0179936c31b131b0daebbbf4cafe10deb8e408401da320d954f201995b3ca575",
     },
     "y^2 - 2*x^2*y + x^4 - x^7": {
-        (400, 1729): "6d6d37e74447fdd498bb69e9ba314096cdef33cd5b5cad74811a5250c29260fe",
-        (1000, 0): "b8f9cd85174f035a850483526d8879e801083e0ade8254e6eef926638d1ad226",
-        (400, 3): "92ce190c2ede7d1b4fe9d4df45598268375b650ee975fcbd17fb8c6f65bb41c8",
+        (400, 1729): "8ea4d1d7ea47d5f6525fdfca16b150fad8374b32a41bd57e6e296a6d6b6ba031",
+        (1000, 0): "067a4891d04fe4f9e1469576a76509bb40f7b76bb2c2762c798728c60929039a",
+        (400, 3): "c6a62c2d2f2776a9fd08cc73b92f417b0c3e3eb5d24984444ae417ceb8435e9a",
     },
     "(y + 1*x)*(y - 2*x)^2 + 1*x^4": {
-        (400, 1729): "bf3ac9243cffcf870eb3f3f0eed9d63e2a548092c1329a6b78115e912d7e9891",
-        (1000, 0): "104e79397b6536ed110fa02f222394ee22fd867b378d2dc69fe05648d731f19b",
-        (400, 3): "a173b4ee793bb0b926a3a3e709ecdeaf9779a4af62f93afbca1afe79de458baa",
+        (400, 1729): "65de146a74f3d9759b19bdfc1fdabc9d5007777556bfc083c35ff9a02a1d06c6",
+        (1000, 0): "e97d36923714ea319271639f6f47e2d1c199214265e871574e496b1ae8088bde",
+        (400, 3): "4bdfe08a237de4c46fcfbe93cb3d235af06bfa176af15b5fb187ca0fb58694cd",
     },
     "(y - 2*x)^2*(y + 1*x^3) + 1*x^6": {
-        (400, 1729): "c43576c750c4e298986d9b7bfe60abd2429976d96e9036636139dd2a9cb6cb31",
-        (1000, 0): "ec39a208b841d0eb6046496e6dcac4c05fdf6c296b04da52711b85d7346acecb",
-        (400, 3): "1b818c2499d7a528f063f2d97f46d6ed61e8e2634c835787fad56d1a555987a4",
+        (400, 1729): "299d1d710cead9d1d9c0d0a879b0a4f1da9ea021bcd5d3cf3d8f8dfb1bfd8af7",
+        (1000, 0): "f1b4747400926131768562ec6990772a92979df228bedc2acf050f2606e58ecd",
+        (400, 3): "c5d0c51c80f759c4bf35529a810f10f6a3276d19f3fee9b480d670ef6d0c1afa",
     },
 }
 
