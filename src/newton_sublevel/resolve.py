@@ -53,7 +53,7 @@ from .roots import IsolatedRoot, isolate_real_roots
 
 MAX_DEPTH = 16            # recursion levels; each strictly lowers the root order
 TRUNCATION_ORDER = 40     # total order to which branch curves are lifted
-PROOF_SLACK = 1 - Fraction(1, 2**20)  # a proof uses delta·PROOF_SLACK, room for float audits
+PROOF_SLACK = 1 - Fraction(1, 2**20)  # a proof uses delta·PROOF_SLACK, room for float checks
 
 _IRRATIONAL_ROOT = "irrational edge root: outside the model (needs an algebraic shear)"
 
@@ -667,8 +667,8 @@ def _fold_max(v: np.ndarray) -> float:
 def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
                  seed: int = 0) -> VerifyReport:
     """Sample the chart domain and check comparability to the monomial model:
-    the CLI's float audit of the charts that resolve proved, and the tests'
-    oracle; resolve itself never calls it.
+    the tests' float oracle for the charts that resolve proved; neither
+    resolve nor the CLI calls it.
 
     The check, like the proof, reads the chart's own phase c.phase, as the
     recursion built it, and never reads p.  c.phase is truncated at total
@@ -723,7 +723,8 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
             bi = int(beta)
             model = bf * X[af] * Y[bi]
             val = _sum_terms(ph_t, X, Y)
-            sign_ok = not (val * model <= 0.0).any()
+            # signs, not their product, which underflows to 0.0 on a tiny radius
+            sign_ok = not (np.sign(val) * np.sign(model) <= 0.0).any()
             worst_ratio = _fold_max(abs(_divide(val, model) - 1.0))
             worst_d = 0.0
             orders = []

@@ -308,7 +308,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
         cmds = [
             ["analyze", "x^2*y^2 + x^5"],
             ["adapt", "(y - x^2 - x^3)^2"],
-            ["resolve", "(y - x^2)^2", "--samples", "200", "--seed", "1"],
+            ["resolve", "(y - x^2)^2"],
             ["measure", "x^2*y^2 + x^5", "--eps", "1e-2..1e-4:4",
              "--samples", "100000", "--seed", "11"],
             ["measure", "x^2 + y^2", "--eps", "1e-2..1e-3:4",

@@ -1,19 +1,21 @@
 """Expression grammar, subcommand dispatch, report determinism."""
 
+import importlib
 import itertools
 import json
 import tempfile
 import time
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_sublevel import (ParseError, ResolveParams, parse_expression, print_expression,
-                             resolve, run)
+from newton_sublevel import (ParseError, parse_expression, print_expression, resolve, run,
+                             verify_chart)
 from newton_sublevel import cli
 from newton_sublevel.cli import _tokenize
 
@@ -197,9 +199,8 @@ def test_resolve_writes_decomposition_and_verify(tmp_path):
     assert dec["charts"] and all("x_max" in c for c in dec["charts"])
     assert all("/" in c["x_max"] or c["x_max"].lstrip("-").isdigit()
                for c in dec["charts"])
-    assert ver["results"]["all_passed"] is True
-    assert ver["results"]["charts"] == len(dec["charts"])
-    assert all(row["passed"] for row in ver["results"]["verify"])
+    assert ver["results"] == {"charts": len(dec["charts"]), "radius": dec["radius"],
+                              "all_passed": True}
 
 
 def test_measure_fit_near_half(tmp_path):
@@ -311,7 +312,7 @@ def test_exit_1_on_usage_error(tmp_path):
 _DECLARED = {
     "analyze": set(),
     "adapt": set(),
-    "resolve": {"--seed", "--samples", "--xi", "--delta", "--eta", "--radius"},
+    "resolve": {"--xi", "--delta", "--eta", "--radius"},
     "measure": {"--seed", "--samples", "--eps", "--mode", "--radius"},
     "oscillate": {"--lambda", "--radius"},
     "sweep": {"--t-grid", "--mixture"},
@@ -331,9 +332,9 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
                 for cmd, (_, names) in cli._COMMANDS.items()}
     assert declared == _DECLARED
     # 7 subcommands x 12 shared flags + sweep --mixture = 85 slots before;
-    # 31 now, --out and --config included
-    assert sum(len(f) + 2 for f in declared.values()) == 31
-    assert len(_REMOVED_SLOTS) == 85 - 31
+    # 29 now, --out and --config included
+    assert sum(len(f) + 2 for f in declared.values()) == 29
+    assert len(_REMOVED_SLOTS) == 85 - 29
 
 
 @pytest.mark.parametrize("cmd,flag", _REMOVED_SLOTS)
@@ -348,7 +349,7 @@ def test_undeclared_flag_is_a_usage_error(tmp_path, capsys, cmd, flag):
 @pytest.mark.parametrize("argv", [
     ["check-vdc", "--samples", "0"],
     ["check-vdc", "--samples", "-3"],
-    ["resolve", "x^2 + y^2", "--samples", "0"],
+    ["measure", "x^2 + y^2", "--samples", "-3"],
     ["measure", "x^2 + y^2", "--samples", "0"],
     ["measure", "x^2 + y^2", "--mode", "exact", "--samples", "0"],
     ["measure", "x^2 + y^2", "--samples", "2.5"],
@@ -360,7 +361,7 @@ def test_samples_must_be_positive(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["resolve", "x^2 + y^2", "--samples", "16"],
+    ["measure", "x^2 + y^2", "--mode", "exact", "--samples", "16"],
     ["measure", "x^2 + y^2", "--samples", "100"],
     ["check-vdc", "--samples", "1"],
 ])
@@ -411,37 +412,49 @@ def test_exit_1_on_value_outside_the_model(tmp_path, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_exit_2_with_failure_marker(tmp_path, capsys):
+def test_resolve_at_radius_1e200_is_proved(tmp_path):
     # x^2 + y^2 is homogeneous, so its band and bottom corner are proved at
-    # any radius, within a second; the float audit of the band chart then
-    # overflows, which names the chart (a RuntimeError), without a traceback
+    # any radius, within a second; no float evaluation of the charts follows
     start = time.monotonic()
-    dec = resolve(parse_expression("x^2 + y^2").poly, ResolveParams(x_max=Fraction(10) ** 200))
+    assert run(["resolve", "x^2 + y^2", "--radius", "1e200", "--out", str(tmp_path)]) == 0
     assert time.monotonic() - start < 1.0
-    assert dec.charts[1].x_max == Fraction(10) ** 200
-    code = run(["resolve", "x^2 + y^2", "--radius", "1e200", "--out", str(tmp_path)])
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
-    marker = tmp_path / "resolve.FAILED"
-    assert marker.read_text().startswith("chart 1: the float audit cannot be evaluated")
+    dec = json.loads((tmp_path / "resolution.json").read_text())
+    assert Fraction(dec["charts"][1]["x_max"]) == Fraction(10) ** 200
 
 
-def test_resolve_audit_failure_names_the_chart(tmp_path, capsys):
-    # the proved corner 27·x^6·y^5 has x_max = 2^-48, where the audit's
-    # product of phase and model underflows to 0.0 and reads as a sign change
+def test_resolve_proves_a_corner_where_a_float_product_underflows(tmp_path):
+    # the proved corner 27·x^6·y^5 has x_max = 2^-48, where the product of
+    # phase and model underflows to 0.0 in floats: the proof is exact
     code = run(["resolve", "3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2", "--out", str(tmp_path)])
-    assert code == 2
-    assert "Traceback" not in capsys.readouterr().err
-    assert (tmp_path / "resolve.FAILED").read_text() == \
-        "verification failed on charts [2]; see verify.json\n"
+    assert code == 0
+    ver = json.loads((tmp_path / "verify.json").read_text())["results"]
+    assert ver == {"charts": 5, "radius": f"1/{2**48}", "all_passed": True}
+    assert not (tmp_path / "resolve.FAILED").exists()
+
+
+@lru_cache(maxsize=1)
+def _proved_charts():
+    p = parse_expression("(y - x)^2*(y + x^2) + 2*x^5").poly
+    return p, resolve(p).charts
 
 
 @pytest.mark.parametrize("seed", range(21))
-def test_resolve_passes_its_audit_at_every_seed(tmp_path, seed):
-    # a radius sampled at one fixed seed fails this audit at seed 1; a proved
-    # one passes at every seed
-    argv = ["resolve", "(y - x)^2*(y + x^2) + 2*x^5", "--seed", str(seed)]
-    assert run(argv + ["--out", str(tmp_path)]) == 0
+def test_resolve_passes_its_audit_at_every_seed(seed):
+    # a radius sampled at one fixed seed failed the float oracle at seed 1; a
+    # proved one passes it at every seed
+    p, charts = _proved_charts()
+    for i, c in enumerate(charts):
+        assert verify_chart(p, c, samples=1000, seed=seed).passed, i
+
+
+def test_resolve_never_calls_the_float_oracle(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("the CLI sampled a chart")
+
+    monkeypatch.setattr(importlib.import_module("newton_sublevel.resolve"),
+                        "verify_chart", broken)
+    assert not hasattr(cli, "verify_chart")
+    assert run(["resolve", "x^2 + y^2", "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -531,9 +544,9 @@ def test_run_writes_a_failed_check_with_its_marker(tmp_path, capsys, monkeypatch
 
 def test_resolve_that_raises_in_verification_writes_only_the_marker(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
-        raise RuntimeError("verification broke")
+        raise RuntimeError("not comparable at any radius")
 
-    monkeypatch.setattr(cli, "verify_chart", broken)
+    monkeypatch.setattr(cli, "resolve", broken)
     assert run(["resolve", "x^2 + y^2", "--out", str(tmp_path)]) == 2
     assert [f.name for f in tmp_path.iterdir()] == ["resolve.FAILED"]
 
@@ -570,10 +583,9 @@ def _phases(draw):
 
 
 # valid values first, then garbage; the valid ones keep each call cheap
-# (1e300 is refused by measure and oscillate and can fail resolve's float audit;
-# at 1e100 measure refuses phases of degree 4 and up, whose values overflow
-# floats there, and at 1e100 and at lambda 1e9 oscillate refuses the work its
-# phase swing needs)
+# (1e300 is refused by measure and oscillate; at 1e100 measure refuses phases
+# of degree 4 and up, whose values overflow floats there, and at 1e100 and at
+# lambda 1e9 oscillate refuses the work its phase swing needs)
 _RATS = ["1/8", "1/4", "1/2", "0", "-1", "2", "abc", "1/0", ""]
 _FLAG_VALUES = {
     "--seed": ["0", "5", "-1", "x", "1.5"],
@@ -589,7 +601,7 @@ _FLAG_VALUES = {
 }
 # flags whose defaults are expensive get a cheap value first; a drawn value
 # of the same flag comes later and wins
-_CHEAP = {"resolve": ["--samples", "16"], "measure": ["--samples", "256"],
+_CHEAP = {"measure": ["--samples", "256"],
           "oscillate": ["--lambda", "10..20:2"], "check-vdc": ["--samples", "1"]}
 
 

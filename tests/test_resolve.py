@@ -483,6 +483,17 @@ def test_resolve_makes_no_verify_call(monkeypatch):
     assert decomposition_to_json(resolve(p)) == want
 
 
+def test_verify_chart_sign_test_survives_underflow():
+    # the corner 27·x^6·y^5 is proved at x_max = 2^-48, where phase·model
+    # underflows to 0.0; comparing signs instead of their product keeps it
+    p = parse_expression("3*x^2*y^3*(y + 9/4*x^3)^2*(y + 3*x^2)^2").poly
+    charts = resolve(p).charts
+    assert charts[2].x_max == Fraction(1, 2**48)
+    for i, c in enumerate(charts):
+        rep = verify_chart(p, c, samples=1000, seed=0)
+        assert rep.passed and rep.sign_ok, (i, rep)
+
+
 def test_chart_comparable_at_no_radius_is_refused():
     # x^2 over the corner 0 < y < x: the term y^2/x^2 reaches 1 > delta on the
     # upper wall at every radius, so the search for one must not start

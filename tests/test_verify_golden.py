@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -287,7 +288,7 @@ def reference_verify_chart(p, c, samples=1000, seed=0):
         for x, y in pts:
             model = bf * math.pow(x, af) * y**bi
             val = _ref_eval_terms(ph_t, x, y)
-            if val * model <= 0.0:
+            if np.sign(val) * np.sign(model) <= 0.0:
                 sign_ok = False
             worst_ratio = max(worst_ratio, abs(val / model - 1.0))
         worst_d = 0.0
