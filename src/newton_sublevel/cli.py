@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import __version__
-from .adapt import to_superadapted
+from .adapt import _require_critical, to_superadapted
 from .exact_poly import (
     PuiseuxPoly,
     format_poly,
@@ -685,7 +685,16 @@ def _disk_radius(radius: Optional[Fraction]) -> float:
     return r
 
 
+def _require_model_phase(p: PuiseuxPoly) -> None:
+    """measure and oscillate fit a growth index, which only a nonzero phase
+    with a critical point at the origin has (as analyze requires)."""
+    if p.is_zero():
+        raise ValueError("the zero phase has no growth index to measure")
+    _require_critical(p)
+
+
 def _cmd_measure(args) -> _Report:
+    _require_model_phase(args.expr.poly)
     budget = args.samples if args.samples is not None else 10**6
     method = "GRID" if args.mode == "exact" else "MC"
     if method == "GRID":
@@ -712,6 +721,7 @@ def _cmd_measure(args) -> _Report:
 
 
 def _cmd_oscillate(args) -> _Report:
+    _require_model_phase(args.expr.poly)
     radius = _disk_radius(args.radius)
     cutoff = Cutoff(radius=radius, order=3)
     pairs = decay_pairs(args.expr.poly, cutoff, args.lam)

@@ -654,27 +654,73 @@ def _start_level(swing: float) -> float:
     return max(0, math.ceil(swing / (_SLACK * _ANGLES0)) - 1).bit_length()
 
 
+def _parity_sign(exponents) -> int:
+    """1 if every exponent is even, -1 if every one is odd, 0 if they mix."""
+    parities = {e % 2 for e in exponents}
+    if len(parities) > 1:
+        return 0
+    return -1 if parities == {1} else 1
+
+
+def _angle_fold(degrees, angles: int) -> Tuple[int, int, bool, int, bool]:
+    """(first, count, ends, weight, odd): the reflections that map S to +-S,
+    read from its integer exponents, as a contiguous run of orbit
+    representatives among the angles 2*pi*j/angles (angles divisible by 4).
+
+    x -> -x (theta -> pi - theta) maps S to +-S when all x-exponents share a
+    parity, y -> -y (theta -> -theta) likewise with the y-exponents, and
+    (x, y) -> (-x, -y) (theta -> theta + pi) with the total degrees.  The
+    cutoff is radial and the angle grid maps onto itself, so each circle sum
+    is weight times the sum over the run, its two ends halved when ends is
+    set (a fixed angle's orbit is half the size of the others).  odd: some
+    reflection negates S, so every circle sum of sin(lam S) is exactly 0.
+    """
+    terms = [(a, b) for group in degrees.values() for _, a, b in group]
+    sx = _parity_sign(a for a, _ in terms)
+    sy = _parity_sign(b for _, b in terms)
+    sp = _parity_sign(a + b for a, b in terms)
+    if sx and sy:       # the quarter circle [0, pi/2]
+        return 0, angles // 4 + 1, True, 4, min(sx, sy) < 0
+    if sx:              # [pi/2, 3*pi/2]
+        return angles // 4, angles // 2 + 1, True, 2, sx < 0
+    if sy:              # [0, pi]
+        return 0, angles // 2 + 1, True, 2, sy < 0
+    if sp:              # [0, pi)
+        return 0, angles // 2, False, 2, sp < 0
+    return 0, angles, False, 1, False
+
+
 def _polar_level(degrees, cutoff: Cutoff, level: int,
                  run: List[float]) -> List[complex]:
     """Estimates of the integral of e^{i lam S} phi at one ladder level, one per
     lam in run.  In polar coordinates rho = r*t the bump is the 1-D weight
-    (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta)."""
+    (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta).  Only
+    the angles of _angle_fold's run are evaluated."""
     panels, angles = _PANELS0 << level, _ANGLES0 << level
+    first, count, ends, weight, odd = _angle_fold(degrees, angles)
     gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES)
     t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * gl_x[None, :]) / panels).ravel()
-    # Gauss-Legendre in rho (Jacobian r*rho) times the periodic trapezoid in theta
+    # Gauss-Legendre in rho (Jacobian r*rho) times the periodic trapezoid in
+    # theta, times the orbit weight (a power of two, so the scaling is exact)
     r = float(cutoff.radius)
-    w = (np.tile(gl_w, panels) * (math.pi * r * r / (panels * angles))
+    w = (np.tile(gl_w, panels) * (weight * math.pi * r * r / (panels * angles))
          * t * (1.0 - t * t) ** cutoff.order)
-    theta = (2.0 * math.pi / angles) * np.arange(angles)
+    theta = (2.0 * math.pi / angles) * np.arange(first, first + count)
     cos, sin = np.cos(theta), np.sin(theta)
     radial = [t ** d for d in degrees]
     angular = [sum(c * cos ** a * sin ** b for c, a, b in terms)
                for terms in degrees.values()]
     # per lam, the sums of cos(lam S) and sin(lam S) over each circle
-    circles = np.empty((len(run), 2, len(t)))
-    rows = max(1, _CHUNK // angles)
-    S, arg, tmp = (np.empty((rows, angles)) for _ in range(3))
+    circles = np.zeros((len(run), 2, len(t)))
+    rows = max(1, _CHUNK // count)
+    S, arg, tmp = (np.empty((rows, count)) for _ in range(3))
+
+    def circle_sum(tb, out):
+        if ends:
+            tb[:, 0] *= 0.5
+            tb[:, -1] *= 0.5
+        tb.sum(axis=1, out=out)
+
     for i in range(0, len(t), rows):
         n = min(rows, len(t) - i)
         Sb, ab, tb = S[:n], arg[:n], tmp[:n]
@@ -685,9 +731,10 @@ def _polar_level(degrees, cutoff: Cutoff, level: int,
         for k, lam in enumerate(run):
             np.multiply(Sb, lam, out=ab)
             np.cos(ab, out=tb)
-            tb.sum(axis=1, out=circles[k, 0, i:i + n])
-            np.sin(ab, out=tb)
-            tb.sum(axis=1, out=circles[k, 1, i:i + n])
+            circle_sum(tb, circles[k, 0, i:i + n])
+            if not odd:
+                np.sin(ab, out=tb)
+                circle_sum(tb, circles[k, 1, i:i + n])
     return [complex(np.sum(w * c[0]), np.sum(w * c[1])) for c in circles]
 
 
@@ -721,6 +768,14 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     order); otherwise, if some lam has not converged at level depth, the
     RuntimeError of the first such lam in input order is raised (for a
     negative lam, that of |lam|).
+
+    Each level evaluates one angle per orbit of the reflections x -> -x,
+    y -> -y and (x, y) -> (-x, -y) that map S to +-S (_angle_fold).  The fold
+    is exact: the cutoff is radial and the angles 2*pi*j/M, with M divisible
+    by 4, map onto themselves under each reflection.  If one negates S, the
+    sine sums are exactly 0 and im is 0.0.  A phase with none of these
+    symmetries gives the unfolded sum bit for bit; with them, estimates move
+    from it by rounding only (at most 1e-13 relative on the catalog).
     """
     lams = [float(l) for l in lams]
     if not all(math.isfinite(l) for l in lams):

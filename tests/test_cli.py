@@ -483,7 +483,16 @@ def test_oscillate_refuses_unbounded_work(tmp_path, capsys, argv):
     (["resolve", "y - x^2 - x^8 + y^9"], "critical point"),
     # a nonintegral edge slope defeats the shear reduction
     (["analyze", "(y - x^(3/2))^2"], "slope"),
-    (["oscillate", "x^(1/2) + y", "--lambda", "50..100:2"], "fractional x-exponents"),
+    # critical, so it reaches the quadrature, which needs integer x-exponents
+    (["oscillate", "x^(1/2)*y + y^2", "--lambda", "50..100:2"], "fractional x-exponents"),
+    # measure and oscillate fit a growth index, which a zero or non-critical
+    # phase does not have
+    (["oscillate", "x", "--lambda", "10..200:4"], "critical point"),
+    (["oscillate", "0", "--lambda", "10..200:4"], "zero phase"),
+    (["measure", "x", "--eps", "1e-4..1e-1:4", "--samples", "20000"], "critical point"),
+    (["measure", "0"], "zero phase"),
+    (["measure", "1+x^2"], "critical point"),
+    (["oscillate", "x^(1/2) + y", "--lambda", "50..100:2"], "critical point"),
 ])
 def test_exit_1_with_failure_marker(tmp_path, argv, needle):
     start = time.monotonic()

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0
 
@@ -384,11 +386,104 @@ def test_decay_pairs_nonconvergence_carries_the_last_estimate():
         oscillatory_integral(p, Cutoff(1.0, 3), 50.0, depth=1)
     assert str(info.value) == (
         "oscillatory quadrature did not converge by level 1 (6 panels x 96 angles); "
-        "last estimate (0.003769796630725011+0.06268026750104917j)")
+        "last estimate (0.0037697966307250388+0.0626802675010492j)")
     got = info.value.achieved
     assert (float.hex(got.real), float.hex(got.imag)) == (
-        "0x1.ee1d627baa76cp-9", "0x1.00bd063058381p-4")
+        "0x1.ee1d627baa7acp-9", "0x1.00bd063058383p-4")
+    # the unfolded ladder's estimate, (0.003769796630725011+0.06268026750104917j)
+    unfolded = complex(float.fromhex("0x1.ee1d627baa76cp-9"),
+                       float.fromhex("0x1.00bd063058381p-4"))
+    assert abs(got - unfolded) <= 1e-13 * abs(unfolded)
     assert abs(got - oscillatory_integral(p, Cutoff(1.0, 3), 50.0)) < 1e-6
+
+
+def _unfolded_level(degrees, level, lam):
+    """Brute-force reference for one ladder level on the unit disk with the
+    order-3 bump: the same nodes and weights over the full (rho, theta)
+    tensor grid, every angle evaluated, no symmetry used."""
+    panels, angles = measure_lab._PANELS0 << level, measure_lab._ANGLES0 << level
+    gl_x, gl_w = np.polynomial.legendre.leggauss(measure_lab._NODES)
+    t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * gl_x[None, :]) / panels).ravel()
+    w = np.tile(gl_w, panels) * (math.pi / (panels * angles)) * t * (1.0 - t * t) ** 3
+    theta = (2.0 * math.pi / angles) * np.arange(angles)
+    cos, sin = np.cos(theta), np.sin(theta)
+    S = sum(np.multiply.outer(t ** d, sum(c * cos ** a * sin ** b for c, a, b in terms))
+            for d, terms in degrees.items())
+    return complex(np.sum(w * np.cos(lam * S).sum(axis=1)),
+                   np.sum(w * np.sin(lam * S).sum(axis=1)))
+
+
+# class -> (terms that pin the class, parities (of a, of b, of a + b) that the
+# random extra terms keep, angles evaluated of 48, sine skipped); None leaves
+# a parity free.  Each class's pinning terms break the symmetries it lacks.
+_FOLD_CLASSES = {
+    "x-even": ([(0, 2), (2, 1)], (0, None, None), 25, False),
+    "x-odd": ([(1, 1), (1, 2)], (1, None, None), 25, True),
+    "y-even": ([(2, 0), (3, 0)], (None, 0, None), 25, False),
+    "y-odd": ([(2, 1), (3, 1)], (None, 1, None), 25, True),
+    "both-even": ([(2, 0), (0, 2)], (0, 0, None), 13, False),
+    "both-odd": ([(1, 1)], (1, 1, None), 13, True),
+    "both-mixed": ([(3, 0), (1, 2)], (1, 0, None), 13, True),
+    "origin-even": ([(2, 0), (1, 1), (0, 2)], (None, None, 0), 24, False),
+    "origin-odd": ([(3, 0), (2, 1), (1, 2)], (None, None, 1), 24, True),
+    "none": ([(0, 2), (3, 0), (2, 1)], (None, None, None), 48, False),
+}
+
+
+@st.composite
+def _fold_phases(draw, name):
+    pinned, (pa, pb, pd), _, _ = _FOLD_CLASSES[name]
+    extra = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        if a + b >= 2 and (pa is None or a % 2 == pa) and (pb is None or b % 2 == pb) and (
+                pd is None or (a + b) % 2 == pd):
+            extra.append((a, b))
+    coeff = st.integers(-3, 3).filter(bool).map(float)
+    terms = [(draw(coeff), a, b) for a, b in pinned + extra]
+    degrees = {}
+    for c, a, b in terms:
+        degrees.setdefault(a + b, []).append((c, a, b))
+    return degrees
+
+
+# the integral of the order-3 bump over the unit disk: every quadrature term
+# of J is at most its weight, so this is the scale of J's rounding error.  The
+# unfolded grid's angles 2*pi*j/M are symmetric only to rounding, which moves
+# its sums by up to ~3e-15 at lam = 200, while |J| there can be 5e-3.
+_BUMP_MASS = math.pi / 4
+
+
+@pytest.mark.parametrize("name", sorted(_FOLD_CLASSES))
+def test_folded_level_equals_the_unfolded_sum(name):
+    _, _, count, odd = _FOLD_CLASSES[name]
+
+    @given(_fold_phases(name))
+    def check(degrees):
+        assert measure_lab._angle_fold(degrees, 48)[1] == count
+        for level in range(3):
+            lams = [10.0, 200.0]
+            got = measure_lab._polar_level(degrees, Cutoff(1.0, 3), level, lams)
+            for lam, est in zip(lams, got):
+                want = _unfolded_level(degrees, level, lam)
+                assert abs(est - want) <= 1e-13 * _BUMP_MASS
+                if odd:
+                    assert est.imag == 0.0 and math.copysign(1.0, est.imag) == 1.0
+    check()
+
+
+def test_folded_ladder_matches_named_phases():
+    # the model phases of the catalog and the paper fold as their exponents say
+    for expr, count, odd in (("x^2 + y^2", 13, False), ("x*y", 13, True),
+                             ("y^2 - x^3", 25, False), ("x^2*y^2 + x^5", 25, False),
+                             ("(y - x^2)^2", 25, False), ("x^3 + x^2*y + x*y^2", 24, True),
+                             ("y^2 - x^3 + x^2*y", 48, False)):
+        degrees = {}
+        for c, a, b in measure_lab._phase_terms(parse_expression(expr).poly, True):
+            degrees.setdefault(a + b, []).append((c, a, b))
+        _, got_count, _, _, got_odd = measure_lab._angle_fold(degrees, 48)
+        assert (got_count, got_odd) == (count, odd), expr
+    assert oscillatory_integral(parse_expression("x*y").poly, Cutoff(1.0, 3), 50.0).imag == 0.0
 
 
 def test_oscillation_rejects_fractional_x():

@@ -66,10 +66,34 @@ TRI_HEX = ("0x1.0000000000000p-6", "0x1.01a80f43ca3cep-19", 100000)
 DECAY_CASES = {
     "x^2*y^2 + x^5": [float(v) for v in np.geomspace(10, 200, 4)],   # 10..200:4
     "x^2 + y^2": [200.0, -400.0, 800.0, 200.0],   # a negative and a repeated lambda
+    "y^2 - x^3 + x^2*y": [float(v) for v in np.geomspace(10, 200, 4)],
 }
-# recorded from the polar ladder, which replaced the Cartesian panel ladder;
-# every value is within 1.3e-6 of the Cartesian one (see CHANGES.md)
+# recorded from the polar ladder with its angles folded over the phase's
+# reflection symmetries; y^2 - x^3 + x^2*y has none, so its quadrature runs
+# over every angle and its values are the unfolded ladder's, bit for bit
 DECAY_HEX = {
+    "x^2*y^2 + x^5": [
+        ("0x1.4000000000000p+3", "0x1.76d8b5c21388fp-1", "0x1.aad234171db2fp-5"),
+        ("0x1.b24e8baad9d29p+4", "0x1.490e1b074b1c3p-1", "0x1.77e394ba1641ep-4"),
+        ("0x1.26b8f710478bep+6", "0x1.07365dd490506p-1", "0x1.f38e72f6cae60p-4"),
+        ("0x1.9000000000000p+7", "0x1.869f806f80d23p-2", "0x1.fbe51617b1fccp-4"),
+    ],
+    "x^2 + y^2": [
+        ("0x1.9000000000000p+7", "0x1.ee1dfc29cf9c0p-13", "0x1.01520c239cfb5p-6"),
+        ("-0x1.9000000000000p+8", "0x1.ee1ed11086580p-15", "-0x1.01597f4c8cca6p-7"),
+        ("0x1.9000000000000p+9", "0x1.ee20a7f16ed00p-17", "0x1.015b5b2f914dcp-8"),
+        ("0x1.9000000000000p+7", "0x1.ee1dfc29cf9c0p-13", "0x1.01520c239cfb5p-6"),
+    ],
+    "y^2 - x^3 + x^2*y": [
+        ("0x1.4000000000000p+3", "0x1.3e23073fa6ac2p-2", "0x1.d069984de69a1p-3"),
+        ("0x1.b24e8baad9d29p+4", "0x1.04f83ea34fbeap-3", "0x1.e2087f4b31ee2p-4"),
+        ("0x1.26b8f710478bep+6", "0x1.ba69116b684c3p-5", "0x1.b6437673e634fp-5"),
+        ("0x1.9000000000000p+7", "0x1.7dcda9f398630p-6", "0x1.81dbeedb9938ep-6"),
+    ],
+}
+# the same values from the unfolded ladder (every angle evaluated), which the
+# fold reproduces to rounding: within DECAY_DRIFT relative
+UNFOLDED_DECAY_HEX = {
     "x^2*y^2 + x^5": [
         ("0x1.4000000000000p+3", "0x1.76d8b5c21388fp-1", "0x1.aad234171db29p-5"),
         ("0x1.b24e8baad9d29p+4", "0x1.490e1b074b1c2p-1", "0x1.77e394ba1641bp-4"),
@@ -83,6 +107,7 @@ DECAY_HEX = {
         ("0x1.9000000000000p+7", "0x1.ee1dfc29cf8d8p-13", "0x1.01520c239cfb4p-6"),
     ],
 }
+DECAY_DRIFT = 1e-13
 # x^2 + y^2 at lambda = 800 with one doubling (depth=1): its phase swing leaves
 # no doubling, so it is refused before any work and carries no estimate
 NONCONV_MESSAGE = ("oscillatory quadrature refused lambda 800.0: a phase swing of up "
@@ -159,6 +184,15 @@ def test_decay_pairs_golden(expr):
     pairs = decay_pairs(_poly(expr), Cutoff(), DECAY_CASES[expr])
     got = [(float.hex(l), float.hex(J.real), float.hex(J.imag)) for l, J in pairs]
     assert got == DECAY_HEX[expr]
+
+
+@pytest.mark.parametrize("expr", sorted(UNFOLDED_DECAY_HEX))
+def test_folded_decay_drifts_from_the_unfolded_ladder_by_rounding(expr):
+    for (lam, re, im), (lam0, re0, im0) in zip(DECAY_HEX[expr], UNFOLDED_DECAY_HEX[expr]):
+        assert lam == lam0
+        got = complex(float.fromhex(re), float.fromhex(im))
+        want = complex(float.fromhex(re0), float.fromhex(im0))
+        assert abs(got - want) <= DECAY_DRIFT * abs(want)
 
 
 @pytest.mark.parametrize("expr", sorted(DECAY_CASES))
