@@ -423,11 +423,18 @@ def _fstr(q: Fraction) -> str:
     return str(Fraction(q))
 
 
+class _WriteError(Exception):
+    """A report file could not be written; the message names the directory."""
+
+
 def _write_text(out: Path, name: str, text: str) -> Path:
     # the directory is made on the first write, so a usage error leaves no trace
-    out.mkdir(parents=True, exist_ok=True)
     path = out / name
-    path.write_text(text, encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _WriteError(f"cannot write reports to {out}: {exc.strerror or exc}") from None
     return path
 
 
@@ -930,7 +937,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         _fail_marker(out, command, rep.failure)
         return 2
-    except _UsageError as exc:
+    except (_UsageError, _WriteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:        # input outside the model
@@ -939,8 +946,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         code, message = 2, str(exc)
     except Exception as exc:         # a defect: one line, no traceback
         code, message = 3, f"internal error: {type(exc).__name__}: {exc}"
+    try:
+        _fail_marker(out, command, message)
+    except _WriteError as exc:
+        print(f"error: {exc} (the failure it would have recorded: {message})",
+              file=sys.stderr)
+        return 1
     print(f"error: {message}", file=sys.stderr)
-    _fail_marker(out, command, message)
     return code
 
 

@@ -86,15 +86,18 @@ class PuiseuxPoly:
 
     @classmethod
     def zero(cls) -> "PuiseuxPoly":
-        return cls({})
+        return cls._trusted({}, None, 1)
 
     @classmethod
     def constant(cls, c) -> "PuiseuxPoly":
-        return cls({(Fraction(0), 0): _as_fraction(c)})
+        return cls.monomial(c, 0, 0)
 
     @classmethod
     def monomial(cls, c, a, b: int) -> "PuiseuxPoly":
-        return cls({(_as_fraction(a), b): _as_fraction(c)})
+        c, a = _as_fraction(c), _as_fraction(a)
+        if not isinstance(b, int) or a < 0 or b < 0:
+            return cls({(a, b): c})        # __init__ converts or rejects the exponents
+        return cls._trusted({(a, b): c} if c else {}, None, a.denominator if c else 1)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple] , truncation_order=None) -> "PuiseuxPoly":
@@ -244,7 +247,10 @@ def poly_add(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
 
 def poly_scale(p: PuiseuxPoly, c) -> PuiseuxPoly:
     c = _as_fraction(c)
-    return PuiseuxPoly({k: c * v for k, v in p.terms.items()}, p.truncation_order)
+    if not c:
+        return PuiseuxPoly._trusted({}, p.truncation_order, 1)
+    return PuiseuxPoly._trusted({k: c * v for k, v in p.terms.items()}, p.truncation_order,
+                                p.ramification)
 
 
 def poly_mul(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
@@ -266,7 +272,7 @@ def deriv_y(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
             fall *= b - i
         terms[(a, b - k)] = c * fall
     trunc = None if p.truncation_order is None else p.truncation_order - k
-    return PuiseuxPoly(terms, trunc)
+    return PuiseuxPoly._trusted(terms, trunc, math.lcm(*[a.denominator for a, _b in terms]))
 
 
 def deriv_x(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
@@ -330,7 +336,11 @@ def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
                        else p.truncation_order * min(Fraction(1), g_ord), g.truncation_order)
 
     shear = PuiseuxPoly({(Fraction(0), 1): sign_y, **g.terms}, g.truncation_order)
-    return PuiseuxPoly(subst_y(p, shear).terms, trunc)
+    out = subst_y(p, shear)
+    if trunc == out.truncation_order:
+        return out
+    terms = {k: c for k, c in out.terms.items() if k[0] + k[1] < trunc}
+    return PuiseuxPoly._trusted(terms, trunc, math.lcm(*[a.denominator for a, _b in terms]))
 
 
 def subst_scale(p: PuiseuxPoly, m) -> PuiseuxPoly:

@@ -153,7 +153,7 @@ def edge_polynomial(p: PuiseuxPoly, e: CompactEdge, x_sign: int = 1) -> PuiseuxP
             if int(a) % 2 == 1:
                 c = -c
         terms[(Fraction(0), b)] = c
-    return PuiseuxPoly(terms)
+    return PuiseuxPoly._trusted(terms, None, 1)
 
 
 def polygon_subset(np1: NewtonPolygon, np2: NewtonPolygon) -> bool:

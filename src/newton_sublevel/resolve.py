@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -156,28 +156,83 @@ def _falling(a: Rational, k: int) -> Fraction:
     return Fraction(num, d ** k)
 
 
-@lru_cache(maxsize=1024)
-def _pow_up(X: Fraction, e: Fraction) -> Fraction:
-    """A rational >= X^e (X, e >= 0): X^e itself for an integer e, else the integer
-    d-th root of X^n (e = n/d) by Newton's iteration, rounded up at 2^-64 relative."""
-    n, d = e.numerator, e.denominator
-    v = X ** n
-    if d == 1 or v == 0:
-        return v
-    big = v.numerator * v.denominator ** (d - 1) << 64 * d
-    r = 1 << -(-big.bit_length() // d)
-    while (q := ((d - 1) * r + big // r ** (d - 1)) // d) < r:
+def _iroot(v: int, d: int) -> int:
+    """floor(v^(1/d)) for v > 0, by Newton's iteration from above."""
+    if d == 2:
+        return math.isqrt(v)
+    r = 1 << -(-v.bit_length() // d)
+    while (q := ((d - 1) * r + v // r ** (d - 1)) // d) < r:
         r = q
-    return Fraction(r + (r ** d < big), v.denominator << 64)
+    return r
 
 
-def _wall(w: PuiseuxPoly, X: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
-    """(d0 - r, d0 + r, s), between which w(x)/x^s lies on (0, X], for the wall
-    w = d0·x^s + sum d_j·x^s_j and r = sum |d_j|·X^(s_j - s); the zero wall gives zeros."""
-    terms = sorted((a, d) for (a, _b), d in w.items()) or [(Fraction(0), Fraction(0))]
-    (s, d0), rest = terms[0], terms[1:]
-    r = sum(abs(d) * _pow_up(X, a - s) for a, d in rest)
-    return d0 - r, d0 + r, s
+class _Exps:
+    """The exponents e >= 0 to which one proof raises its trial radius X, each
+    registered once as a reduced (n, d), e = n/d, and known by its index."""
+
+    def __init__(self):
+        self.index: Dict[Tuple[int, int], int] = {}
+
+    def add(self, n: int, d: int) -> int:
+        g = math.gcd(n, d)
+        return self.index.setdefault((n // g, d // g), len(self.index))
+
+    def at(self, X: Fraction) -> "_PowersUp":
+        return _PowersUp(X, list(self.index))
+
+
+class _PowersUp(dict):
+    """The powers of a trial radius X = P/Q, index -> v, over one denominator
+    D = Q^N·2^64, N the largest n of an exponent e = n/d: v/D is X^e itself for
+    an integer e, and else the d-th root of X^n rounded up to a multiple of
+    1/(Q^n·2^64).  Each is computed on its first use."""
+
+    def __init__(self, X: Fraction, exps: List[Tuple[int, int]]):
+        super().__init__()
+        self.P, self.Q, self.exps = X.numerator, X.denominator, exps
+        self.top = max((n for n, _ in exps), default=0)
+        self.D = self.Q ** self.top << 64
+
+    def __missing__(self, i: int) -> int:
+        (n, d), P, Q = self.exps[i], self.P, self.Q
+        if d == 1:
+            v = P ** n * Q ** (self.top - n) << 64
+        elif P == 0:
+            v = 0
+        else:
+            big = P ** n * Q ** (n * (d - 1)) << 64 * d
+            r = _iroot(big, d)
+            v = (r + (r ** d < big)) * Q ** (self.top - n)
+        self[i] = v
+        return v
+
+
+class _Wall:
+    """A wall w = d0·x^s + sum d_j·x^s_j, s its least exponent, on integers over
+    one denominator den: at a trial radius X, w(x)/x^s lies on (0, X] between
+    lo/(den·D) and hi/(den·D), (lo, hi) = d0·D ∓ sum |d_j|·X^(s_j - s)·D.  The
+    zero wall has s = 0 and gives zeros."""
+
+    def __init__(self, w: PuiseuxPoly, exps: _Exps):
+        terms = sorted((a, d) for (a, _b), d in w.terms.items()) or [(Fraction(0), Fraction(0))]
+        self.s = terms[0][0]
+        self.den = math.lcm(*[d.denominator for _, d in terms])
+        self.d0 = terms[0][1].numerator * (self.den // terms[0][1].denominator)
+        sn, sd = self.s.numerator, self.s.denominator
+        self.rest = [(abs(d.numerator) * (self.den // d.denominator),
+                      exps.add(a.numerator * sd - sn * a.denominator, a.denominator * sd))
+                     for a, d in terms[1:]]
+
+    def bounds(self, pw: _PowersUp) -> Tuple[int, int]:
+        r = sum(k * pw[i] for k, i in self.rest)
+        return self.d0 * pw.D - r, self.d0 * pw.D + r
+
+
+def _wall_positive(w: PuiseuxPoly):
+    """ok(X): whether the wall w is proved positive on (0, X]."""
+    exps = _Exps()
+    wall = _Wall(w, exps)
+    return lambda X: wall.bounds(exps.at(X))[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +249,32 @@ def _headroom(a: Rational, b: int, vertex) -> Fraction:
             * max(abs(_falling(b, l)) for l in range(int(bv) + 1)))
 
 
-def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fraction,
+def _vertex_cut(q: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fraction,
                 upper: bool) -> Fraction:
     """The first c in start·step^k (step 2 at the upper vertex, 1/2 at the
     lower) with the other edge terms summing under (delta/4F)·|s_v| at
-    y = c·x^m, where s_v is the vertex term and F its order headroom."""
+    y = c·x^m, where s_v is the vertex term and F its order headroom; q is
+    the edge polynomial, the edge's terms at x = 1."""
     av, bv = edge.upper_vertex if upper else edge.lower_vertex
     bv = int(bv)
-    others = [((a, b), abs(cf)) for (a, b), cf in p.items()
-              if a + edge.m * b == edge.alpha and b != bv]
-    headroom = max((_headroom(a, b, (av, bv)) for (a, b), _ in others), default=1)
-    target = delta * abs(p.coeff(av, bv)) / (4 * headroom)
-    step = 2 if upper else Fraction(1, 2)
-    c = start
+    others = [(b, abs(cf)) for (_a, b), cf in q.terms.items() if b != bv]
+    headroom = max((_headroom(edge.alpha - edge.m * b, b, (av, bv)) for b, _ in others),
+                   default=1)
+    target = delta * abs(q.coeff(0, bv)) / (4 * headroom)
+    # on integers: c = cn/cd and |cf| = k/f, both sides times f·cd^up·cn^down
+    f = math.lcm(*[cf.denominator for _, cf in others])
+    ks = [(cf.numerator * (f // cf.denominator), b - bv) for b, cf in others]
+    up = max([0, *(j for _, j in ks)])
+    down = max([0, *(-j for _, j in ks)])
+    cn, cd = start.numerator, start.denominator
     for _ in range(512):
-        if sum(cf * c ** (b - bv) for (_a, b), cf in others) <= target:
-            return c
-        c *= step
+        total = sum(k * cn ** (j + down) * cd ** (up - j) for k, j in ks)
+        if total * target.denominator <= target.numerator * f * cd ** up * cn ** down:
+            return Fraction(cn, cd)
+        if upper:
+            cn <<= 1
+        else:
+            cd <<= 1
     raise RuntimeError(f"{'upper' if upper else 'lower'} cut did not stabilize "
                        "(degenerate edge data)")
 
@@ -219,31 +283,40 @@ def _vertex_cut(p: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
 # exact range of a polynomial on an interval [0, top] (Garloff 1986)
 
 
-def _halves(b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
-    """Bernstein coefficients of the two halves of the interval (de Casteljau)."""
-    left, right = [], []
-    while b:
-        left.append(b[0])
-        right.append(b[-1])
-        b = [(u + v) / 2 for u, v in zip(b, b[1:])]
+def _halves(b: List[int]) -> Tuple[List[int], List[int]]:
+    """Bernstein coefficients of the two halves of the interval (de Casteljau),
+    times 2^n for the degree n, so that no step divides."""
+    n, left, right = len(b) - 1, [], []
+    for k in range(n, -1, -1):
+        left.append(b[0] << k)
+        right.append(b[-1] << k)
+        b = [u + v for u, v in zip(b, b[1:])]
     return left, right[::-1]
 
 
-def _lower_bound(cs: List[Fraction], top: Fraction, delta: Fraction) -> Fraction:
-    """A lower bound on the minimum of sum cs[i]·u^i over [0, top], within delta/16
-    of it: on each piece the polynomial lies above its least Bernstein coefficient
-    and its end coefficients are values, so a piece whose bound is further than
-    that below the least value found is halved, down to width top·2^-64."""
+def _lower_bound(cs: List[int], tn: int, td: int, delta: Fraction) -> Tuple[int, int]:
+    """(num, den) with num/den a lower bound on the minimum of sum cs[i]·u^i over
+    [0, tn/td], within delta/16 of it: on each piece the polynomial lies above
+    its least Bernstein coefficient and its end coefficients are values, so a
+    piece whose bound is further than that below the least value found is
+    halved, down to width top·2^-64.  A piece at depth k is integers over
+    den0·2^(k·n), den0 = td^n·lcm_i C(n, i)."""
     n = len(cs) - 1
-    a = [c * top ** i / math.comb(n, i) for i, c in enumerate(cs)]
-    pieces = [[sum(math.comb(k, i) * a[i] for i in range(k + 1)) for k in range(n + 1)]]
+    lcm = math.lcm(*[math.comb(n, i) for i in range(n + 1)])
+    a = [c * tn ** i * td ** (n - i) * (lcm // math.comb(n, i)) for i, c in enumerate(cs)]
+    pieces = [([sum(math.comb(k, i) * a[i] for i in range(k + 1)) for k in range(n + 1)], 0)]
+    sixteen, dn = 16 * delta.denominator, delta.numerator
     for _ in range(64):
-        cut = min(min(b[0], b[-1]) for b in pieces)
-        cut -= delta / 16 * abs(cut)
-        if min(min(b) for b in pieces) >= cut:
+        deep = max(sh for _, sh in pieces)
+        ends = min(min(b[0], b[-1]) << deep - sh for b, sh in pieces)
+        cut = sixteen * ends - dn * abs(ends)        # (ends - delta/16·|ends|)·sixteen
+        low = [sixteen * (min(b) << deep - sh) < cut for b, sh in pieces]
+        if not any(low):
             break
-        pieces = [h for b in pieces for h in (_halves(b) if min(b) < cut else (b,))]
-    return min(min(b) for b in pieces)
+        pieces = [h for (b, sh), lo in zip(pieces, low)
+                  for h in ([(half, sh + n) for half in _halves(b)] if lo else [(b, sh)])]
+    deep = max(sh for _, sh in pieces)
+    return min(min(b) << deep - sh for b, sh in pieces), td ** n * lcm << deep
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +387,12 @@ def _band(p: PuiseuxPoly, q: PuiseuxPoly, edge: CompactEdge, floor: PuiseuxPoly,
     its band the range of q/mid there, read off the phase as E of _split."""
     mid = eval_rational(q, Fraction(0), (c_lo + c_hi) / 2)
     phase = subst_shear(p, 1, floor)
-    e, _ = _split(phase, mid, edge.alpha, edge.m)
-    band = tuple(sg * _lower_bound([sg * v for v in e], c_hi - c_lo, params.delta)
-                 for sg in (1, -1))
+    e, _, den, _ = _split(phase, mid, edge.alpha, edge.m)
+    width = c_hi - c_lo
+    (n_lo, d_lo), (n_hi, d_hi) = (_lower_bound([sg * v for v in e], width.numerator,
+                                               width.denominator, params.delta)
+                                  for sg in (1, -1))
+    band = (Fraction(n_lo, d_lo * den), -Fraction(n_hi, d_hi * den))
     if not band[0] > 0:
         raise RuntimeError(f"edge band [{c_lo}, {c_hi}] is not bounded away from zero")
     return Chart(sign_x=1, sign_y=1, g=floor, lower=PuiseuxPoly.zero(),
@@ -384,7 +460,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             top_coeff = roof_coeff
         else:
             rmax = roots[0].exact_value if roots else Fraction(0)
-            hi = _vertex_cut(p, edge, params.delta, 2 * rmax + 2, upper=True)
+            hi = _vertex_cut(q, edge, params.delta, 2 * rmax + 2, upper=True)
             # corner chart between the previous level's floor and this cut
             hic = PuiseuxPoly.monomial(hi, m, 0)
             charts.append(_corner(p, edge.upper_vertex, hic, prev_curve, params))
@@ -409,14 +485,14 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
             strip_bot = g_v - PuiseuxPoly.monomial(xi, m, 0)
             up, up_tr = _resolve_sector(subst_shear(p, 1, g_v), xi, m, depth + 1, params)
             dn, dn_tr = _resolve_sector(subst_shear(p, -1, g_v), xi, m, depth + 1, params)
-            cap = _radius(lambda X: _wall(strip_bot, X)[0] > 0, params.x_max, "strip meets 0")
+            cap = _radius(_wall_positive(strip_bot), params.x_max, "strip meets 0")
             charts += _compose_half(up, 1, g_v, cap) + _compose_half(dn, -1, g_v, cap)
             traces.append(TraceNode(m=m, root=r, order=root.multiplicity,
                                     curve=g_v, xi=xi, children=tuple(up_tr + dn_tr)))
             prev_curve, prev_limit = strip_bot, r - xi
 
         # floor cut and the band reaching down to it
-        c_bot = _vertex_cut(p, edge, params.delta, prev_limit, upper=False)
+        c_bot = _vertex_cut(q, edge, params.delta, prev_limit, upper=False)
         if c_bot < prev_limit:
             floor_curve = PuiseuxPoly.monomial(c_bot, m, 0)
             charts.append(_band(p, q, edge, floor_curve, prev_curve, c_bot,
@@ -486,16 +562,22 @@ def _radius(ok, cap: Fraction, never: str) -> Fraction:
 
 
 def _split(phase: PuiseuxPoly, b0: Fraction, alpha: Fraction, s: Fraction):
-    """phase/(b0·x^alpha) in u = y/x^s as E(u) + sum x^w·u^j·c: the dense
-    coefficients of its weight-0 part E, and sum |c| per (w, j) of the rest."""
-    e, rest = [Fraction(0)] * (phase.y_degree() + 1), {}
-    for (a, j), cf in phase.items():
-        w = a + s * j - alpha
+    """phase/(b0·x^alpha) in u = y/x^s as E(u) + sum x^w·u^j·c, on integers:
+    (e, rest, den, g) with e/den the dense coefficients of its weight-0 part E,
+    and rest [(j, |c|·den, w·g)] for the other terms."""
+    g = math.lcm(phase.ramification, s.denominator, alpha.denominator)
+    ell = math.lcm(*[cf.denominator for cf in phase.terms.values()])
+    sg, ag = s.numerator * (g // s.denominator), alpha.numerator * (g // alpha.denominator)
+    sign = 1 if b0 > 0 else -1
+    e, rest = [0] * (phase.y_degree() + 1), []
+    for (a, j), cf in phase.terms.items():
+        w = a.numerator * (g // a.denominator) + sg * j - ag
+        k = cf.numerator * (ell // cf.denominator) * b0.denominator
         if w:
-            rest[w, j] = rest.get((w, j), 0) + abs(cf / b0)
+            rest.append((j, abs(k), w))
         else:
-            e[j] += cf / b0
-    return e, rest
+            e[j] += sign * k
+    return e, rest, ell * abs(b0.numerator), g
 
 
 def _obligation(c: Chart, phase: PuiseuxPoly):
@@ -507,35 +589,87 @@ def _obligation(c: Chart, phase: PuiseuxPoly):
     sup is on the upper wall for b >= beta, on the lower wall for b < beta.
     Mode B: on u = y/x^s in [0, top] (the upper wall), with E and the rest from
     _split and A(u) = sum |c|·X^w·u^j over the rest, E - A >= band_lo·(1 - slack)
-    and E + A <= band_hi·(1 + slack), pointwise in u."""
+    and E + A <= band_hi·(1 + slack), pointwise in u.
+
+    Each trial X runs on integers: the powers of X over one denominator D
+    (_Exps.at), and every sum and comparison cross-multiplied over it."""
     b0, alpha, beta = c.monomial
     slack = c.delta * PROOF_SLACK
-    s = _wall(c.upper, Fraction(0))[2]
+    exps = _Exps()
+    upper = _Wall(c.upper, exps)
     if c.mode == "B":
-        e, rest = _split(phase, b0, alpha, s)
-        gates = (c.band[0] * (1 - slack), -c.band[1] * (1 + slack))
+        e, rest, den, g = _split(phase, b0, alpha, upper.s)
+        if any(w < 0 for _, _, w in rest):
+            return lambda X: False
+        by_j = [[(k, exps.add(w, g)) for j, k, w in rest if j == i] for i in range(len(e))]
+        gates = [(v.numerator, v.denominator)
+                 for v in (c.band[0] * (1 - slack), -c.band[1] * (1 + slack))]
 
         def ok(X):
-            low, top, _ = _wall(c.upper, X)
-            a = [sum(k * _pow_up(X, w) for (w, i), k in rest.items() if i == j)
-                 for j in range(len(e))]
-            return low > 0 and all(_lower_bound([sg * u - v for u, v in zip(e, a)], top,
-                                                c.delta) >= gate
-                                   for sg, gate in zip((1, -1), gates))
-        return ok if all(w > 0 for w, _ in rest) else lambda X: False
+            pw = exps.at(X)
+            low, top = upper.bounds(pw)
+            if not low > 0:
+                return False
+            a = [sum(k * pw[i] for k, i in terms) for terms in by_j]
+            D = pw.D
+            tn, td = top, upper.den * D
+            g = math.gcd(tn, td)
+            for sg, (gn, gd) in zip((1, -1), gates):
+                num, lb_den = _lower_bound([sg * u * D - v for u, v in zip(e, a)],
+                                           tn // g, td // g, c.delta)
+                if num * gd < gn * lb_den * den * D:
+                    return False
+            return True
+        return ok
 
-    sl, gap = _wall(c.lower, Fraction(0))[2], c.upper - c.lower
-    terms = sorted(((abs(cf / b0) * _headroom(a, b, (alpha, beta)), b - beta,
-                     a - alpha + (s if b >= beta else sl) * (b - beta), b >= beta)
-                    for (a, b), cf in phase.items() if (a, b) != (alpha, beta)),
-                   key=lambda t: t[2])   # lowest x exponent, largest share, first
+    lower, gap = _Wall(c.lower, exps), _Wall(c.upper - c.lower, exps)
+    g = math.lcm(phase.ramification, alpha.denominator, upper.s.denominator,
+                 lower.s.denominator)
+    ag = alpha.numerator * (g // alpha.denominator)
+    su = upper.s.numerator * (g // upper.s.denominator)
+    sl = lower.s.numerator * (g // lower.s.denominator)
+    ell = math.lcm(*[cf.denominator for cf in phase.terms.values()])
+    raw = []                        # (|c/b|·_headroom as k/h, d = b - beta, x exponent·g)
+    for (a, b), cf in phase.terms.items():
+        x_exp = a.numerator * (g // a.denominator) - ag
+        if x_exp == 0 and b == beta:
+            continue
+        x_exp += (su if b >= beta else sl) * (b - beta)
+        if x_exp < 0:
+            return lambda X: False
+        h = _headroom(a, b, (alpha, beta))
+        raw.append((abs(cf.numerator) * (ell // cf.denominator) * h.numerator, h.denominator,
+                    b - beta, x_exp))
+    # the term k·w^d·X^e over kd·D·ud^dmax·vn^m, w the upper wall's bound un/ud for
+    # d >= 0 and the lower wall's vn/vd for d < 0; slack = sn/sd
+    hd = math.lcm(*[h for _, h, _, _ in raw])
+    kd = ell * abs(b0.numerator) * hd
+    sn, sd = slack.numerator, slack.denominator
+    terms = [(k * b0.denominator * (hd // h) * sd, d, exps.add(x_exp, g))
+             for k, h, d, x_exp in sorted(raw, key=lambda t: t[3])]  # lowest x exponent first
+    ds = {d for _, d, _ in terms}
+    dmax, m = max([0, *ds]), max([0, *(-d for d in ds)])
+    need_up = any(d >= 0 for d in ds)
 
     def ok(X):
-        wall = {True: _wall(c.upper, X)[1], False: _wall(c.lower, X)[0]}
-        return (_wall(gap, X)[0] > 0 and all(wall[up] > 0 for *_, up in terms)
-                and all(t <= slack for t in accumulate(k * wall[up] ** d * _pow_up(X, e)
-                                                       for k, d, e, up in terms)))
-    return ok if all(e >= 0 for _, _, e, _ in terms) else lambda X: False
+        pw = exps.at(X)
+        if not gap.bounds(pw)[0] > 0:
+            return False
+        D = pw.D
+        un, ud = upper.bounds(pw)[1], upper.den * D
+        vn, vd = lower.bounds(pw)[0], lower.den * D
+        if (need_up and not un > 0) or (m and not vn > 0):
+            return False
+        scale = {d: (un ** d * ud ** (dmax - d) * vn ** m if d >= 0
+                     else vd ** -d * vn ** (m + d) * ud ** dmax) for d in ds}
+        limit = sn * kd * D * ud ** dmax * vn ** m
+        total = 0
+        for k, d, i in terms:
+            total += k * scale[d] * pw[i]
+            if total > limit:
+                return False
+        return True
+    return ok
 
 
 def _prove(c: Chart, phase: PuiseuxPoly) -> Chart:

@@ -1,8 +1,14 @@
-"""Shared test utilities: terse phase constructors and catalog data."""
+"""Shared test utilities: terse phase constructors, catalog data, and the
+Fraction reference of the chart proof's arithmetic."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from typing import List, Tuple
 
 from newton_sublevel import PuiseuxPoly, parse_expression
+from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
 
 
 def phase(*terms):
@@ -29,3 +35,113 @@ CATALOG = [(name, parse_expression(expr).poly, j, p, mh)
            for name, expr, j, p, mh in PHASES[:6]]
 # (name, phase)
 RESOLVE_EXTRAS = [(name, parse_expression(expr).poly) for name, expr, *_ in PHASES[6:]]
+
+
+# ---------------------------------------------------------------------------
+# The chart proof's arithmetic in exact Fraction: the reference that the
+# integer proof of resolve.py must match, with the same ok(X) at every trial
+# radius, the same wall bounds and the same Bernstein lower bound.
+
+
+@lru_cache(maxsize=1024)
+def _pow_up(X: Fraction, e: Fraction) -> Fraction:
+    """A rational >= X^e (X, e >= 0): X^e itself for an integer e, else the integer
+    d-th root of X^n (e = n/d) by Newton's iteration, rounded up at 2^-64 relative."""
+    n, d = e.numerator, e.denominator
+    v = X ** n
+    if d == 1 or v == 0:
+        return v
+    big = v.numerator * v.denominator ** (d - 1) << 64 * d
+    r = 1 << -(-big.bit_length() // d)
+    while (q := ((d - 1) * r + big // r ** (d - 1)) // d) < r:
+        r = q
+    return Fraction(r + (r ** d < big), v.denominator << 64)
+
+
+def _wall(w: PuiseuxPoly, X: Fraction) -> Tuple[Fraction, Fraction, Fraction]:
+    """(d0 - r, d0 + r, s), between which w(x)/x^s lies on (0, X], for the wall
+    w = d0·x^s + sum d_j·x^s_j and r = sum |d_j|·X^(s_j - s); the zero wall gives zeros."""
+    terms = sorted((a, d) for (a, _b), d in w.items()) or [(Fraction(0), Fraction(0))]
+    (s, d0), rest = terms[0], terms[1:]
+    r = sum(abs(d) * _pow_up(X, a - s) for a, d in rest)
+    return d0 - r, d0 + r, s
+
+
+def _halves(b: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    """Bernstein coefficients of the two halves of the interval (de Casteljau)."""
+    left, right = [], []
+    while b:
+        left.append(b[0])
+        right.append(b[-1])
+        b = [(u + v) / 2 for u, v in zip(b, b[1:])]
+    return left, right[::-1]
+
+
+def _lower_bound(cs: List[Fraction], top: Fraction, delta: Fraction) -> Fraction:
+    """A lower bound on the minimum of sum cs[i]·u^i over [0, top], within delta/16
+    of it: on each piece the polynomial lies above its least Bernstein coefficient
+    and its end coefficients are values, so a piece whose bound is further than
+    that below the least value found is halved, down to width top·2^-64."""
+    n = len(cs) - 1
+    a = [c * top ** i / math.comb(n, i) for i, c in enumerate(cs)]
+    pieces = [[sum(math.comb(k, i) * a[i] for i in range(k + 1)) for k in range(n + 1)]]
+    for _ in range(64):
+        cut = min(min(b[0], b[-1]) for b in pieces)
+        cut -= delta / 16 * abs(cut)
+        if min(min(b) for b in pieces) >= cut:
+            break
+        pieces = [h for b in pieces for h in (_halves(b) if min(b) < cut else (b,))]
+    return min(min(b) for b in pieces)
+
+
+def _split(phase: PuiseuxPoly, b0: Fraction, alpha: Fraction, s: Fraction):
+    """phase/(b0·x^alpha) in u = y/x^s as E(u) + sum x^w·u^j·c: the dense
+    coefficients of its weight-0 part E, and sum |c| per (w, j) of the rest."""
+    e, rest = [Fraction(0)] * (phase.y_degree() + 1), {}
+    for (a, j), cf in phase.items():
+        w = a + s * j - alpha
+        if w:
+            rest[w, j] = rest.get((w, j), 0) + abs(cf / b0)
+        else:
+            e[j] += cf / b0
+    return e, rest
+
+
+def _obligation(c: Chart, phase: PuiseuxPoly):
+    """ok(X): whether on 0 < x <= X the walls of c are apart and phase is comparable
+    to c's model, exactly, with slack delta·PROOF_SLACK; ok(0) is the limit x -> 0.
+
+    Mode C: sum over the other terms of |c/b|·_headroom·sup x^(a-alpha)·y^(b-beta)
+    <= slack bounds the ratio, its sign and every gated derivative at once; the
+    sup is on the upper wall for b >= beta, on the lower wall for b < beta.
+    Mode B: on u = y/x^s in [0, top] (the upper wall), with E and the rest from
+    _split and A(u) = sum |c|·X^w·u^j over the rest, E - A >= band_lo·(1 - slack)
+    and E + A <= band_hi·(1 + slack), pointwise in u."""
+    b0, alpha, beta = c.monomial
+    slack = c.delta * PROOF_SLACK
+    s = _wall(c.upper, Fraction(0))[2]
+    if c.mode == "B":
+        e, rest = _split(phase, b0, alpha, s)
+        gates = (c.band[0] * (1 - slack), -c.band[1] * (1 + slack))
+
+        def ok(X):
+            low, top, _ = _wall(c.upper, X)
+            a = [sum(k * _pow_up(X, w) for (w, i), k in rest.items() if i == j)
+                 for j in range(len(e))]
+            return low > 0 and all(_lower_bound([sg * u - v for u, v in zip(e, a)], top,
+                                                c.delta) >= gate
+                                   for sg, gate in zip((1, -1), gates))
+        return ok if all(w > 0 for w, _ in rest) else lambda X: False
+
+    sl, gap = _wall(c.lower, Fraction(0))[2], c.upper - c.lower
+    terms = sorted(((abs(cf / b0) * _headroom(a, b, (alpha, beta)), b - beta,
+                     a - alpha + (s if b >= beta else sl) * (b - beta), b >= beta)
+                    for (a, b), cf in phase.items() if (a, b) != (alpha, beta)),
+                   key=lambda t: t[2])   # lowest x exponent, largest share, first
+
+    def ok(X):
+        wall = {True: _wall(c.upper, X)[1], False: _wall(c.lower, X)[0]}
+        return (_wall(gap, X)[0] > 0 and all(wall[up] > 0 for *_, up in terms)
+                and all(t <= slack for t in accumulate(k * wall[up] ** d * _pow_up(X, e)
+                                                       for k, d, e, up in terms)))
+    return ok if all(e >= 0 for _, _, e, _ in terms) else lambda X: False

@@ -607,6 +607,8 @@ _FLAG_VALUES = {
     "--radius": ["1/2", "1", "0", "-1", "abc", "1/0", "1e300", "1e100"],
     "--t-grid": ["-1,1/2", "0,1,inf", "1/2", "", "abc", "1/0", "inf"],
     "--config": ["no/such/file.cfg"],
+    # an existing regular file, and a path below it: no report can be written
+    "--out": ["{tmp}/file", "{tmp}/file/sub"],
 }
 # flags whose defaults are expensive get a cheap value first; a drawn value
 # of the same flag comes later and wins
@@ -632,11 +634,33 @@ def test_exit_code_contract(command, expr, pert, options):
     argv, names = options
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        code = run([command] + positionals + _CHEAP.get(command, []) + argv
-                   + ["--out", str(out)])
+        (Path(tmp) / "file").write_text("kept\n")
+        # a drawn --out comes later and wins
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        code = run([command] + positionals + ["--out", str(out)]
+                   + _CHEAP.get(command, []) + argv)
         assert code in (0, 1, 2)
-        if any(n not in _DECLARED[command] | {"--config"} for n in names):
+        if any(n not in _DECLARED[command] | {"--config", "--out"} for n in names):
             assert code == 1 and not out.exists()
+        if "--out" in names:
+            assert code == 1 and not out.exists()
+            assert (Path(tmp) / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv,failure", [
+    (["analyze", "x^2 + y^2"], None),
+    (["resolve", "x^2 + y^2"], None),
+    (["analyze", "1 + x^2"], "critical point"),     # the failure is named too
+])
+@pytest.mark.parametrize("below", ["", "/sub"])
+def test_unwritable_out_is_one_line_and_exit_1(tmp_path, capsys, argv, failure, below):
+    (tmp_path / "F").write_text("kept\n")
+    out = f"{tmp_path / 'F'}{below}"
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write reports to {out}: ")
+    assert failure is None or failure in err[0]
+    assert (tmp_path / "F").read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ from newton_sublevel import (
     deriv_x,
     deriv_y,
     divide_out_x,
+    edge_polynomial,
     eval_rational,
     eval_real,
     format_poly,
+    newton_polygon_of,
     poly_add,
     poly_mul,
     poly_scale,
@@ -309,3 +311,27 @@ def test_subst_y_matches_the_fraction_reference(p, h):
 @given(truncated_polys(), st.sampled_from((1, -1)), curves())
 def test_subst_shear_matches_the_fraction_reference(p, sign_y, g):
     _same(subst_shear(p, sign_y, g), _ref_subst_shear(_ref_of(p), sign_y, _ref_of(g)))
+
+
+# ---- built unchecked: the same polynomial that __init__ would build ----
+
+
+def _as_init_builds(r):
+    want = PuiseuxPoly(r.terms, r.truncation_order)
+    assert r.terms == want.terms
+    assert r.truncation_order == want.truncation_order
+    assert r.ramification == want.ramification
+
+
+@given(truncated_polys(), rationals, st.integers(0, 3), st.sampled_from((1, -1)), curves(),
+       x_exps, y_exps)
+def test_trusted_results_equal_their_init_rebuild(p, c, k, sign_y, g, a, b):
+    made = [poly_scale(p, c), poly_scale(p, 0), deriv_y(p, k), subst_shear(p, sign_y, g),
+            PuiseuxPoly.monomial(c, a, b), PuiseuxPoly.constant(c), PuiseuxPoly.zero()]
+    if not p.is_zero():
+        made += [edge_polynomial(p, e, 1) for e in newton_polygon_of(p).edges]
+    for r in made:
+        _as_init_builds(r)
+    zero = poly_scale(p, 0)
+    assert zero.is_zero() and zero.ramification == 1
+    assert zero.truncation_order == p.truncation_order

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -34,6 +34,7 @@ from newton_sublevel import (
     subst_y,
     verify_chart,
 )
+import helpers
 from helpers import phase, CATALOG, RESOLVE_EXTRAS
 
 ALL_PHASES = [(n, p) for n, p, *_ in CATALOG] + RESOLVE_EXTRAS
@@ -501,3 +502,74 @@ def test_chart_comparable_at_no_radius_is_refused():
                         PuiseuxPoly.zero(), PuiseuxPoly.monomial(1, 1, 0), ResolveParams())
     with pytest.raises(RuntimeError, match=r"not comparable at any radius \(mode C"):
         RESOLVE._prove(c, c.phase)
+
+
+# ---------------------------------------------------------------------------
+# the integer proof against its Fraction reference (helpers.py): the same
+# rationals, so the same ok(X) at every trial radius and the same bounds
+
+# the default radius, and three whose denominators are not powers of two
+RADII = {"1/4": Fraction(1, 4), "1/3": Fraction(1, 3),
+         "1e200": Fraction(10**200), "1e-400": Fraction(1, 10**400)}
+
+
+def _assert_same_proof(p, x_max):
+    for i, c in enumerate(resolve(p, ResolveParams(x_max=x_max)).charts):
+        new, ref = RESOLVE._obligation(c, c.phase), helpers._obligation(c, c.phase)
+        exps = RESOLVE._Exps()
+        walls = [(w, RESOLVE._Wall(w, exps)) for w in (c.upper, c.lower)]
+        for X in [Fraction(0)] + [x_max / 2**k for k in range(41)]:
+            assert new(X) == ref(X), (i, c.mode, c.monomial, X)
+            pw = exps.at(X)
+            for w, wall in walls:
+                lo, hi = wall.bounds(pw)
+                assert (Fraction(lo, wall.den * pw.D), Fraction(hi, wall.den * pw.D),
+                        wall.s) == helpers._wall(w, X), (i, X)
+
+
+# the Fraction reference takes about a minute per multi-root phase at 10^200,
+# so the two extreme radii run on the catalog and the extras
+CASES = ([(f"{n}@{r}", p, RADII[r]) for n, p in ALL_PHASES for r in RADII]
+         + [(f"{n}@{r}", p, RADII[r]) for n, p in MULTI_ROOT for r in ("1/4", "1/3")])
+
+
+@pytest.mark.parametrize("name,p,x_max", CASES, ids=[n for n, _, _ in CASES])
+def test_integer_proof_matches_the_fraction_reference(name, p, x_max):
+    _assert_same_proof(p, x_max)
+
+
+# about 2 s an example, nearly all of it in the reference: an eighth of the
+# profile's examples (10 by default, 125 in the deep profile)
+@settings(max_examples=settings.default.max_examples // 8)
+@given(stacked_root_phases(), st.sampled_from([RADII["1/4"], RADII["1/3"]]))
+def test_integer_proof_matches_on_stacked_roots(case, x_max):
+    _assert_same_proof(case[0], x_max)
+
+
+@st.composite
+def bernstein_cases(draw):
+    """(cs, top, delta): a polynomial on [0, top] times up to two squares
+    (u - r)^2 with r inside, plus a shift, so that the least value is often
+    interior and near zero, where the enclosure halves its pieces."""
+    top = draw(st.fractions(min_value=0, max_value=64, max_denominator=10**6)
+               .filter(bool)) / 2 ** draw(st.integers(0, 70))
+    cs = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=12),
+                       min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        r = top * draw(st.fractions(min_value=0, max_value=1, max_denominator=64))
+        square = [r * r, -2 * r, Fraction(1)]
+        cs = [sum(cs[i] * square[k - i] for i in range(len(cs)) if 0 <= k - i <= 2)
+              for k in range(len(cs) + 2)]
+    cs[0] += draw(st.fractions(min_value=-1, max_value=1, max_denominator=12)) * top ** 2
+    delta = draw(st.fractions(min_value=Fraction(1, 64), max_value=Fraction(63, 64),
+                              max_denominator=64))
+    return cs, top, delta
+
+
+@given(bernstein_cases())
+def test_integer_lower_bound_matches_the_fraction_reference(case):
+    cs, top, delta = case
+    den = math.lcm(*[c.denominator for c in cs])
+    num, lb_den = RESOLVE._lower_bound([c.numerator * (den // c.denominator) for c in cs],
+                                       top.numerator, top.denominator, delta)
+    assert Fraction(num, lb_den * den) == helpers._lower_bound(cs, top, delta)
