@@ -553,9 +553,12 @@ def _threads_from_env() -> int:
     if not raw.strip():
         return 1
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        raise _UsageError(f"NEWTON_SUBLEVEL_THREADS must be an integer, got {raw!r}")
+        threads = 0
+    if threads < 1:
+        raise _UsageError(f"NEWTON_SUBLEVEL_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 # every argument of any subcommand: positionals, then flags

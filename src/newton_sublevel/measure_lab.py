@@ -11,10 +11,12 @@ whose work is bounded before it starts.
 
 Determinism contract: estimates depend only on (seed, budget).  Monte Carlo
 uses one PCG64 stream per fixed-size block (jumped streams, integer counts),
-so results are bit-identical for any thread count.  A grid call (a sequence
-of epsilon to sublevel_measure, a lambda grid to decay_pairs) is bit-identical
-to one call per value: the values share the sample points, grids and
-quadrature nodes, and each keeps its own counts and sums.
+so results are bit-identical for any thread count.  A block takes the indices
+of its inside points and evaluates only those; the factors it skips (1.0, x^0,
+y^0, a leading 0.0 +) are exact up to the sign of a zero, which |S| < eps does
+not see.  A grid call (a sequence of epsilon to sublevel_measure, a lambda grid
+to decay_pairs) is bit-identical to one call per value: the values share the
+sample points, grids and quadrature nodes, and each keeps its own counts and sums.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,10 +143,18 @@ def _curve_terms(p: PuiseuxPoly) -> List[Tuple[float, float]]:
     return out
 
 
+def _term(c, *powers):
+    """c * X ** a * Y ** b with the exact factors c = 1.0, X^0, Y^0 left out."""
+    if c == 1.0 and powers:
+        return math.prod(powers[1:], start=powers[0])
+    return math.prod(powers, start=c)
+
+
 def _eval_curve(terms, X):
-    out = np.zeros_like(X)
-    for c, a in terms:
-        out += c * X ** a
+    vals = (_term(c, *[X ** a] * (a != 0)) for c, a in terms)
+    out = next(vals, 0.0)
+    for v in vals:
+        out += v
     return out
 
 
@@ -169,7 +180,8 @@ def _member_mask(region: Region, X, Y):
         return (X > 0.0) & (X < region.x_side) & (Y > 0.0) & (Y < region.y_side)
     lo_t, up_t = _curve_terms(region.lower), _curve_terms(region.upper)
     ok = (X > 0.0) & (X < region.x_max)
-    Xs = np.where(ok, X, 1.0)  # avoid 0**negative-free eval on masked-out points
+    # off 0 < x < x_max, where a wall's power can be nan or inf, evaluate at x = 1
+    Xs = X if ok.all() else np.where(ok, X, 1.0)
     return ok & (Y > _eval_curve(lo_t, Xs)) & (Y < _eval_curve(up_t, Xs))
 
 
@@ -193,9 +205,12 @@ def _eval_phase(terms, X, Y):
     """S at the points of X and Y broadcast together.  Given an (n, 1) column
     and a (1, m) row, the powers are taken per axis and only the products
     fill the (n, m) grid; each element sees the same operations either way."""
-    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
-    for c, a, b in terms:
-        out += c * X ** a * Y ** b
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    vals = (_term(c, *[X ** a] * (a != 0), *[Y ** b] * (b != 0)) for c, a, b in terms)
+    out = next(vals, 0.0)
+    out = out if np.shape(out) == shape else np.full(shape, out)
+    for v in vals:
+        out += v
     return out
 
 
@@ -206,28 +221,25 @@ def _eval_phase(terms, X, Y):
 def _mc_block(args):
     terms, region, box, eps, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(seed).jumped(block + 1))
-    x0, x1, y0, y1 = box
-    X = x0 + (x1 - x0) * rng.random(count)
-    Y = y0 + (y1 - y0) * rng.random(count)
-    inside = _member_mask(region, X, Y)
-    k_in = int(np.count_nonzero(inside))
-    if k_in == 0:
-        return 0, [0] * len(eps)
-    A = np.abs(_eval_phase(terms, X[inside], Y[inside]))
-    return k_in, [int(np.count_nonzero(A < e)) for e in eps]
+    X, Y = rng.random(count), rng.random(count)
+    for V, lo, hi in ((X, box[0], box[1]), (Y, box[2], box[3])):
+        V *= hi - lo
+        V += lo
+    idx = np.flatnonzero(_member_mask(region, X, Y))
+    A = _eval_phase(terms, X.take(idx), Y.take(idx))
+    np.abs(A, out=A)
+    return idx.size, [int(np.count_nonzero(A < e)) for e in eps]
 
 
 def _mc_samples(terms, region, box, area, eps, n, seed, threads):
     if n <= 0:
         raise ValueError("budget must be positive")
-    blocks = []
-    off = 0
-    while off < n:
-        count = min(_BLOCK, n - off)
-        blocks.append((terms, region, box, eps, seed, len(blocks), count))
-        off += count
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    blocks = [(terms, region, box, eps, seed, block, min(_BLOCK, n - off))
+              for block, off in enumerate(range(0, n, _BLOCK))]
+    # more workers than blocks or cores would only start idle threads
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_mc_block, blocks))
     else:
         counts = [_mc_block(b) for b in blocks]

@@ -1,5 +1,6 @@
-"""Shared test utilities: terse phase constructors, catalog data, and the
-Fraction reference of the chart proof's arithmetic."""
+"""Shared test utilities: terse phase constructors, catalog data, the
+Fraction reference of the chart proof's arithmetic, and the boolean-mask
+reference of the Monte Carlo block kernel."""
 
 import math
 from fractions import Fraction
@@ -7,7 +8,10 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import List, Tuple
 
+import numpy as np
+
 from newton_sublevel import PuiseuxPoly, parse_expression
+from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms
 from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
 
 
@@ -145,3 +149,54 @@ def _obligation(c: Chart, phase: PuiseuxPoly):
                 and all(t <= slack for t in accumulate(k * wall[up] ** d * _pow_up(X, e)
                                                        for k, d, e, up in terms)))
     return ok if all(e >= 0 for _, _, e, _ in terms) else lambda X: False
+
+
+# ---------------------------------------------------------------------------
+# The Monte Carlo block kernel as it was before it selected inside points by
+# index: the reference that measure_lab's kernel must match, with the same
+# (k_in, counts) for every block.  The region test and the curve and phase
+# evaluation are its own copies, so GRID-shaped calls can be compared too.
+
+
+def _eval_curve(terms, X):
+    out = np.zeros_like(X)
+    for c, a in terms:
+        out += c * X ** a
+    return out
+
+
+def _member_mask(region, X, Y):
+    if isinstance(region, Disk):
+        return X * X + Y * Y < region.radius ** 2
+    if isinstance(region, SectorProduct):
+        return (X > 0.0) & (X < region.x_side) & (Y > 0.0) & (Y < region.y_side)
+    lo_t, up_t = _curve_terms(region.lower), _curve_terms(region.upper)
+    ok = (X > 0.0) & (X < region.x_max)
+    # points off 0 < x < x_max see the walls at x = 1: a fractional or negative
+    # power of x <= 0 is nan or inf
+    Xs = np.where(ok, X, 1.0)
+    return ok & (Y > _eval_curve(lo_t, Xs)) & (Y < _eval_curve(up_t, Xs))
+
+
+def _eval_phase(terms, X, Y):
+    """S at the points of X and Y broadcast together.  Given an (n, 1) column
+    and a (1, m) row, the powers are taken per axis and only the products
+    fill the (n, m) grid; each element sees the same operations either way."""
+    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
+    for c, a, b in terms:
+        out += c * X ** a * Y ** b
+    return out
+
+
+def _mc_block(args):
+    terms, region, box, eps, seed, block, count = args
+    rng = np.random.Generator(np.random.PCG64(seed).jumped(block + 1))
+    x0, x1, y0, y1 = box
+    X = x0 + (x1 - x0) * rng.random(count)
+    Y = y0 + (y1 - y0) * rng.random(count)
+    inside = _member_mask(region, X, Y)
+    k_in = int(np.count_nonzero(inside))
+    if k_in == 0:
+        return 0, [0] * len(eps)
+    A = np.abs(_eval_phase(terms, X[inside], Y[inside]))
+    return k_in, [int(np.count_nonzero(A < e)) for e in eps]

@@ -760,6 +760,16 @@ def _run_measure(outdir, monkeypatch, threads):
             (outdir / "measure.json").read_bytes())
 
 
+@pytest.mark.parametrize("raw", ["0", "-3", "abc", "2.5"])
+def test_threads_below_one_are_a_usage_error(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("NEWTON_SUBLEVEL_THREADS", raw)
+    out = tmp_path / "out"
+    assert run(["measure", "x^2 + y^2", "--samples", "1000", "--out", str(out)]) == 1
+    assert (f"error: NEWTON_SUBLEVEL_THREADS must be a positive integer, got {raw!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_reports_byte_identical_across_runs_and_threads(tmp_path, monkeypatch):
     a = _run_measure(tmp_path / "r1", monkeypatch, 1)
     b = _run_measure(tmp_path / "r2", monkeypatch, 1)

@@ -36,6 +36,7 @@ from newton_sublevel import (
     vdc_sublevel_bound,
 )
 from newton_sublevel import measure_lab
+import helpers
 from helpers import phase
 
 
@@ -156,6 +157,93 @@ def test_mc_thread_invariance_bitwise():
     a = sublevel_measure(p, Disk(1.0), 1e-4, threads=1, **kw)
     b = sublevel_measure(p, Disk(1.0), 1e-4, threads=4, **kw)
     assert a.estimate == b.estimate and a.stderr == b.stderr
+
+
+def test_mc_pool_is_capped_by_blocks_and_cores(monkeypatch):
+    # no pool is started: a stand-in records the size asked for and maps in the
+    # calling thread, so a huge thread value costs nothing here
+    asked = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    p = phase((1, 2, 2), (1, 5, 0))
+    want = {}
+    for blocks in (3, 6):
+        want[blocks] = sublevel_measure(p, Disk(1.0), 1e-2, budget=blocks * (1 << 16) - 5,
+                                        seed=3)
+    monkeypatch.setattr(measure_lab, "ThreadPoolExecutor", Pool)
+    for cores, threads, blocks, size in [(4, 10 ** 6, 6, 4), (4, 10 ** 6, 3, 3),
+                                         (4, 2, 6, 2), (None, 10 ** 6, 6, None),
+                                         (4, 1, 6, None), (1, 8, 6, None)]:
+        monkeypatch.setattr(measure_lab.os, "cpu_count", lambda: cores)
+        asked.clear()
+        got = sublevel_measure(p, Disk(1.0), 1e-2, budget=blocks * (1 << 16) - 5, seed=3,
+                               threads=threads)
+        assert asked == ([] if size is None else [size])
+        assert got == want[blocks]
+
+
+_KERNEL_EXPS = [0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(5, 3)]
+_KERNEL_COEFFS = [1, -1, 3, Fraction(-2, 7), Fraction(1, 4), Fraction(5, 2)]
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(terms, region, box): a monomial or binomial phase on a disk, a sector
+    product or a curved triangle; fractional x-exponents only where x > 0."""
+    kind = draw(st.sampled_from(["disk", "sector", "triangle"]))
+    if kind == "disk":
+        region = Disk(draw(st.sampled_from([0.5, 1.0, 1.5])))
+    elif kind == "sector":
+        region = SectorProduct(draw(st.sampled_from([0.25, 1.0, 2.0])),
+                               draw(st.sampled_from([0.5, 1.0])))
+    else:
+        def wall(least_terms):
+            return phase(*[(draw(st.sampled_from([1, 2, Fraction(1, 3)])),
+                            draw(st.sampled_from(_KERNEL_EXPS)), 0)
+                           for _ in range(draw(st.integers(least_terms, 2)))])
+
+        region = CurvedTriangle(wall(0), wall(1), draw(st.sampled_from([0.5, 0.75, 1.0])))
+    exps = [a for a in _KERNEL_EXPS if kind != "disk" or a == int(a)]
+    p = phase(*[(draw(st.sampled_from(_KERNEL_COEFFS)), draw(st.sampled_from(exps)),
+                 draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 2)))])
+    box = measure_lab._bounding_box(region)
+    return measure_lab._phase_terms(p, needs_negative_x=box[0] < 0.0), region, box
+
+
+_KERNEL_EPS = st.lists(st.sampled_from([1.0, 1e-1, 1e-2, 1e-3, 1e-4]), min_size=1,
+                       max_size=4)
+
+
+@given(_kernel_cases(), st.integers(0, 2 ** 32 - 1), st.integers(0, 40),
+       st.one_of(st.just(1 << 16), st.integers(1, 1 << 16)), _KERNEL_EPS)
+def test_mc_block_matches_the_boolean_mask_reference(case, seed, block, count, eps):
+    terms, region, box = case
+    args = (terms, region, box, eps, seed, block, count)
+    assert measure_lab._mc_block(args) == helpers._mc_block(args)
+
+
+@given(_kernel_cases(), st.integers(1, 6), st.integers(1, 6))
+def test_grid_shaped_evaluation_matches_the_reference(case, dx, dy):
+    # GRID passes an (n, 1) column and a (1, m) row: the region test and |S|
+    # must fill the same (n, m) grid with the same values
+    terms, region, (x0, x1, y0, y1) = case
+    X = (x0 + (x1 - x0) * (np.arange(1 << dx) + 0.5) / (1 << dx))[:, None]
+    Y = (y0 + (y1 - y0) * (np.arange(1 << dy) + 0.5) / (1 << dy))[None, :]
+    assert np.array_equal(measure_lab._member_mask(region, X, Y),
+                          helpers._member_mask(region, X, Y))
+    assert np.array_equal(np.abs(measure_lab._eval_phase(terms, X, Y)),
+                          np.abs(helpers._eval_phase(terms, X, Y)), equal_nan=True)
 
 
 def test_mc_seed_sensitivity_and_determinism():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from newton_sublevel import (Cutoff, Disk, curved_triangle, decay_pairs,
+from newton_sublevel import (Cutoff, Disk, SectorProduct, curved_triangle, decay_pairs,
                              oscillatory_integral, parse_expression, sublevel_measure)
 from helpers import phase
 
@@ -58,6 +58,63 @@ GRID_HEX = {
         ("0x1.47637223664bbp-6", "0x1.009084baf58c8p-8", 12892),
         ("0x1.ff0b9f6f73f95p-9", "0x1.ff0b9f6f73f95p-9", 12892),
     ],
+}
+# eps-grid MC calls (threads 1 and 4) and GRID calls at depth 6 on the other
+# region types and term shapes: the sqrt (m = 1/2) and pow (m = 3/2) walls of
+# a curved triangle, a y-only term, unit and non-unit coefficients, a constant
+# term, a multi-term phase and a fractional x-exponent on an x > 0 region;
+# recorded from the block kernel that selected inside points by boolean mask
+REGION_CASES = {
+    "y^2 - x^3 on tri(1/2, 2, 3/4)": (
+        lambda: (_poly("y^2 - x^3"), curved_triangle(Fraction(1, 2), 2, 0.75)),
+        [("0x1.d1b6e6743e95dp-3", "0x1.16a507741994fp-10", 196731),
+         ("0x1.6bbd802fb5175p-5", "0x1.17518a57ccecdp-11", 196731),
+         ("0x1.fe735d1aeffdfp-8", "0x1.de4242d9cfa48p-13", 196731),
+         ("0x1.531f776ee813ep-10", "0x1.874af720a6515p-14", 196731)],
+        [("0x1.cba111ff8a53ap-3", "0x1.7bc3bf3c230b9p-6", 2651),
+         ("0x1.61408b09b5363p-5", "0x1.4cee1dafc7e80p-7", 2651),
+         ("0x1.ac2f342acc22bp-8", "0x1.032f8e275ff6cp-8", 2651),
+         ("0x1.568c29bbd6822p-12", "0x1.2484d52cbdbffp-9", 2651)]),
+    "3*x*y^2 + x^5 on tri(3/2, 2, 3/4)": (
+        lambda: (_poly("3*x*y^2 + x^5"), curved_triangle(Fraction(3, 2), 2, 0.75)),
+        [("0x1.cfaa50e1fe08cp-4", "0x1.4de92d4b78be6p-11", 196731),
+         ("0x1.fc9d6821762f8p-6", "0x1.8e4d3e02768ffp-12", 196731),
+         ("0x1.0f3a692c0a224p-7", "0x1.a8316aa21774dp-13", 196731),
+         ("0x1.1559dfe8ef076p-9", "0x1.b067a45011632p-14", 196731)],
+        [("0x1.c3997e17dd60ep-4", "0x1.8f446e3d2b887p-7", 1580),
+         ("0x1.d0bbbcbfca0b8p-6", "0x1.b2b80a9333378p-8", 1580),
+         ("0x1.941daf42996e3p-8", "0x1.53c5728c00c07p-8", 1580),
+         ("0x1.02a25bafbe5b0p-10", "0x1.ea96c3a9a14ecp-9", 1580)]),
+    "(y - x^2)^2 on Disk(1)": (
+        lambda: (_poly("(y - x^2)^2"), Disk(1.0)),
+        [("0x1.fa6f092ff1875p-1", "0x1.e6a152d406331p-9", 196731),
+         ("0x1.409ec69411ba3p-2", "0x1.39da8dbfcaa48p-9", 196731),
+         ("0x1.960e1920a2688p-4", "0x1.6e51ae00f5c95p-10", 196731),
+         ("0x1.006df5657ed43p-5", "0x1.a03ffdf99bab5p-11", 196731)],
+        [("0x1.f94557dddc0c0p-1", "0x1.c2c1adafa07a6p-5", 3228),
+         ("0x1.42e51e66653cbp-2", "0x1.fd987207ed577p-6", 3228),
+         ("0x1.9e94cb60b48d3p-4", "0x1.20b71b55586b7p-6", 3228),
+         ("0x1.fe40fa4fa323ep-6", "0x1.404d02c79a9b6p-7", 3228)]),
+    "x*y - 1/4 on Sector(1, 1/2)": (
+        lambda: (_poly("x*y - 1/4"), SectorProduct(1.0, 0.5)),
+        [("0x1.2588fd0f7885bp-3", "0x1.0b42733d92fedp-11", 196731),
+         ("0x1.bc0e370e84023p-7", "0x1.7fe39286da4d7p-13", 196731),
+         ("0x1.69c60f478d8a5p-10", "0x1.f01ec02f22f79p-15", 196731),
+         ("0x1.452143019a13bp-13", "0x1.4cfa32d7da49fp-16", 196731)],
+        [("0x1.27c0000000000p-3", "0x1.58dc0d95ad79ap-7", 4096),
+         ("0x1.d800000000000p-7", "0x1.b3a9ca53e3e82p-9", 4096),
+         ("0x1.4000000000000p-10", "0x1.4000000000000p-10", 4096),
+         ("0x0.0p+0", "0x1.0000000000000p-13", 4096)]),
+    "x^(1/2)*y - 2*y^2 on Sector(1, 1)": (
+        lambda: (phase((1, Fraction(1, 2), 1), (-2, 0, 2)), SectorProduct(1.0, 1.0)),
+        [("0x1.b0d2ae42176a4p-2", "0x1.23f4c03f0ce72p-10", 196731),
+         ("0x1.cd80c10bbfc8fp-5", "0x1.108aed1639c3fp-11", 196731),
+         ("0x1.84172d9f06dd4p-8", "0x1.6ac4e717f65d9p-13", 196731),
+         ("0x1.27d09f9670e7fp-11", "0x1.c11d095a3d968p-15", 196731)],
+        [("0x1.ae00000000000p-2", "0x1.2608fb2d22549p-6", 4096),
+         ("0x1.d200000000000p-5", "0x1.b0e2a5b8122dcp-8", 4096),
+         ("0x1.2000000000000p-8", "0x1.e145caff13a88p-10", 4096),
+         ("0x1.0000000000000p-10", "0x1.0000000000000p-10", 4096)]),
 }
 # the full-count call of tests/test_measure_lab.py (sampling seed 400, tri-35)
 TRI_HEX = ("0x1.0000000000000p-6", "0x1.01a80f43ca3cep-19", 100000)
@@ -160,6 +217,23 @@ def test_grid_epsilon_grid_call_golden(key):
     expr, depth = key
     got = sublevel_measure(_poly(expr), Disk(1.0), EPS, budget=depth, method="GRID")
     assert [_hex(s) for s in got] == GRID_HEX[key]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_mc_golden(name, threads):
+    make, mc, _ = REGION_CASES[name]
+    p, region = make()
+    got = sublevel_measure(p, region, EPS, budget=BUDGET, seed=MC_SEED, threads=threads)
+    assert [_hex(s) for s in got] == mc
+
+
+@pytest.mark.parametrize("name", sorted(REGION_CASES))
+def test_region_grid_golden(name):
+    make, _, grid = REGION_CASES[name]
+    p, region = make()
+    got = sublevel_measure(p, region, EPS, budget=6, method="GRID")
+    assert [_hex(s) for s in got] == grid
 
 
 @pytest.mark.parametrize("method,budget", [("MC", BUDGET), ("GRID", 6)])
