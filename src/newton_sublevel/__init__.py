@@ -88,7 +88,6 @@ from .measure_lab import (
     monomial_measure_exact,
     oscillatory_integral,
     region_area,
-    slice_domination_check,
     sublevel_measure,
     vdc_check,
     vdc_sublevel_bound,

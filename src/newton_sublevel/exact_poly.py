@@ -128,13 +128,6 @@ class PuiseuxPoly:
     def y_degree(self) -> int:
         return max((b for (_a, b) in self.terms), default=0)
 
-    def as_y_coefficients(self) -> Dict[int, "PuiseuxPoly"]:
-        """Group terms by y-degree; values are polynomials in x alone."""
-        by_b: Dict[int, Dict[ExpPair, Fraction]] = {}
-        for (a, b), c in self.terms.items():
-            by_b.setdefault(b, {})[(a, 0)] = c
-        return {b: PuiseuxPoly(d, self.truncation_order) for b, d in sorted(by_b.items())}
-
     # ---- operator sugar (thin wrappers over the module-level ops) ----
 
     def __add__(self, other):

@@ -32,7 +32,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exact_poly import PuiseuxPoly, eval_rational
+from .exact_poly import PuiseuxPoly
 from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
                     isolate_real_roots, poly_value, refine_root)
 
@@ -328,7 +328,7 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
         return []
     area = region_area(region)
     box = _bounding_box(region)
-    terms = _phase_terms(p, needs_negative_x=box[0] < 0.0 or box[2] < 0.0)
+    terms = _phase_terms(p, needs_negative_x=box[0] < 0.0)
     # sum |c|·r^(a+b), r the box's largest |coordinate|, bounds every power, term
     # and partial sum of S on the box: when it is finite nothing overflows
     r = np.float64(max(map(abs, box)))
@@ -587,59 +587,6 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
     bound = vdc_sublevel_bound(k, c_q, eps_q, hi - lo)
     measured_f = float(measured)
     return {"measured": measured_f, "bound": bound, "ok": measured_f <= bound}
-
-
-def slice_domination_check(g: PuiseuxPoly, a, alpha, beta: int, m, N, x0,
-                           epsilon, xs: Sequence) -> Dict[str, object]:
-    """Per-slice comparison of |{|g| < eps}| against 4x the monomial slice.
-
-    For each sample abscissa x the derivative bound |d^beta_y g| > a beta! x^alpha
-    is certified on (0, N x^m] by root isolation; the slice sublevel measure is
-    then computed exactly and compared with 4 * min(N x^m, (eps/(a x^alpha))^{1/beta}).
-    """
-    beta = int(beta)
-    if beta <= 0:
-        raise ValueError("beta must be a positive integer")
-    a_f, al_f, m_f, N_f = float(a), float(alpha), float(m), float(N)
-    eps_q = Fraction(epsilon)
-    rows = []
-    all_ok = True
-    ycoeffs = g.as_y_coefficients()
-    top = max(ycoeffs) if ycoeffs else 0
-    for x in xs:
-        xq = Fraction(x)
-        if not 0 < xq < Fraction(x0):
-            raise ValueError("sample abscissa outside (0, x0)")
-        cs = tuple(eval_rational(ycoeffs.get(i, PuiseuxPoly.zero()), xq, Fraction(0))
-                   for i in range(top + 1))
-        ymax = Fraction(N) * xq ** int(m) if float(m) == int(m) else None
-        if ymax is None:
-            # fractional aperture exponent: fall back to a float ceiling
-            ymax = Fraction(N_f * float(xq) ** m_f).limit_denominator(10 ** 12)
-        dk = cs
-        for _ in range(beta):
-            dk = derivative(dk)
-        gate_f = a_f * math.factorial(beta) * float(xq) ** al_f
-        gate = Fraction(gate_f).limit_denominator(10 ** 15)
-        certified = bool(dk) and abs(poly_value(dk, ymax / 2)) > gate
-        if certified:
-            for sign in (Fraction(1), Fraction(-1)):
-                shifted = (dk[0] + sign * gate,) + dk[1:]
-                if len(shifted) > 1 and count_roots_halfopen(shifted, Fraction(0), ymax) > 0:
-                    certified = False
-                    break
-        if not certified:
-            all_ok = False
-            rows.append({"x": float(xq), "certified": False, "ok": False})
-            continue
-        measured = _sublevel_length(cs, Fraction(0), ymax, eps_q)
-        mono_slice = min(float(ymax),
-                         (float(eps_q) / (a_f * float(xq) ** al_f)) ** (1.0 / beta))
-        ok = float(measured) <= 4.0 * mono_slice * (1.0 + 1e-12)
-        all_ok = all_ok and ok
-        rows.append({"x": float(xq), "certified": True,
-                     "measured": float(measured), "cap": 4.0 * mono_slice, "ok": ok})
-    return {"all_ok": all_ok, "rows": rows}
 
 
 # ---------------------------------------------------------------------------

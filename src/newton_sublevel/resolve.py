@@ -254,29 +254,27 @@ def _vertex_cut(q: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
     """The first c in start·step^k (step 2 at the upper vertex, 1/2 at the
     lower) with the other edge terms summing under (delta/4F)·|s_v| at
     y = c·x^m, where s_v is the vertex term and F its order headroom; q is
-    the edge polynomial, the edge's terms at x = 1."""
+    the edge polynomial, the edge's terms at x = 1.  In v = c at the lower
+    vertex and v = 1/c at the upper one, every other term is |cf|·v^|b - bv|,
+    so the sum rises with v and _radius finds the least k."""
     av, bv = edge.upper_vertex if upper else edge.lower_vertex
     bv = int(bv)
     others = [(b, abs(cf)) for (_a, b), cf in q.terms.items() if b != bv]
     headroom = max((_headroom(edge.alpha - edge.m * b, b, (av, bv)) for b, _ in others),
                    default=1)
     target = delta * abs(q.coeff(0, bv)) / (4 * headroom)
-    # on integers: c = cn/cd and |cf| = k/f, both sides times f·cd^up·cn^down
+    # on integers: v = vn/vd and |cf| = k/f, both sides times f·vd^top
     f = math.lcm(*[cf.denominator for _, cf in others])
-    ks = [(cf.numerator * (f // cf.denominator), b - bv) for b, cf in others]
-    up = max([0, *(j for _, j in ks)])
-    down = max([0, *(-j for _, j in ks)])
-    cn, cd = start.numerator, start.denominator
-    for _ in range(512):
-        total = sum(k * cn ** (j + down) * cd ** (up - j) for k, j in ks)
-        if total * target.denominator <= target.numerator * f * cd ** up * cn ** down:
-            return Fraction(cn, cd)
-        if upper:
-            cn <<= 1
-        else:
-            cd <<= 1
-    raise RuntimeError(f"{'upper' if upper else 'lower'} cut did not stabilize "
-                       "(degenerate edge data)")
+    ks = [(cf.numerator * (f // cf.denominator), abs(b - bv)) for b, cf in others]
+    top = max([0, *(j for _, j in ks)])
+    tn, td = target.numerator * f, target.denominator
+
+    def fits(v: Fraction) -> bool:
+        vn, vd = v.numerator, v.denominator
+        return sum(k * vn ** j * vd ** (top - j) for k, j in ks) * td <= tn * vd ** top
+
+    v = _radius(fits, 1 / start if upper else start, "vertex cut fails at 0")
+    return 1 / v if upper else v
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +808,12 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
     the truncated branch curve leaves a residual of order TRUNCATION_ORDER + 1
     in p∘phi that c.phase drops, and where the model is far smaller than that
     residual p∘phi is not comparable to it although the check passes.
+
+    It works in floats, so it cannot check charts with large exponents: a
+    wall's x^475 on a chart of x^50*y^2 + x^1000 underflows to 0.0 and raises
+    the empty-domain ValueError, and a cut of about 10^158 on a chart of
+    x^100*y^2 + x^1500 raises OverflowError.  Such charts are checked at
+    exact rational points instead.
 
     Mode C gates both the ratio |S∘phi / (b x^a y^b) - 1| <= delta and the
     derivative bounds |d_x^k d_y^l S∘phi - b·fall(a,k)·fall(b,l)·x^(a-k)y^(b-l)|

@@ -1,6 +1,6 @@
 """Shared test utilities: terse phase constructors, catalog data, the
-Fraction reference of the chart proof's arithmetic, and the boolean-mask
-reference of the Monte Carlo block kernel."""
+Fraction reference of the chart proof's arithmetic, the linear search of the
+vertex cut, and the boolean-mask reference of the Monte Carlo block kernel."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from newton_sublevel import PuiseuxPoly, parse_expression
+from newton_sublevel import CompactEdge, PuiseuxPoly, parse_expression
 from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms
 from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
 
@@ -149,6 +149,41 @@ def _obligation(c: Chart, phase: PuiseuxPoly):
                 and all(t <= slack for t in accumulate(k * wall[up] ** d * _pow_up(X, e)
                                                        for k, d, e, up in terms)))
     return ok if all(e >= 0 for _, _, e, _ in terms) else lambda X: False
+
+
+# ---------------------------------------------------------------------------
+# The vertex cut as a linear dyadic search, capped at 512 steps: the reference
+# that resolve.py's one _radius search must match wherever it returns.
+
+
+def _vertex_cut(q: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fraction,
+                upper: bool) -> Fraction:
+    """The first c in start·step^k (step 2 at the upper vertex, 1/2 at the
+    lower) with the other edge terms summing under (delta/4F)·|s_v| at
+    y = c·x^m, where s_v is the vertex term and F its order headroom; q is
+    the edge polynomial, the edge's terms at x = 1."""
+    av, bv = edge.upper_vertex if upper else edge.lower_vertex
+    bv = int(bv)
+    others = [(b, abs(cf)) for (_a, b), cf in q.terms.items() if b != bv]
+    headroom = max((_headroom(edge.alpha - edge.m * b, b, (av, bv)) for b, _ in others),
+                   default=1)
+    target = delta * abs(q.coeff(0, bv)) / (4 * headroom)
+    # on integers: c = cn/cd and |cf| = k/f, both sides times f·cd^up·cn^down
+    f = math.lcm(*[cf.denominator for _, cf in others])
+    ks = [(cf.numerator * (f // cf.denominator), b - bv) for b, cf in others]
+    up = max([0, *(j for _, j in ks)])
+    down = max([0, *(-j for _, j in ks)])
+    cn, cd = start.numerator, start.denominator
+    for _ in range(512):
+        total = sum(k * cn ** (j + down) * cd ** (up - j) for k, j in ks)
+        if total * target.denominator <= target.numerator * f * cd ** up * cn ** down:
+            return Fraction(cn, cd)
+        if upper:
+            cn <<= 1
+        else:
+            cd <<= 1
+    raise RuntimeError(f"{'upper' if upper else 'lower'} cut did not stabilize "
+                       "(degenerate edge data)")
 
 
 # ---------------------------------------------------------------------------

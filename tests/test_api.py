@@ -52,6 +52,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(ns, "ReportEnvelope")
     assert not hasattr(ns.Decomposition, "locate")
     assert not hasattr(ns.Chart, "contains")
+    assert not hasattr(ns, "slice_domination_check")
+    assert not hasattr(ns.measure_lab, "slice_domination_check")
+    assert not hasattr(ns.PuiseuxPoly, "as_y_coefficients")
     for name in ("_certify", "CERTIFY_RETRIES", "VERIFY_SAMPLES", "VERIFY_SEED",
                  "_separation_radius", "_rational_below"):
         assert not hasattr(importlib.import_module("newton_sublevel.resolve"), name)

@@ -432,6 +432,15 @@ def test_resolve_proves_a_corner_where_a_float_product_underflows(tmp_path):
     assert not (tmp_path / "resolve.FAILED").exists()
 
 
+@pytest.mark.parametrize("expr", ["x^100*y^2 + x^1500", "x^200*y^2 + x^3000"])
+def test_resolve_cuts_large_exponent_phases(tmp_path, expr):
+    # the headroom of x-derivatives up to order 100 (200) puts the upper cut
+    # near 10^158 (10^316), past the 512 doublings the cut once stopped at
+    assert run(["resolve", expr, "--out", str(tmp_path)]) == 0
+    ver = json.loads((tmp_path / "verify.json").read_text())["results"]
+    assert ver == {"charts": 3, "radius": "1/4", "all_passed": True}
+
+
 @lru_cache(maxsize=1)
 def _proved_charts():
     p = parse_expression("(y - x)^2*(y + x^2) + 2*x^5").poly

@@ -29,7 +29,6 @@ from newton_sublevel import (
     oscillatory_integral,
     parse_expression,
     region_area,
-    slice_domination_check,
     sublevel_measure,
     to_superadapted,
     vdc_check,
@@ -265,8 +264,17 @@ def test_grid_estimator_covers_truth():
 
 def test_mc_rejects_fractional_x_when_region_crosses_zero():
     p = phase((1, Fraction(1, 2), 0), (1, 0, 2))
-    with pytest.raises(ValueError):
-        sublevel_measure(p, Disk(1.0), 1e-3, budget=1000)
+    for method, budget in (("MC", 1000), ("GRID", 4)):
+        with pytest.raises(ValueError, match="region crosses x = 0"):
+            sublevel_measure(p, Disk(1.0), 1e-3, budget=budget, method=method)
+
+
+def test_mc_takes_fractional_x_on_a_curved_triangle():
+    # x > 0 on the triangle, although its bounding box pads y below 0
+    s = sublevel_measure(phase((1, Fraction(1, 2), 1)), curved_triangle(1, 1, 1.0), 1e-2,
+                         budget=400_000, seed=1)
+    exact = monomial_measure_exact(1, Fraction(1, 2), 1, 1, 1, 1.0, 1e-2).value
+    assert abs(s.estimate - exact) <= 3 * s.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -373,26 +381,6 @@ def test_vdc_measured_respects_bound_on_shifted_cubics():
         eps = Fraction(1, 10 ** int(rng.integers(1, 5)))
         chk = vdc_check(f, (Fraction(0), Fraction(1)), k, c, eps)
         assert chk["ok"], (f, eps, chk)
-
-
-def test_slice_domination_monomial():
-    # gate is strict, so compare x^2 y^2 against half its own coefficient
-    xs = [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
-    res = slice_domination_check(phase((1, 2, 2)), Fraction(1, 2), Fraction(2), 2,
-                                 Fraction(1), Fraction(1), Fraction(1, 2),
-                                 Fraction(1, 10 ** 4), xs)
-    assert res["all_ok"]
-    assert all(row["ok"] and row["certified"] for row in res["rows"])
-    # an x-only perturbation shifts the slice but keeps the derivative gate
-    res2 = slice_domination_check(phase((1, 2, 2), (1, 5, 0)), Fraction(1, 2),
-                                  Fraction(2), 2, Fraction(1), Fraction(1),
-                                  Fraction(1, 2), Fraction(1, 10 ** 4), xs)
-    assert res2["all_ok"]
-    # gate equality: the hypothesis fails and the row reports uncertified
-    res3 = slice_domination_check(phase((1, 2, 2)), Fraction(1), Fraction(2), 2,
-                                  Fraction(1), Fraction(1), Fraction(1, 2),
-                                  Fraction(1, 10 ** 4), [Fraction(1, 4)])
-    assert not res3["all_ok"] and not res3["rows"][0]["certified"]
 
 
 # ---------------------------------------------------------------------------

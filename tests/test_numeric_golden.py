@@ -115,6 +115,17 @@ REGION_CASES = {
          ("0x1.d200000000000p-5", "0x1.b0e2a5b8122dcp-8", 4096),
          ("0x1.2000000000000p-8", "0x1.e145caff13a88p-10", 4096),
          ("0x1.0000000000000p-10", "0x1.0000000000000p-10", 4096)]),
+    # a triangle's box pads y0 below 0, which once refused a fractional x-exponent
+    "x^(1/2)*y + y^2 on tri(1, 1, 1)": (
+        lambda: (phase((1, Fraction(1, 2), 1), (1, 0, 2)), curved_triangle(1, 1, 1.0)),
+        [("0x1.d19a7102faea9p-4", "0x1.61e5cdec75879p-11", 196731),
+         ("0x1.0b4f461d9c348p-6", "0x1.2c0a79ac0a3d3p-12", 196731),
+         ("0x1.cfbbbfb8f1af0p-10", "0x1.9116f8130bb57p-14", 196731),
+         ("0x1.7cc73512fb005p-13", "0x1.016801690a0a5p-15", 196731)],
+        [("0x1.bce739ce739cep-4", "0x1.98c6318c63190p-7", 1984),
+         ("0x1.2108421084211p-7", "0x1.7f7bdef7bdef8p-6", 1984),
+         ("0x0.0p+0", "0x1.0000000000000p-10", 1984),
+         ("0x0.0p+0", "0x1.0842108421084p-12", 1984)]),
 }
 # the full-count call of tests/test_measure_lab.py (sampling seed 400, tri-35)
 TRI_HEX = ("0x1.0000000000000p-6", "0x1.01a80f43ca3cep-19", 100000)

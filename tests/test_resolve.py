@@ -411,8 +411,14 @@ MULTI_ROOT = [(expr, parse_expression(expr).poly) for expr in (
     "(y - x)*(y - 2*x)*(y - 3*x) + x^4", "(y - x^2)*(y - 2*x^2) + x^5",
     "(y - x)*(y - 5/4*x)*(y + x) + x^5", "(y - x)^2*(y - 2*x) + x^4",
     "(y - x)*(y - 2*x)^2 + x^5")]
+# large exponents, on whose charts the float oracle underflows or overflows (see
+# verify_chart); x^100*y^2 + x^1500 takes about 14 s, so only the deep profile
+# runs it
+LARGE_EXPONENTS = [(expr, parse_expression(expr).poly) for expr in (
+    ["x^50*y^2 + x^1000"]
+    + (["x^100*y^2 + x^1500"] if settings.default.max_examples >= 1000 else []))]
 # x*y, x^2*y^2 + x^5 and y^2 - x^3 have a fractional exponent in every chart
-ORACLE_PHASES = [(n, p) for n, p in ALL_PHASES + MULTI_ROOT
+ORACLE_PHASES = [(n, p) for n, p in ALL_PHASES + MULTI_ROOT + LARGE_EXPONENTS
                  if n not in ("x*y", "x^2y^2+x^5", "y^2-x^3")]
 
 
@@ -544,6 +550,77 @@ def test_integer_proof_matches_the_fraction_reference(name, p, x_max):
 @given(stacked_root_phases(), st.sampled_from([RADII["1/4"], RADII["1/3"]]))
 def test_integer_proof_matches_on_stacked_roots(case, x_max):
     _assert_same_proof(case[0], x_max)
+
+
+# ---------------------------------------------------------------------------
+# vertex cuts: one _radius search against the linear search it replaced
+# (helpers.py), at every cut the recursion asks for and at the edge's other
+# vertex from the same start
+
+CUT_DELTAS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+
+
+def _cut_fits(q, edge, delta, c, upper):
+    # the cut's predicate in Fraction: the other edge terms at y = c·x^m sum
+    # under delta/(4·headroom) of the vertex term
+    av, bv = edge.upper_vertex if upper else edge.lower_vertex
+    others = [(b, abs(cf)) for (_a, b), cf in q.terms.items() if b != bv]
+    headroom = max((RESOLVE._headroom(edge.alpha - edge.m * b, b, (av, int(bv)))
+                    for b, _ in others), default=1)
+    return (sum(cf * c ** (b - bv) for b, cf in others)
+            <= delta * abs(q.coeff(0, bv)) / (4 * headroom))
+
+
+def _assert_same_cuts(p, delta):
+    calls, cut = [], RESOLVE._vertex_cut
+
+    def recorded(q, edge, delta, start, upper):
+        calls.append((q, edge, delta, start))
+        return cut(q, edge, delta, start, upper)
+
+    poly = newton_polygon_of(p)
+    eta = min([Fraction(1, 2), *(e.m / 2 for e in poly.edges)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RESOLVE, "_vertex_cut", recorded)
+        try:
+            RESOLVE._resolve_sector(p, Fraction(1), eta, 0, ResolveParams(delta=delta), poly)
+        except ValueError as e:         # a deeper root is irrational: the cuts before it
+            assert "irrational" in str(e)
+    assert calls
+    for q, edge, delta, start in calls:
+        for upper in (True, False):
+            c = cut(q, edge, delta, start, upper)
+            try:
+                assert c == helpers._vertex_cut(q, edge, delta, start, upper)
+            except RuntimeError:            # past the old search's 512 steps
+                pass
+            step = c / start if upper else start / c
+            assert step.numerator & (step.numerator - 1) == 0 and step.denominator == 1
+            assert _cut_fits(q, edge, delta, c, upper)
+            if c != start:
+                assert not _cut_fits(q, edge, delta, c / 2 if upper else 2 * c, upper)
+
+
+# x*y has no compact edge, so no cut; the last two need an upper cut past the
+# linear search's 512 steps
+PAST_THE_CAP = [(expr, parse_expression(expr).poly)
+                for expr in ("x^100*y^2 + x^1500", "x^200*y^2 + x^3000")]
+CUT_CASES = [(f"{n}@{d}", p, d) for n, p in ALL_PHASES + MULTI_ROOT + PAST_THE_CAP
+             for d in CUT_DELTAS if n != "x*y"]
+
+
+@pytest.mark.parametrize("name,p,delta", CUT_CASES, ids=[n for n, _, _ in CUT_CASES])
+def test_vertex_cut_matches_the_linear_search(name, p, delta):
+    _assert_same_cuts(p, delta)
+
+
+# about 0.1 s an example: a quarter of the profile's examples (20 by default,
+# 250 in the deep profile)
+@settings(max_examples=settings.default.max_examples // 4)
+@given(st.one_of(two_branch_phases(), stacked_root_phases().map(lambda case: case[0])),
+       st.sampled_from(CUT_DELTAS))
+def test_vertex_cut_matches_the_linear_search_on_the_families(p, delta):
+    _assert_same_cuts(p, delta)
 
 
 @st.composite

@@ -1,14 +1,13 @@
-"""Golden values of the exact van der Corput path (vdc_check, slice_domination_check,
-check-vdc), recorded from the Fraction-arithmetic root kernel the integer kernel
-replaced; every float must match bit for bit."""
+"""Golden values of the exact van der Corput path (vdc_check, check-vdc), recorded
+from the Fraction-arithmetic root kernel the integer kernel replaced; every float
+must match bit for bit."""
 
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from newton_sublevel import run, slice_domination_check, vdc_check
-from helpers import phase
+from newton_sublevel import run, vdc_check
 
 # results block of vdc.json from `check-vdc --samples 5 --seed 0`
 CHECK_VDC_RESULTS = {
@@ -45,21 +44,6 @@ VDC_MEASURED_HEX = [
     "0x1.ac2febe67b079p-8", "0x1.5689a3addd92cp-11", "0x1.1207afccb465cp-14", "0x1.b672b2c724c80p-18", "0x1.5ec2289f1b000p-21",
 ]
 
-SLICE_XS = [F(1, 8), F(1, 4), F(3, 8)]
-# (g, a, alpha, beta, epsilon) on the curved triangle 0 < y < x, x < 1/2
-SLICE_CASES = [
-    (phase((1, 2, 2), (1, 1, 3)), F(1, 2), F(2), 2, F(1, 10 ** 4)),
-    (phase((1, 2, 2), (-1, 6, 0)), F(1, 2), F(2), 2, F(1, 10 ** 6)),
-    (phase((1, 1, 3), (-1, 4, 0)), F(1, 2), F(1), 3, 1e-5),
-]
-# (float.hex(measured), float.hex(cap)) per row; every row certified and ok
-SLICE_ROWS_HEX = [
-    [("0x1.09d9a4a8b3519p-4", "0x1.cf68d4fff04ddp-2"), ("0x1.31a9b60662bedp-5", "0x1.cf68d4fff04ddp-3"), ("0x1.a69d198b640aep-6", "0x1.34f08dfff5893p-3")],
-    [("0x1.0ed046078363bp-8", "0x1.72ba43fff3717p-5"), ("0x1.0c6f9ef02c3bcp-12", "0x1.72ba43fff3717p-6"), ("0x1.a831be262f87ep-15", "0x1.ee4dafffef41fp-7")],
-    [("0x1.c5a4cc03273a3p-10", "0x1.bcbaed3a371d5p-3"), ("0x1.bfc655b7800fcp-13", "0x1.60fb8a566f629p-3"), ("0x1.092a881c069b6p-14", "0x1.345bd2d78de10p-3")],
-]
-
-
 def test_check_vdc_results_golden(tmp_path):
     assert run(["check-vdc", "--samples", "5", "--seed", "0", "--out", str(tmp_path)]) == 0
     blob = json.loads((tmp_path / "vdc.json").read_text())
@@ -72,12 +56,3 @@ def test_vdc_check_measured_golden(case):
     got = [float.hex(vdc_check(f, (F(0), F(1)), k, c, eps)["measured"]) for eps in VDC_EPS]
     n = len(VDC_EPS)
     assert got == VDC_MEASURED_HEX[case * n:(case + 1) * n]
-
-
-@pytest.mark.parametrize("case", range(len(SLICE_CASES)))
-def test_slice_domination_rows_golden(case):
-    g, a, alpha, beta, eps = SLICE_CASES[case]
-    res = slice_domination_check(g, a, alpha, beta, F(1), F(1), F(1, 2), eps, SLICE_XS)
-    assert res["all_ok"]
-    assert [(float.hex(r["measured"]), float.hex(r["cap"])) for r in res["rows"]] \
-        == SLICE_ROWS_HEX[case]
