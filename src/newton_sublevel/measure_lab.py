@@ -547,8 +547,10 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
     The derivative hypothesis |f^(k)| >= c k! on I is verified first by root
     isolation of f^(k) -+ c k! (no roots inside I, correct magnitude at the
     midpoint); a failing hypothesis raises rather than returning a vacuous ok.
-    The sublevel measure itself is computed exactly by isolating the roots of
-    f -+ eps and summing the subintervals where |f| < eps.
+    The sublevel measure is the sum of the subintervals where |f| < eps,
+    cut at the roots of f -+ eps: a rational root exactly, any other at the
+    midpoint of its isolating interval refined to width 2^-60, so within
+    2^-61 of the root.
     """
     cs = tuple(coeffs_of(f))
     lo, hi = Fraction(interval[0]), Fraction(interval[1])

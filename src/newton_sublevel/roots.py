@@ -12,12 +12,17 @@ are kept).  Yun's gcds and the Sturm remainders are primitive pseudo-
 remainder sequences (Collins; Brown-Traub): each remainder is taken of a
 positive multiple and divided by its positive content, so every Sturm
 polynomial is a positive multiple of the classical one.  Quotients by a
-primitive divisor are integral (Gauss's lemma).  Signs at p/q come from the
-homogeneous form sum c_i p^i q^(n-i); refinement bisects integer numerators
-over one common denominator D*2^k and builds Fractions only at the end; the
-rational-root search tries coprime divisor pairs p/q that pass the f(1),
-f(-1) divisibility tests.  poly_value is the exact Fraction evaluator for
-callers that need a value rather than a sign.
+primitive divisor are integral (Gauss's lemma).  Signs and values at p/q
+come from the homogeneous form sum c_i p^i q^(n-i) (_hom).  Refinement to a
+width w returns what k bisection steps return, k the least with
+(hi - lo)/2^k <= w: a float Newton seed, then integer Newton steps over the
+common denominator D*2^k, snap to a cell of the 2^k-cell dyadic partition,
+and integer signs at the cell's two ends prove it holds the root; when they
+cannot (a root on a cut point, a zero at lo, numbers past a float's range)
+the integer numerators are bisected.  The rational-root search tries coprime
+divisor pairs p/q that pass the f(1), f(-1) divisibility tests.  poly_value
+is the exact evaluator for callers that need a value rather than a sign:
+one integer pass and a single Fraction.
 
 Polynomials enter either as y-only PuiseuxPoly values (the edge polynomials
 produced upstream) or as dense coefficient sequences [c0, c1, ...].
@@ -65,11 +70,20 @@ def poly_from_coeffs(cs: Sequence[Fraction]) -> PuiseuxPoly:
 
 
 def poly_value(cs: Sequence[Fraction], t: Fraction) -> Fraction:
-    """Exact value of sum cs[i] t^i (Horner)."""
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * t + c
-    return acc
+    """Exact value of sum cs[i] t^i as a Fraction; cs and t are ints or Fractions.
+
+    One integer Horner pass over the homogeneous form (_hom) with the
+    denominators cleared, then a single Fraction.
+    """
+    if not cs:
+        return Fraction(0)
+    try:
+        den = math.lcm(*[c.denominator for c in cs])
+        p, q = t.numerator, t.denominator
+    except AttributeError:
+        raise TypeError("poly_value takes int or Fraction coefficients and point") from None
+    ics = [c.numerator * (den // c.denominator) for c in cs]
+    return Fraction(_hom(ics, p, q), den * q ** (len(ics) - 1))
 
 
 def derivative(cs: Sequence[Fraction]) -> Coeffs:
@@ -85,14 +99,20 @@ def _integer_form(cs: Sequence[Fraction]) -> IntCoeffs:
     return _primitive([c.numerator * (den // c.denominator) for c in cs])
 
 
-def _sign_at(ics: IntCoeffs, p: int, q: int) -> int:
-    """Sign of the polynomial at p/q (q > 0): sign of sum c_i p^i q^(n-i)."""
+def _hom(ics: Sequence[int], p: int, q: int) -> int:
+    """sum c_i p^i q^(n-i): q^n times the polynomial's value at p/q (Horner)."""
     acc = 0
     qk = 1
     for c in reversed(ics):
         acc = acc * p + c * qk
         qk *= q
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_at(ics: IntCoeffs, p: int, q: int) -> int:
+    """Sign of the polynomial at p/q (q > 0)."""
+    v = _hom(ics, p, q)
+    return (v > 0) - (v < 0)
 
 
 def _sign(ics: IntCoeffs, t: Fraction) -> int:
@@ -207,7 +227,7 @@ def sturm_sequence(cs) -> List[IntCoeffs]:
 def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
     """Sign changes of the integer-form Sturm sequence seq at t."""
     p, q = t.numerator, t.denominator
-    signs = [s for s in (_sign_at(ics, p, q) for ics in seq) if s]
+    signs = [v > 0 for v in (_hom(ics, p, q) for ics in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -397,19 +417,131 @@ def _halve(r: IsolatedRoot) -> IsolatedRoot:
     return replace(r, lo=mid)
 
 
+def _depth(span: Fraction, width: Fraction) -> int:
+    """Least k >= 0 with span / 2^k <= width (both positive)."""
+    q = -(-(span.numerator * width.denominator) // (span.denominator * width.numerator))
+    return (q - 1).bit_length()
+
+
+# float Newton/bisection steps of the seed, and integer Newton steps after it
+_FLOAT_STEPS, _INT_STEPS = 100, 8
+
+
+def _float_root(ics: IntCoeffs, lo: Fraction, hi: Fraction, s_lo: int) -> Optional[float]:
+    """A float near the root of ics in (lo, hi), whose sign at lo is s_lo.
+
+    Safeguarded Newton (rtsafe): a step is taken only if it stays inside the
+    bracket and at least halves the step before it, else the bracket is
+    bisected.  None when a coefficient or an end does not fit a float.
+    """
+    try:
+        fc = [float(c) for c in reversed(ics)]
+        a, b = float(lo), float(hi)
+    except OverflowError:
+        return None
+    x = 0.5 * (a + b)
+    step = b - a
+    for _ in range(_FLOAT_STEPS):
+        f = df = 0.0
+        for c in fc:
+            df = df * x + f
+            f = f * x + c
+        if f == 0.0:
+            break
+        if (f > 0) == (s_lo > 0):
+            a = x
+        else:
+            b = x
+        dx = f / df if df else math.inf
+        if abs(dx) <= 2.0 ** -40 * abs(x):
+            x -= dx
+            break
+        if a < x - dx < b and abs(dx) <= 0.5 * abs(step):
+            x, step = x - dx, dx
+        else:
+            step = 0.5 * (b - a)
+            x = a + step
+            if not a < x < b:
+                break
+    return x if math.isfinite(x) else None
+
+
+def _snapped_cell(r: IsolatedRoot, k: int) -> Optional[IsolatedRoot]:
+    """The cell of r's 2^k-cell dyadic partition that k bisection steps keep.
+
+    The cells are (lo + i*w, lo + (i+1)*w] with w = (hi - lo)/2^k.  A float
+    seed (_float_root) and integer Newton steps on the homogeneous form over
+    den*2^k pick i; two sign tests prove it.  r.factor has one simple root in
+    (lo, hi], so it has r's sign at lo left of the root and the opposite sign
+    right of it: a cell whose ends have those signs holds the root strictly
+    inside, no lattice point is a root, and bisection, which tests lattice
+    points only, ends in that cell.  None when the proof does not go through
+    (a zero at lo or at a tested lattice point, no float seed): the caller
+    bisects then.
+    """
+    ics = r.factor
+    den = math.lcm(r.lo.denominator, r.hi.denominator)
+    a = r.lo.numerator * (den // r.lo.denominator)
+    d = r.hi.numerator * (den // r.hi.denominator) - a
+    s_lo = _sign_at(ics, a, den)
+    if s_lo == 0:
+        return None
+    x = _float_root(ics, r.lo, r.hi, s_lo)
+    if x is None:
+        return None
+    # lattice point j of the partition is (a_k + j*d) / q
+    cells, q, a_k = 1 << k, den << k, a << k
+    num, dnm = x.as_integer_ratio()
+    t = num * q // dnm
+    dics = tuple(i * c for i, c in enumerate(ics))[1:]
+    for _ in range(_INT_STEPS):
+        v, dv = _hom(ics, t, q), _hom(dics, t, q)
+        if v == 0 or dv == 0:
+            break
+        step = v // dv
+        t = min(max(t - step, a_k), a_k + cells * d)
+        # Newton squares the error: after a step of s/q it is near (s/q)^2,
+        # below a cell's d/q once s^2 <= d*q
+        if step * step <= d * q:
+            break
+    i = min(max((t - a_k) // d, 0), cells - 1)
+    for _ in range(3):
+        s_left = s_lo if i == 0 else _sign_at(ics, a_k + i * d, q)
+        s_right = _sign_at(ics, a_k + (i + 1) * d, q)
+        if s_left == s_lo and s_right == -s_lo:
+            return replace(r, lo=Fraction(a_k + i * d, q), hi=Fraction(a_k + (i + 1) * d, q))
+        if s_left == -s_lo:
+            i -= 1
+        elif s_right == s_lo and i + 1 < cells:
+            i += 1
+        else:
+            return None
+    return None
+
+
 def refine_root(r: IsolatedRoot, width) -> IsolatedRoot:
     """Shrink the isolating interval until hi - lo <= width (no-op if already).
 
-    Takes the same cuts as repeated _halve: midpoints, except that a midpoint
-    which is a root of the factor is replaced by _halve's stepped cut.
+    Returns what repeated _halve returns: after the least k halvings with
+    (hi - lo)/2^k <= width, an exact root sits at hi of (r - w/2^k, r], and
+    any other root in the cell of the 2^k-cell dyadic partition that holds
+    it.  That cell comes from a Newton seed snapped to the partition and
+    proved by integer sign tests at its ends (_snapped_cell).  When the proof
+    does not go through, integer numerators over one common denominator
+    den*2^k are bisected, and a midpoint which is a root of the factor is
+    replaced by _halve's stepped cut.
     """
     width = _as_fraction(width)
     if width <= 0:
         raise ValueError("target width must be positive")
-    if r.exact_value is not None:
-        while r.width > width:
-            r = _halve(r)
+    if r.width <= width:
         return r
+    k = _depth(r.width, width)
+    if r.exact_value is not None:
+        return replace(r, lo=r.exact_value - r.width / (1 << k), hi=r.exact_value)
+    cell = _snapped_cell(r, k)
+    if cell is not None:
+        return cell
     ics = r.factor
     w_num, w_den = width.numerator, width.denominator
     while r.width > width:

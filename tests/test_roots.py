@@ -14,7 +14,16 @@ from newton_sublevel import (
     refine_root,
     squarefree_factor,
 )
-from newton_sublevel.roots import _DIVISOR_GUARD, _rational_roots, coeffs_of, sturm_sequence
+from newton_sublevel.roots import (
+    _DIVISOR_GUARD,
+    IsolatedRoot,
+    _depth,
+    _rational_roots,
+    _snapped_cell,
+    coeffs_of,
+    poly_value,
+    sturm_sequence,
+)
 
 
 def _poly_from_roots(roots_mults):
@@ -329,13 +338,21 @@ def _assert_kernel_matches_reference(cs, widths):
     got = isolate_real_roots(cs)
     assert [(r.lo, r.hi, r.multiplicity, r.exact_value, r.factor) for r in got] \
         == [w[:4] + (_ref_integer_form(w[4]),) for w in want]
-    for r, w in zip(got, want):
-        for width in widths:
-            tight = refine_root(r, width)
-            ref = _ref_refine(w, width, stepped)
-            assert (tight.lo, tight.hi, tight.multiplicity, tight.exact_value, tight.factor) \
-                == ref[:4] + (_ref_integer_form(ref[4]),)
+    _assert_refinement_matches_reference(got, widths, stepped)
     return stepped
+
+
+def _assert_refinement_matches_reference(roots, widths, stepped=None):
+    """refine_root against repeated Fraction bisection (_ref_refine)."""
+    stepped = [] if stepped is None else stepped
+    for r in roots:
+        ref = (r.lo, r.hi, r.multiplicity, r.exact_value, tuple(Fraction(c) for c in r.factor))
+        # bisection to a smaller width passes through the larger widths' results
+        for width in sorted(widths, reverse=True):
+            tight = refine_root(r, width)
+            ref = _ref_refine(ref, width, stepped)
+            assert (tight.lo, tight.hi, tight.multiplicity, tight.exact_value, tight.factor) \
+                == ref[:4] + (r.factor,)
 
 
 def _expand(roots_mults, quadratics, scale):
@@ -373,9 +390,10 @@ def _factored_polys(draw):
 
 _dense_polys = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=9),
                         min_size=2, max_size=7)
+# 2^-200 and 3^-126 (about 2^-200) take the Newton seed past a float's 53 bits
 _widths = st.lists(st.one_of(
-    st.integers(1, 70).map(lambda k: Fraction(1, 2 ** k)),
-    st.integers(1, 30).map(lambda k: Fraction(1, 3 ** k))), min_size=1, max_size=3)
+    st.integers(1, 200).map(lambda k: Fraction(1, 2 ** k)),
+    st.integers(1, 126).map(lambda k: Fraction(1, 3 ** k))), min_size=1, max_size=3)
 
 
 @given(st.one_of(_factored_polys(), _dense_polys), _widths)
@@ -398,6 +416,91 @@ def test_rational_roots_match_fraction_reference(cs):
         return
     cs = tuple(cs)
     assert _rational_roots(cs) == _ref_rational_roots(cs)
+
+
+@st.composite
+def _scaled_polys(draw):
+    """A polynomial with one coefficient moved by 10^-400, or scaled by 10^400
+    and moved by 1: its integer form does not fit a float, so refinement
+    bisects."""
+    cs = list(draw(st.one_of(_factored_polys(), _dense_polys)))
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if len(cs) > 1:
+        i = draw(st.integers(0, len(cs) - 1))
+        if draw(st.booleans()):
+            cs[i] += Fraction(1, 10 ** 400)
+        else:
+            cs = [c * 10 ** 400 for c in cs]
+            cs[i] += 1
+    return cs
+
+
+# the Fraction reference runs on 1300-bit numbers, up to a second an example
+@settings(max_examples=settings.default.max_examples // 8)
+@given(_scaled_polys(), _widths)
+def test_refinement_matches_reference_on_scaled_coefficients(cs, widths):
+    if len(cs) <= 1:
+        return
+    _assert_refinement_matches_reference(isolate_real_roots(cs), widths)
+
+
+def test_refinement_matches_reference_past_float_range():
+    # roots near +-1.4e400 and +-1e-400: the interval ends, or the integer
+    # form, do not fit a float
+    for cs in ([-2, 0, Fraction(1, 10 ** 800)], [-1, 0, 10 ** 800],
+               [Fraction(-1, 10 ** 400), 3, 0, 1]):
+        roots = isolate_real_roots(cs)
+        assert roots and all(_snapped_cell(r, 60) is None for r in roots)
+        _assert_refinement_matches_reference(roots, [Fraction(1, 2 ** 60), Fraction(1, 3 ** 20)])
+
+
+# the Fraction reference bisects from about 10^13 to as far as 2^-200
+@settings(max_examples=settings.default.max_examples // 4)
+@given(st.lists(_big_q, min_size=2, max_size=3, unique=True),
+       st.lists(_small_q, max_size=2), _widths)
+def test_refinement_matches_reference_on_big_rational_roots(big, small, widths):
+    # two roots past the divisor guard put the constant past it too: the
+    # roots are isolated by Sturm bisection and refined as inexact roots
+    cs = _expand([(r, 1) for r in big] + [(r, 1) for r in set(small)], [], 1)
+    roots = isolate_real_roots(cs)
+    assert all(r.exact_value is None for b in big for r in roots if r.contains(b))
+    _assert_refinement_matches_reference(roots, widths)
+
+
+def test_refinement_matches_reference_when_lo_is_a_root_of_the_factor():
+    # lo = 0 is a root of t(t^2 - 2) and of t(t - 1): the first cut takes the
+    # upper half whatever its sign, and for t(t - 1) the midpoint 1 is the
+    # root, so the stepped cut loses it; refinement must do what bisection does
+    for factor, hi in (((0, -2, 0, 1), Fraction(2)), ((0, -1, 1), Fraction(2)),
+                       ((0, -2, 0, 1), Fraction(5, 3))):
+        root = IsolatedRoot(lo=Fraction(0), hi=hi, multiplicity=1, factor=factor)
+        ref = (root.lo, root.hi, 1, None, tuple(Fraction(c) for c in factor))
+        for width in (Fraction(1, 2 ** 60), Fraction(1, 3 ** 20), Fraction(1, 2 ** 200)):
+            tight = refine_root(root, width)
+            want = _ref_refine(ref, width, [])
+            assert (tight.lo, tight.hi) == want[:2]
+
+
+def test_snapped_cell_proves_simple_roots():
+    # the Newton seed and its two sign tests settle a simple irrational root
+    # without bisection, at widths below a float's resolution too
+    for cs in ([-2, 0, 1], [-1, -1, 0, 1], [7, -3, -11, 0, 2]):
+        for r in isolate_real_roots(cs):
+            ref = (r.lo, r.hi, r.multiplicity, None, tuple(Fraction(c) for c in r.factor))
+            for width in (Fraction(1, 2 ** 10), Fraction(1, 2 ** 60), Fraction(1, 2 ** 200)):
+                cell = _snapped_cell(r, _depth(r.width, width))
+                assert cell is not None
+                assert (cell.lo, cell.hi) == _ref_refine(ref, width, [])[:2]
+
+
+@pytest.mark.parametrize("span, width, k", [
+    (Fraction(1), Fraction(1), 0), (Fraction(1), Fraction(1, 2), 1),
+    (Fraction(3), Fraction(1), 2), (Fraction(4), Fraction(1), 2),
+    (Fraction(5, 7), Fraction(1, 3 ** 5), 8), (Fraction(1, 3), Fraction(1, 2 ** 60), 59)])
+def test_depth_is_the_least_sufficient_halving_count(span, width, k):
+    assert _depth(span, width) == k
+    assert span / 2 ** k <= width and (k == 0 or span / 2 ** (k - 1) > width)
 
 
 def test_kernel_matches_reference_on_midpoint_root():
@@ -444,3 +547,28 @@ def test_count_roots_halfopen_matches_reference(cs, lo, hi):
         seq = _ref_sturm(sf)
         want = _ref_variations(seq, lo) - _ref_variations(seq, hi)
     assert count_roots_halfopen(cs, lo, hi) == want
+
+
+_rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.fractions(max_denominator=10 ** 6),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=50))
+
+
+# poly_value evaluates on integers; the Fraction Horner loop it replaced
+# (_ref_eval) must give the same value, and a Fraction, for ints too
+@given(st.lists(_rationals, max_size=8).map(lambda cs: cs + [0] * (len(cs) % 3)),
+       _rationals)
+@example([], 3)
+@example([0, 0], Fraction(-1, 2))
+@example([1, 2, 3], -2)
+def test_poly_value_matches_fraction_horner(cs, t):
+    got, want = poly_value(cs, t), _ref_eval(cs, t)
+    assert got == want
+    assert type(got) is type(want) is Fraction
+
+
+def test_poly_value_rejects_floats():
+    with pytest.raises(TypeError):
+        poly_value([1, 2], 0.5)
+    with pytest.raises(TypeError):
+        poly_value([1.0, 2], Fraction(1, 2))
