@@ -8,10 +8,13 @@ rational, its exact value.
 
 Everything after input runs on integers.  A polynomial is cleared of
 denominators and content once (_integer_form, a positive scale, so signs
-are kept).  Yun's gcds and the Sturm remainders are primitive pseudo-
-remainder sequences (Collins; Brown-Traub): each remainder is taken of a
-positive multiple and divided by its positive content, so every Sturm
-polynomial is a positive multiple of the classical one.  Quotients by a
+are kept).  Yun's gcds and the Sturm sequences come from one loop, the
+primitive remainder sequence (_prs; Collins; Brown-Traub): each remainder
+is taken of a positive multiple and divided by its positive content, so
+every Sturm polynomial is a positive multiple of the classical one.  The
+PRS of (f, prim f') is built once a polynomial: its last entry is Yun's
+first gcd, and when that is a constant, f is squarefree and the same
+entries, with Sturm's signs, are f's Sturm sequence.  Quotients by a
 primitive divisor are integral (Gauss's lemma).  Signs and values at p/q
 come from the homogeneous form sum c_i p^i q^(n-i) (_hom).  Refinement to a
 width w returns what k bisection steps return, k the least with
@@ -20,9 +23,10 @@ common denominator D*2^k, snap to a cell of the 2^k-cell dyadic partition,
 and integer signs at the cell's two ends prove it holds the root; when they
 cannot (a root on a cut point, a zero at lo, numbers past a float's range)
 the integer numerators are bisected.  The rational-root search tries coprime
-divisor pairs p/q that pass the f(1), f(-1) divisibility tests.  poly_value
-is the exact evaluator for callers that need a value rather than a sign:
-one integer pass and a single Fraction.
+divisor pairs p/q that pass the f(1), f(-1) divisibility tests, and for a
+squarefree input only of the signs where the Sturm count finds a real root.
+poly_value is the exact evaluator for callers that need a value rather than
+a sign: one integer pass and a single Fraction.
 
 Polynomials enter either as y-only PuiseuxPoly values (the edge polynomials
 produced upstream) or as dense coefficient sequences [c0, c1, ...].
@@ -156,25 +160,56 @@ def _prim_rem(a: Sequence[int], b: IntCoeffs) -> IntCoeffs:
     return _primitive(_trim(r))
 
 
-def _pgcd(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
-    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+def _prs(a: IntCoeffs, b: IntCoeffs) -> List[IntCoeffs]:
+    """Primitive remainder sequence a, b, _prim_rem(a, b), ... to its last nonzero entry."""
+    seq = [a]
     while b:
-        a, b = b, _prim_rem(a, b)
+        seq.append(b)
+        b = _prim_rem(seq[-2], b)
+    return seq
+
+
+def _normal(a: IntCoeffs) -> IntCoeffs:
+    """The primitive part of a with a positive leading coefficient."""
     a = _primitive(a)
     return a if a[-1] > 0 else tuple(-c for c in a)
+
+
+def _pgcd(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    """Primitive gcd with a positive leading coefficient (primitive PRS)."""
+    return _normal(_prs(a, b)[-1])
+
+
+def _sturm_signs(prs: List[IntCoeffs]) -> List[IntCoeffs]:
+    """The Sturm sequence of f from the PRS f, prim f', r_2, ...: s_i = r_i for
+    i mod 4 in {0, 1}, else -r_i.
+
+    _prim_rem is odd in its dividend and ignores the divisor's sign and
+    positive scale, so -_prim_rem(s_(i-1), s_i) is +-r_(i+1) with this sign.
+    """
+    return [r if i & 2 == 0 else tuple(-c for c in r) for i, r in enumerate(prs)]
 
 
 # ---- squarefree decomposition ----
 
 
-def _yun(f: IntCoeffs) -> List[Tuple[IntCoeffs, int]]:
+def _yun(f: IntCoeffs) -> Tuple[List[Tuple[IntCoeffs, int]], Optional[List[IntCoeffs]]]:
     """Yun on a primitive integer f: primitive factors with positive leading terms.
 
+    The first gcd is the last entry of the PRS of (f, prim f').  When it is a
+    constant, f is squarefree, and that PRS also gives the Sturm sequence of
+    the one factor, which is returned beside the factors (None otherwise).
     v and w are kept on one common scale (both are divided by the same
     factors), so z = w - v' is the scaled Fraction z.
     """
     d = derivative(f)
-    u = _pgcd(f, d)
+    prs = _prs(f, _primitive(d))
+    if len(prs[-1]) == 1:
+        seq = _sturm_signs(prs)
+        if f[-1] < 0:
+            seq = [tuple(-c for c in s) for s in seq]
+        return [(seq[0], 1)], seq
+    u = _normal(prs[-1])
     v, w = _exquo(f, u), _exquo(d, u)
     out: List[Tuple[IntCoeffs, int]] = []
     i = 1
@@ -185,7 +220,7 @@ def _yun(f: IntCoeffs) -> List[Tuple[IntCoeffs, int]]:
             out.append((h, i))
         v, w = _exquo(v, h), _exquo(z, h)
         i += 1
-    return out
+    return out, None
 
 
 def squarefree_factor(q) -> List[Tuple[PuiseuxPoly, int]]:
@@ -200,7 +235,7 @@ def squarefree_factor(q) -> List[Tuple[PuiseuxPoly, int]]:
     if len(cs) == 1:
         return []
     return [(poly_from_coeffs([Fraction(c, h[-1]) for c in h]), k)
-            for h, k in _yun(_integer_form(cs))]
+            for h, k in _yun(_integer_form(cs))[0]]
 
 
 # ---- Sturm machinery ----
@@ -211,17 +246,11 @@ def sturm_sequence(cs) -> List[IntCoeffs]:
 
     Each entry is a positive multiple of the classical Sturm polynomial
     (s_0 = cs, s_1 = cs', s_(i+1) = -rem(s_(i-1), s_i)), so sign variations
-    are the same: remainders are taken of positive multiples and divided by
-    their positive content.
+    are the same: it is the PRS of (f, prim f') with the signs of
+    _sturm_signs, f the integer form of cs.
     """
     f = _integer_form(cs)
-    seq = [f, _primitive(derivative(f))]
-    while seq[-1]:
-        rem = _prim_rem(seq[-2], seq[-1])
-        if not rem:
-            break
-        seq.append(tuple(-c for c in rem))
-    return [s for s in seq if s]
+    return _sturm_signs(_prs(f, _primitive(derivative(f)))) if f else []
 
 
 def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
@@ -232,12 +261,18 @@ def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
 
 
 def count_roots_halfopen(cs, lo, hi) -> int:
-    """Distinct real roots of cs in (lo, hi] (multiplicity ignored); 0 if lo >= hi."""
+    """Distinct real roots of cs in (lo, hi] (multiplicity ignored); 0 if lo >= hi.
+
+    One PRS of (f, prim f'): a squarefree f reads its Sturm sequence off it,
+    any other f takes the Sturm sequence of f / gcd(f, f').
+    """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
     f = _integer_form(coeffs_of(cs))
     if lo >= hi or len(f) < 2:
         return 0
-    seq = sturm_sequence(_exquo(f, _pgcd(f, derivative(f))) if len(f) > 2 else f)
+    prs = _prs(f, _primitive(derivative(f)))
+    seq = (_sturm_signs(prs) if len(prs[-1]) == 1
+           else sturm_sequence(_exquo(f, _normal(prs[-1]))))
     return _variations(seq, lo) - _variations(seq, hi)
 
 
@@ -257,15 +292,15 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(small + [n // i for i in small]))
 
 
-def _divides(d: int, n: int) -> bool:
-    return n == 0 if d == 0 else n % d == 0
-
-
 _DIVISOR_GUARD = 10 ** 12
 
 
-def _rational_roots(cs) -> List[Fraction]:
-    """Rational roots of a squarefree polynomial (without multiplicity)."""
+def _rational_roots(cs, signs: Tuple[int, ...] = (1, -1)) -> List[Fraction]:
+    """Rational roots of a squarefree polynomial (without multiplicity).
+
+    A root 0 is always found; the divisor search tries only nonzero roots
+    of the given signs.
+    """
     found: List[Fraction] = []
     work = cs
     # deflate powers of y first: 0 is the easy rational root
@@ -275,7 +310,7 @@ def _rational_roots(cs) -> List[Fraction]:
         k += 1
     if k:
         found.append(Fraction(0))
-    if len(work) <= 1:
+    if len(work) <= 1 or not signs:
         return found
     ics = _integer_form(work)
     if abs(ics[0]) > _DIVISOR_GUARD or abs(ics[-1]) > _DIVISOR_GUARD:
@@ -286,12 +321,14 @@ def _rational_roots(cs) -> List[Fraction]:
     f_minus_one = sum(ics[0::2]) - sum(ics[1::2])
     qs = _divisors(ics[-1])
     for p in _divisors(ics[0]):
+        sps = [s * p for s in signs]
         for q in qs:
-            if math.gcd(p, q) != 1:
-                continue  # the same value in lowest terms was tried earlier
-            for sp in (p, -p):
-                if (_divides(q - sp, f_one) and _divides(q + sp, f_minus_one)
-                        and _sign_at(ics, sp, q) == 0):
+            for sp in sps:
+                # the divisibility tests first, then lowest terms (a pair
+                # with a common factor was tried reduced), then the value
+                if ((f_one % (q - sp) if q != sp else f_one) == 0
+                        and (f_minus_one % (q + sp) if q != -sp else f_minus_one) == 0
+                        and math.gcd(p, q) == 1 and _sign_at(ics, sp, q) == 0):
                     found.append(Fraction(sp, q))
     return found
 
@@ -368,8 +405,18 @@ def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
         return []
 
     roots: List[IsolatedRoot] = []
-    for f, mult in _yun(_integer_form(cs)):
-        rationals = _rational_roots(f)
+    factors, shared = _yun(_integer_form(cs))
+    for f, mult in factors:
+        if shared is None:
+            rationals = _rational_roots(f)
+        else:
+            # f is squarefree with Sturm sequence shared: search only the
+            # signs that hold a real root (a root 0 is counted in (-b, 0])
+            b = cauchy_bound(f)
+            v_neg, v_zero, v_pos = (_variations(shared, t) for t in (-b, Fraction(0), b))
+            signs = (((1,) if v_zero > v_pos else ())
+                     + ((-1,) if v_neg - v_zero > (f[0] == 0) else ()))
+            rationals = _rational_roots(f, signs)
         g = f
         for r in rationals:  # (q t - p) is primitive
             g = _exquo(g, (-r.numerator, r.denominator))
@@ -377,10 +424,13 @@ def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
             roots.append(IsolatedRoot(lo=r - 1, hi=r, multiplicity=mult,
                                       exact_value=r, factor=f))
         if len(g) > 1:
-            b = cauchy_bound(g)
-            seq = sturm_sequence(g)
-            for ilo, ihi in _isolate_squarefree(g, -b, b, seq, _variations(seq, -b),
-                                                _variations(seq, b)):
+            if g is f and shared is not None:
+                seq = shared
+            else:
+                b = cauchy_bound(g)
+                seq = sturm_sequence(g)
+                v_neg, v_pos = _variations(seq, -b), _variations(seq, b)
+            for ilo, ihi in _isolate_squarefree(g, -b, b, seq, v_neg, v_pos):
                 roots.append(IsolatedRoot(lo=ilo, hi=ihi, multiplicity=mult,
                                           exact_value=None, factor=g))
 
@@ -411,8 +461,11 @@ def _halve(r: IsolatedRoot) -> IsolatedRoot:
     if r.exact_value is not None:
         return replace(r, lo=r.exact_value - r.width / 2, hi=r.exact_value)
     mid = _safe_cut(r.factor, r.lo, r.hi)
-    # squarefree factor changes sign across its single root in the interval
-    if _sign(r.factor, r.lo) * _sign(r.factor, mid) < 0:
+    # squarefree factor changes sign across its single root in the interval;
+    # at a root lo the sign left of the root is minus the sign at hi (0 when
+    # hi is the root, which keeps the upper half)
+    s_lo = _sign(r.factor, r.lo) or -_sign(r.factor, r.hi)
+    if s_lo * _sign(r.factor, mid) < 0:
         return replace(r, hi=mid)
     return replace(r, lo=mid)
 
@@ -549,7 +602,7 @@ def refine_root(r: IsolatedRoot, width) -> IsolatedRoot:
         den = math.lcm(r.lo.denominator, r.hi.denominator)
         a = r.lo.numerator * (den // r.lo.denominator)
         b = r.hi.numerator * (den // r.hi.denominator)
-        s_lo = _sign_at(ics, a, den)
+        s_lo = _sign_at(ics, a, den) or -_sign_at(ics, b, den)  # as in _halve
         while (b - a) * w_den > w_num * den:
             m = a + b
             s = _sign_at(ics, m, 2 * den)
