@@ -27,6 +27,9 @@ report and run writes it, so a subcommand that raises leaves no partial
 outputs.  Reports carry no timestamps and serialize with sorted keys so
 equal runs produce equal bytes; rationals appear as
 "num/den" strings.  NEWTON_SUBLEVEL_THREADS caps sampling parallelism.
+
+numpy is imported inside the functions that use it, here as in measure_lab and
+resolve, so analyze, adapt, resolve and sweep run without loading it.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import __version__
 from .adapt import _require_critical, to_superadapted
@@ -487,6 +488,7 @@ def _phase(text: str) -> PhaseExpr:
 
 def _parse_range(spec: str) -> List[float]:
     """LO..HI[:COUNT] -> geometric grid, order as written."""
+    import numpy as np
     malformed = argparse.ArgumentTypeError(f"expects LO..HI[:COUNT], got {spec!r}")
     body, _, cnt = spec.partition(":")
     lo, sep, hi = body.partition("..")
@@ -821,6 +823,7 @@ def _random_vdc_instance(rng: np.random.Generator, k: int):
 
 
 def _cmd_check_vdc(args) -> _Report:
+    import numpy as np
     per_k = args.samples if args.samples is not None else 200
     seed = args.seed
     interval = (Fraction(0), Fraction(1))

@@ -17,6 +17,10 @@ y^0, a leading 0.0 +) are exact up to the sign of a zero, which |S| < eps does
 not see.  A grid call (a sequence of epsilon to sublevel_measure, a lambda grid
 to decay_pairs) is bit-identical to one call per value: the values share the
 sample points, grids and quadrature nodes, and each keeps its own counts and sums.
+
+numpy (and concurrent.futures) is imported inside the functions that use it,
+so importing this module, and the package, leaves numpy unloaded until the
+first numeric call.
 """
 
 from __future__ import annotations
@@ -25,12 +29,9 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
-
-import numpy as np
 
 from .exact_poly import PuiseuxPoly
 from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
@@ -159,6 +160,7 @@ def _eval_curve(terms, X):
 
 
 def _bounding_box(region: Region) -> Tuple[float, float, float, float]:
+    import numpy as np
     if isinstance(region, Disk):
         r = region.radius
         return (-r, r, -r, r)
@@ -174,6 +176,7 @@ def _bounding_box(region: Region) -> Tuple[float, float, float, float]:
 
 
 def _member_mask(region: Region, X, Y):
+    import numpy as np
     if isinstance(region, Disk):
         return X * X + Y * Y < region.radius ** 2
     if isinstance(region, SectorProduct):
@@ -205,6 +208,7 @@ def _eval_phase(terms, X, Y):
     """S at the points of X and Y broadcast together.  Given an (n, 1) column
     and a (1, m) row, the powers are taken per axis and only the products
     fill the (n, m) grid; each element sees the same operations either way."""
+    import numpy as np
     shape = np.broadcast_shapes(X.shape, Y.shape)
     vals = (_term(c, *[X ** a] * (a != 0), *[Y ** b] * (b != 0)) for c, a, b in terms)
     out = next(vals, 0.0)
@@ -219,6 +223,7 @@ def _eval_phase(terms, X, Y):
 
 
 def _mc_block(args):
+    import numpy as np
     terms, region, box, eps, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(seed).jumped(block + 1))
     X, Y = rng.random(count), rng.random(count)
@@ -239,6 +244,7 @@ def _mc_samples(terms, region, box, area, eps, n, seed, threads):
     # more workers than blocks or cores would only start idle threads
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(_mc_block, blocks))
     else:
@@ -264,6 +270,7 @@ def _mc_samples(terms, region, box, area, eps, n, seed, threads):
 def _grid_estimates(terms, region, box, area, eps, d: int) -> Tuple[List[float], int]:
     """Midpoint-rule estimates on the 2^d x 2^d grid, one per epsilon, and the
     number of cells inside the region."""
+    import numpy as np
     n_axis = 1 << d
     x0, x1, y0, y1 = box
     xs = x0 + (x1 - x0) * (np.arange(n_axis) + 0.5) / n_axis
@@ -320,6 +327,7 @@ def sublevel_measure(p: PuiseuxPoly, region: Region, epsilon,
     difference against depth-1.  The closed form for a monomial phase on a
     monomial curved triangle is monomial_measure_exact.
     """
+    import numpy as np
     single = np.ndim(epsilon) == 0
     eps = [float(e) for e in ([epsilon] if single else epsilon)]
     if not all(0.0 < e < math.inf for e in eps):
@@ -410,6 +418,7 @@ def monomial_measure_exact(a, alpha, beta, m, N, x0, epsilon) -> MonomialMeasure
 
 
 def _wls(A, target, w):
+    import numpy as np
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(A * sw[:, None], target * sw, rcond=None)
     resid = A @ coef - target
@@ -419,6 +428,7 @@ def _wls(A, target, w):
 
 def _two_regressor_fit(xvals, yvals, log_reg, span_decades, what, fitted,
                        weights=None):
+    import numpy as np
     x = np.asarray(xvals, dtype=float)
     y = np.asarray(yvals, dtype=float)
     if len(x) < 4:
@@ -465,6 +475,7 @@ def fit_growth(samples: Sequence[MeasureSample]) -> FitResult:
     precisely as the best noisy one).  p is chosen by the log-presence ratio
     test, and the continuous p_hat of the free fit is reported alongside.
     """
+    import numpy as np
     eps = [s.epsilon for s in samples]
     est = [s.estimate for s in samples]
     if len(set(eps)) != len(eps):
@@ -657,6 +668,7 @@ def _polar_level(degrees, cutoff: Cutoff, level: int,
     lam in run.  In polar coordinates rho = r*t the bump is the 1-D weight
     (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta).  Only
     the angles of _angle_fold's run are evaluated."""
+    import numpy as np
     panels, angles = _PANELS0 << level, _ANGLES0 << level
     first, count, ends, weight, odd = _angle_fold(degrees, angles)
     gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES)

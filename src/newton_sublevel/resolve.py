@@ -18,6 +18,9 @@ recursive sector again has a monomial roof.
 
 Only x is ever ramified: branch curves may carry fractional powers of x,
 but y stays polynomial, and the chart maps all have Jacobian ±1.
+
+The engine is exact.  numpy serves only the float oracle verify_chart, and is
+imported inside the functions that use it, so resolving never loads it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .adapt import _require_critical
 from .exact_poly import (
@@ -724,6 +725,7 @@ def _unit_points(samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sample positions (t, w) of verify_chart, read-only: the point is
     x = x_max·t, y = lower + (upper - lower)·w.  The seeded quasi-random
     points come first, then the probe grid (t outer, w inner)."""
+    import numpy as np
     phi1 = 0.6180339887498949
     phi2 = 0.7548776662466927
     s1 = math.modf(seed * 0.8191725133961645 + 0.1375)[0]
@@ -765,6 +767,7 @@ class _Powers:
         self._tables: Dict[object, np.ndarray] = {}
 
     def __getitem__(self, e) -> np.ndarray:
+        import numpy as np
         t = self._tables.get(e)
         if t is None:
             t = np.fromiter(map(self._pw, self._vals, repeat(e)), float, self.n)
@@ -774,6 +777,7 @@ class _Powers:
 
 def _sum_terms(terms, X: _Powers, Y: _Powers) -> np.ndarray:
     """sum cf·x^a·y^b per point, with the scalar loop's operations in order."""
+    import numpy as np
     tot = np.zeros(X.n)
     for cf, a, b in terms:
         v = cf * X[a]
@@ -792,6 +796,7 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _fold_max(v: np.ndarray) -> float:
     """max(0.0, v[0], v[1], ...) as Python folds it: a NaN never wins."""
+    import numpy as np
     m = np.max(v, initial=0.0, where=~np.isnan(v))
     return float(m) if m > 0.0 else 0.0
 
@@ -833,6 +838,7 @@ def verify_chart(p: PuiseuxPoly, c: Chart, samples: int = 1000,
     raises ZeroDivisionError, and an overflowing power raises libm's
     OverflowError.
     """
+    import numpy as np
     b_coef, alpha, beta = c.monomial
     bf, af = float(b_coef), float(alpha)
     if bf == 0.0:

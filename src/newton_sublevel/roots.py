@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from typing import List, Optional, Sequence, Tuple
 
@@ -286,10 +287,14 @@ def cauchy_bound(cs) -> Fraction:
 # ---- rational root extraction ----
 
 
-def _divisors(n: int) -> List[int]:
+@lru_cache(maxsize=256)
+def _divisors(n: int) -> Tuple[int, ...]:
+    """The positive divisors of |n| in increasing order (none for 0), by
+    trial division up to sqrt|n|; memoised, as a search meets the same
+    coefficients again and again."""
     n = abs(n)
     small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
-    return sorted(set(small + [n // i for i in small]))
+    return tuple(sorted(set(small + [n // i for i in small])))
 
 
 _DIVISOR_GUARD = 10 ** 12

@@ -1,5 +1,6 @@
 """Sublevel measures, exact monomial formulas, fits, 1-D bounds, oscillation."""
 
+import concurrent.futures
 import csv
 import io
 import math
@@ -180,7 +181,8 @@ def test_mc_pool_is_capped_by_blocks_and_cores(monkeypatch):
     for blocks in (3, 6):
         want[blocks] = sublevel_measure(p, Disk(1.0), 1e-2, budget=blocks * (1 << 16) - 5,
                                         seed=3)
-    monkeypatch.setattr(measure_lab, "ThreadPoolExecutor", Pool)
+    # _mc_samples imports the pool class when it needs one, so patch it at its source
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
     for cores, threads, blocks, size in [(4, 10 ** 6, 6, 4), (4, 10 ** 6, 3, 3),
                                          (4, 2, 6, 2), (None, 10 ** 6, 6, None),
                                          (4, 1, 6, None), (1, 8, 6, None)]:

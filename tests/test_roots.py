@@ -18,6 +18,7 @@ from newton_sublevel.roots import (
     _DIVISOR_GUARD,
     IsolatedRoot,
     _depth,
+    _divisors,
     _integer_form,
     _pgcd,
     _prim_rem,
@@ -425,6 +426,15 @@ def test_rational_roots_match_fraction_reference(cs):
         return
     cs = tuple(cs)
     assert _rational_roots(cs) == _ref_rational_roots(cs)
+
+
+@pytest.mark.parametrize("ns", [range(-2000, 2001)] + [
+    (10 ** e - 1, 10 ** e, 10 ** e + 1) for e in range(2, 7)])
+def test_divisors_match_trial_division(ns):
+    for n in ns:
+        got = _divisors(n)
+        assert type(got) is tuple and list(got) == _ref_divisors(n)
+        assert _divisors(n) is got      # the memo hands back the same tuple
 
 
 @st.composite
