@@ -7,7 +7,10 @@ C * eps^j * |ln eps|^p and the decay law D * lam^-j * (ln lam)^p, a van der
 Corput bound checker whose hypothesis is certified by root isolation, and
 polar quadrature (Gauss-Legendre in the radius, the periodic trapezoid rule
 in the angle) for oscillatory integrals with a fixed polynomial bump cutoff,
-whose work is bounded before it starts.
+whose work is bounded before it starts.  The quadrature evaluates one angle
+per orbit of the phase's symmetries: one per circle for a phase that is
+exactly rotation-invariant (x^2 + y^2), otherwise one per orbit of the
+reflections that map S to +-S.
 
 Determinism contract: estimates depend only on (seed, budget).  Monte Carlo
 uses one PCG64 stream per fixed-size block (jumped streams, integer counts),
@@ -26,6 +29,7 @@ first numeric call.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import os
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .exact_poly import PuiseuxPoly
+from .exact_poly import PuiseuxPoly, deriv_x, deriv_y, poly_add, poly_mul
 from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
                     isolate_real_roots, poly_value, refine_root)
 
@@ -193,13 +197,14 @@ def _member_mask(region: Region, X, Y):
 
 
 def _phase_terms(p: PuiseuxPoly, needs_negative_x: bool):
-    """Float view [(c, a, b)]; integer-x-exponent check when x < 0 occurs."""
+    """Float view [(c, a, b)].  needs_negative_x (the domain is a disk, the
+    one region that crosses x = 0) requires integer x-exponents."""
     terms = []
     for (a, b), c in p.items():
         if needs_negative_x and a != int(a):
             raise ValueError(
-                "phase has fractional x-exponents but the region crosses x = 0; "
-                "use an x > 0 region")
+                "phase has fractional x-exponents, but the disk crosses x = 0, "
+                "where a fractional power is undefined")
         terms.append((float(c), (int(a) if a == int(a) else float(a)), int(b)))
     return terms
 
@@ -634,19 +639,36 @@ def _parity_sign(exponents) -> int:
     return -1 if parities == {1} else 1
 
 
-def _angle_fold(degrees, angles: int) -> Tuple[int, int, bool, int, bool]:
-    """(first, count, ends, weight, odd): the reflections that map S to +-S,
-    read from its integer exponents, as a contiguous run of orbit
-    representatives among the angles 2*pi*j/angles (angles divisible by 4).
+def _rotation_invariant(p: PuiseuxPoly) -> bool:
+    """Whether x dS/dy - y dS/dx, the angular derivative of S in polar
+    coordinates, is exactly zero: S is constant on every circle about the
+    origin.  Decided on the exact terms of p, its truncation order dropped,
+    since the quadrature evaluates every stored term."""
+    p = PuiseuxPoly(p.terms)
+    x, minus_y = PuiseuxPoly.monomial(1, 1, 0), PuiseuxPoly.monomial(-1, 0, 1)
+    return poly_add(poly_mul(x, deriv_y(p)), poly_mul(minus_y, deriv_x(p))).is_zero()
 
-    x -> -x (theta -> pi - theta) maps S to +-S when all x-exponents share a
-    parity, y -> -y (theta -> -theta) likewise with the y-exponents, and
-    (x, y) -> (-x, -y) (theta -> theta + pi) with the total degrees.  The
-    cutoff is radial and the angle grid maps onto itself, so each circle sum
-    is weight times the sum over the run, its two ends halved when ends is
-    set (a fixed angle's orbit is half the size of the others).  odd: some
-    reflection negates S, so every circle sum of sin(lam S) is exactly 0.
+
+def _angle_fold(degrees, angles: int,
+                rotational: bool) -> Tuple[int, int, bool, int, bool]:
+    """(first, count, ends, weight, odd): the symmetries that map S to +-S, as
+    a contiguous run of orbit representatives among the angles 2*pi*j/angles
+    (angles divisible by 4).
+
+    A rotation-invariant S (rotational, from _rotation_invariant) is constant
+    on each circle, whose angles then form one orbit: the run is theta = 0
+    alone, weighted by angles.  Otherwise the reflections are read from the
+    integer exponents of S: x -> -x (theta -> pi - theta) maps S to +-S when
+    all x-exponents share a parity, y -> -y (theta -> -theta) likewise with
+    the y-exponents, and (x, y) -> (-x, -y) (theta -> theta + pi) with the
+    total degrees.  The cutoff is radial and the angle grid maps onto itself,
+    so each circle sum is weight times the sum over the run, its two ends
+    halved when ends is set (a fixed angle's orbit is half the size of the
+    others).  odd: some reflection negates S, so every circle sum of
+    sin(lam S) is exactly 0.
     """
+    if rotational:
+        return 0, 1, False, angles, False
     terms = [(a, b) for group in degrees.values() for _, a, b in group]
     sx = _parity_sign(a for a, _ in terms)
     sy = _parity_sign(b for _, b in terms)
@@ -662,19 +684,31 @@ def _angle_fold(degrees, angles: int) -> Tuple[int, int, bool, int, bool]:
     return 0, angles, False, 1, False
 
 
-def _polar_level(degrees, cutoff: Cutoff, level: int,
-                 run: List[float]) -> List[complex]:
+@functools.cache
+def _gauss_legendre():
+    """The _NODES-node Gauss-Legendre rule on [-1, 1], (nodes, weights), built
+    once per process and read-only, since every ladder level shares it."""
+    import numpy as np
+    rule = np.polynomial.legendre.leggauss(_NODES)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _polar_level(degrees, cutoff: Cutoff, level: int, run: List[float],
+                 rotational: bool) -> List[complex]:
     """Estimates of the integral of e^{i lam S} phi at one ladder level, one per
     lam in run.  In polar coordinates rho = r*t the bump is the 1-D weight
     (1 - t^2)^order, and S is sum over degrees d of t^d (x) A_d(theta).  Only
     the angles of _angle_fold's run are evaluated."""
     import numpy as np
     panels, angles = _PANELS0 << level, _ANGLES0 << level
-    first, count, ends, weight, odd = _angle_fold(degrees, angles)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_NODES)
+    first, count, ends, weight, odd = _angle_fold(degrees, angles, rotational)
+    gl_x, gl_w = _gauss_legendre()
     t = ((np.arange(panels)[:, None] + 0.5 + 0.5 * gl_x[None, :]) / panels).ravel()
     # Gauss-Legendre in rho (Jacobian r*rho) times the periodic trapezoid in
-    # theta, times the orbit weight (a power of two, so the scaling is exact)
+    # theta, times the orbit weight (for a reflection a power of two, so the
+    # scaling is exact; for a rotation the angle count, which rounds once)
     r = float(cutoff.radius)
     w = (np.tile(gl_w, panels) * (weight * math.pi * r * r / (panels * angles))
          * t * (1.0 - t * t) ** cutoff.order)
@@ -722,7 +756,9 @@ def oscillatory_integral(p: PuiseuxPoly, cutoff: Cutoff, lam,
     refused before any work; it and a lam that does not converge by depth
     raise RuntimeError carrying the last estimate (nan for a refused lam)
     in .achieved.  Negative lam is evaluated by conjugation of the
-    positive-lam integral.  This is decay_pairs on a one-value grid.
+    positive-lam integral.  Each level evaluates one angle per symmetry orbit
+    of S (decay_pairs): a single angle for a rotation-invariant phase.  This
+    is decay_pairs on a one-value grid.
     """
     return decay_pairs(p, cutoff, [lam], depth=depth)[0][1]
 
@@ -742,13 +778,16 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
     RuntimeError of the first such lam in input order is raised (for a
     negative lam, that of |lam|).
 
-    Each level evaluates one angle per orbit of the reflections x -> -x,
-    y -> -y and (x, y) -> (-x, -y) that map S to +-S (_angle_fold).  The fold
-    is exact: the cutoff is radial and the angles 2*pi*j/M, with M divisible
-    by 4, map onto themselves under each reflection.  If one negates S, the
-    sine sums are exactly 0 and im is 0.0.  A phase with none of these
-    symmetries gives the unfolded sum bit for bit; with them, estimates move
-    from it by rounding only (at most 1e-13 relative on the catalog).
+    Each level evaluates one angle per orbit of the symmetries that map S to
+    +-S (_angle_fold).  A phase with x dS/dy - y dS/dx = 0 exactly, such as
+    x^2 + y^2, is constant on every circle and evaluates theta = 0 alone,
+    weighted by the angle count M.  Any other phase folds over the reflections
+    x -> -x, y -> -y and (x, y) -> (-x, -y): the cutoff is radial and the
+    angles 2*pi*j/M, with M divisible by 4, map onto themselves under each
+    one.  If a reflection negates S, the sine sums are exactly 0 and im is
+    0.0.  A phase with none of these symmetries gives the unfolded sum bit for
+    bit; with them, estimates move from it by rounding only (at most 1e-13
+    relative on the catalog).
     """
     lams = [float(l) for l in lams]
     if not all(math.isfinite(l) for l in lams):
@@ -783,6 +822,7 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
                 f"than depth {depth}")
             err.achieved = complex(math.nan, math.nan)
             raise err
+    rotational = _rotation_invariant(p)
     active = list(dict.fromkeys(keys))
     prev: Dict[str, complex] = {}
     done: Dict[str, complex] = {}
@@ -790,8 +830,8 @@ def decay_pairs(p: PuiseuxPoly, cutoff: Cutoff, lams: Sequence[float],
         if not active:
             break
         run = [key for key in active if start[key] <= level]
-        ests = _polar_level(degrees, cutoff, level,
-                            [float.fromhex(key) for key in run]) if run else []
+        ests = _polar_level(degrees, cutoff, level, [float.fromhex(key) for key in run],
+                            rotational) if run else []
         for key, cur in zip(run, ests):
             if key in prev and abs(cur - prev[key]) <= max(_RTOL * abs(cur), _ATOL):
                 done[key] = cur

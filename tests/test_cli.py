@@ -502,6 +502,11 @@ def test_oscillate_refuses_unbounded_work(tmp_path, capsys, argv):
     (["measure", "0"], "zero phase"),
     (["measure", "1+x^2"], "critical point"),
     (["oscillate", "x^(1/2) + y", "--lambda", "50..100:2"], "critical point"),
+    # neither command takes a region: the message names the disk, not a remedy
+    (["oscillate", "x^(1/2)*y + y^2", "--lambda", "50..100:2"],
+     "the disk crosses x = 0, where a fractional power is undefined"),
+    (["measure", "x^(1/2)*y + y^2"],
+     "the disk crosses x = 0, where a fractional power is undefined"),
 ])
 def test_exit_1_with_failure_marker(tmp_path, argv, needle):
     start = time.monotonic()

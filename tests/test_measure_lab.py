@@ -18,6 +18,7 @@ from newton_sublevel import (
     Cutoff,
     Disk,
     MeasureSample,
+    PuiseuxPoly,
     SectorProduct,
     curved_triangle,
     decay_coefficient_cap,
@@ -267,7 +268,7 @@ def test_grid_estimator_covers_truth():
 def test_mc_rejects_fractional_x_when_region_crosses_zero():
     p = phase((1, Fraction(1, 2), 0), (1, 0, 2))
     for method, budget in (("MC", 1000), ("GRID", 4)):
-        with pytest.raises(ValueError, match="region crosses x = 0"):
+        with pytest.raises(ValueError, match="disk crosses x = 0"):
             sublevel_measure(p, Disk(1.0), 1e-3, budget=budget, method=method)
 
 
@@ -464,10 +465,10 @@ def test_decay_pairs_nonconvergence_carries_the_last_estimate():
         oscillatory_integral(p, Cutoff(1.0, 3), 50.0, depth=1)
     assert str(info.value) == (
         "oscillatory quadrature did not converge by level 1 (6 panels x 96 angles); "
-        "last estimate (0.0037697966307250388+0.0626802675010492j)")
+        "last estimate (0.0037697966307250527+0.06268026750104921j)")
     got = info.value.achieved
     assert (float.hex(got.real), float.hex(got.imag)) == (
-        "0x1.ee1d627baa7acp-9", "0x1.00bd063058383p-4")
+        "0x1.ee1d627baa7ccp-9", "0x1.00bd063058384p-4")
     # the unfolded ladder's estimate, (0.003769796630725011+0.06268026750104917j)
     unfolded = complex(float.fromhex("0x1.ee1d627baa76cp-9"),
                        float.fromhex("0x1.00bd063058381p-4"))
@@ -493,8 +494,12 @@ def _unfolded_level(degrees, level, lam):
 
 # class -> (terms that pin the class, parities (of a, of b, of a + b) that the
 # random extra terms keep, angles evaluated of 48, sine skipped); None leaves
-# a parity free.  Each class's pinning terms break the symmetries it lacks.
+# a parity free.  Each reflection class's pinning terms break the symmetries
+# it lacks, and its levels run the reflection fold even where the draw
+# happens to be rotation-invariant.  The rotation class draws
+# sum c_k (x^2 + y^2)^k instead (_rotation_phases).
 _FOLD_CLASSES = {
+    "rotation": (None, None, 1, False),
     "x-even": ([(0, 2), (2, 1)], (0, None, None), 25, False),
     "x-odd": ([(1, 1), (1, 2)], (1, None, None), 25, True),
     "y-even": ([(2, 0), (3, 0)], (None, 0, None), 25, False),
@@ -509,7 +514,21 @@ _FOLD_CLASSES = {
 
 
 @st.composite
+def _rotation_phases(draw):
+    """Terms (c, a, b) of sum over k <= 3 of c_k (x^2 + y^2)^k, c_1..c_3 not
+    all zero, with an optional constant c_0."""
+    coeff = st.integers(-3, 3)
+    cs = draw(st.lists(coeff, min_size=3, max_size=3).filter(any))
+    terms = [(draw(coeff), 0, 0)] if draw(st.booleans()) else []
+    for k, c in enumerate(cs, start=1):
+        terms += [(c * math.comb(k, i), 2 * i, 2 * (k - i)) for i in range(k + 1) if c]
+    return terms
+
+
+@st.composite
 def _fold_phases(draw, name):
+    if name == "rotation":
+        return draw(_rotation_phases())
     pinned, (pa, pb, pd), _, _ = _FOLD_CLASSES[name]
     extra = []
     for _ in range(draw(st.integers(0, 3))):
@@ -518,7 +537,10 @@ def _fold_phases(draw, name):
                 pd is None or (a + b) % 2 == pd):
             extra.append((a, b))
     coeff = st.integers(-3, 3).filter(bool).map(float)
-    terms = [(draw(coeff), a, b) for a, b in pinned + extra]
+    return [(draw(coeff), a, b) for a, b in pinned + extra]
+
+
+def _degrees(terms):
     degrees = {}
     for c, a, b in terms:
         degrees.setdefault(a + b, []).append((c, a, b))
@@ -535,13 +557,17 @@ _BUMP_MASS = math.pi / 4
 @pytest.mark.parametrize("name", sorted(_FOLD_CLASSES))
 def test_folded_level_equals_the_unfolded_sum(name):
     _, _, count, odd = _FOLD_CLASSES[name]
+    rotational = name == "rotation"
 
     @given(_fold_phases(name))
-    def check(degrees):
-        assert measure_lab._angle_fold(degrees, 48)[1] == count
+    def check(terms):
+        degrees = _degrees(terms)
+        if rotational:
+            assert measure_lab._rotation_invariant(phase(*terms))
+        assert measure_lab._angle_fold(degrees, 48, rotational)[1] == count
         for level in range(3):
             lams = [10.0, 200.0]
-            got = measure_lab._polar_level(degrees, Cutoff(1.0, 3), level, lams)
+            got = measure_lab._polar_level(degrees, Cutoff(1.0, 3), level, lams, rotational)
             for lam, est in zip(lams, got):
                 want = _unfolded_level(degrees, level, lam)
                 assert abs(est - want) <= 1e-13 * _BUMP_MASS
@@ -551,16 +577,25 @@ def test_folded_level_equals_the_unfolded_sum(name):
 
 
 def test_folded_ladder_matches_named_phases():
-    # the model phases of the catalog and the paper fold as their exponents say
-    for expr, count, odd in (("x^2 + y^2", 13, False), ("x*y", 13, True),
+    # the model phases of the catalog and the paper fold as their symmetries
+    # say; the near misses of rotation invariance keep the reflection fold
+    for expr, count, odd in (("x^2 + y^2", 1, False), ("(x^2 + y^2)^2", 1, False),
+                             ("x^2 + 2*y^2", 13, False), ("x^2 + y^2 + x^4", 13, False),
+                             ("(x^2 + y^2)^2 + x^2*y^2", 13, False),
+                             ("x^2 + y^2 + 10^(-30)*x^4", 13, False),
+                             ("x*y", 13, True),
                              ("y^2 - x^3", 25, False), ("x^2*y^2 + x^5", 25, False),
                              ("(y - x^2)^2", 25, False), ("x^3 + x^2*y + x*y^2", 24, True),
                              ("y^2 - x^3 + x^2*y", 48, False)):
-        degrees = {}
-        for c, a, b in measure_lab._phase_terms(parse_expression(expr).poly, True):
-            degrees.setdefault(a + b, []).append((c, a, b))
-        _, got_count, _, _, got_odd = measure_lab._angle_fold(degrees, 48)
+        p = parse_expression(expr).poly
+        degrees = _degrees(measure_lab._phase_terms(p, True))
+        rotational = measure_lab._rotation_invariant(p)
+        _, got_count, _, _, got_odd = measure_lab._angle_fold(degrees, 48, rotational)
         assert (got_count, got_odd) == (count, odd), expr
+    # a truncation order hides no term from the decision: x^3 breaks the
+    # symmetry although y*dS/dx would cut its x^2*y at degree 5/2
+    truncated = PuiseuxPoly.from_terms([(1, 2, 0), (1, 0, 2), (1, 3, 0)], Fraction(7, 2))
+    assert not measure_lab._rotation_invariant(truncated)
     assert oscillatory_integral(parse_expression("x*y").poly, Cutoff(1.0, 3), 50.0).imag == 0.0
 
 

@@ -135,10 +135,19 @@ DECAY_CASES = {
     "x^2*y^2 + x^5": [float(v) for v in np.geomspace(10, 200, 4)],   # 10..200:4
     "x^2 + y^2": [200.0, -400.0, 800.0, 200.0],   # a negative and a repeated lambda
     "y^2 - x^3 + x^2*y": [float(v) for v in np.geomspace(10, 200, 4)],
+    # near misses of rotation invariance, each a coefficient or a term away
+    "x^2 + 2*y^2": [float(v) for v in np.geomspace(10, 200, 4)],
+    "x^2 + y^2 + x^4": [float(v) for v in np.geomspace(10, 200, 4)],
+    "(x^2 + y^2)^2 + x^2*y^2": [float(v) for v in np.geomspace(10, 200, 4)],
+    "x^2 + y^2 + 10^(-30)*x^4": [float(v) for v in np.geomspace(10, 200, 4)],
 }
 # recorded from the polar ladder with its angles folded over the phase's
-# reflection symmetries; y^2 - x^3 + x^2*y has none, so its quadrature runs
-# over every angle and its values are the unfolded ladder's, bit for bit
+# symmetries.  x^2 + y^2 is rotation-invariant and evaluates one angle per
+# circle.  The near misses are not, however small the term that breaks it,
+# and keep the reflection fold: their values are the ones recorded before
+# rotations were folded, bit for bit.  y^2 - x^3 + x^2*y has no symmetry, so
+# its quadrature runs over every angle and its values are the unfolded
+# ladder's, bit for bit
 DECAY_HEX = {
     "x^2*y^2 + x^5": [
         ("0x1.4000000000000p+3", "0x1.76d8b5c21388fp-1", "0x1.aad234171db2fp-5"),
@@ -147,9 +156,33 @@ DECAY_HEX = {
         ("0x1.9000000000000p+7", "0x1.869f806f80d23p-2", "0x1.fbe51617b1fccp-4"),
     ],
     "x^2 + y^2": [
-        ("0x1.9000000000000p+7", "0x1.ee1dfc29cf9c0p-13", "0x1.01520c239cfb5p-6"),
-        ("-0x1.9000000000000p+8", "0x1.ee1ed11086580p-15", "-0x1.01597f4c8cca6p-7"),
-        ("0x1.9000000000000p+9", "0x1.ee20a7f16ed00p-17", "0x1.015b5b2f914dcp-8"),
+        ("0x1.9000000000000p+7", "0x1.ee1dfc29cf388p-13", "0x1.01520c239cfb8p-6"),
+        ("-0x1.9000000000000p+8", "0x1.ee1ed110848e0p-15", "-0x1.01597f4c8cc93p-7"),
+        ("0x1.9000000000000p+9", "0x1.ee20a7f168980p-17", "0x1.015b5b2f9150fp-8"),
+        ("0x1.9000000000000p+7", "0x1.ee1dfc29cf388p-13", "0x1.01520c239cfb8p-6"),
+    ],
+    "x^2 + 2*y^2": [
+        ("0x1.4000000000000p+3", "0x1.9349f47ecd505p-5", "0x1.b622dd456018dp-3"),
+        ("0x1.b24e8baad9d29p+4", "0x1.bb8ab9f290e10p-8", "0x1.4d989f804ea80p-4"),
+        ("0x1.26b8f710478bep+6", "0x1.e2995e70b419ep-11", "0x1.eda577bb11a3ap-6"),
+        ("0x1.9000000000000p+7", "0x1.060b4f5c9bf60p-13", "0x1.6bedb57f1df7cp-7"),
+    ],
+    "x^2 + y^2 + x^4": [
+        ("0x1.4000000000000p+3", "0x1.9824d3deb6b7bp-4", "0x1.1c63f7f856aebp-2"),
+        ("0x1.b24e8baad9d29p+4", "0x1.fa59704e956dcp-7", "0x1.d09560c3c6e67p-4"),
+        ("0x1.26b8f710478bep+6", "0x1.1af5896b62fc5p-9", "0x1.5c45901c9ca02p-5"),
+        ("0x1.9000000000000p+7", "0x1.349bccf35c081p-12", "0x1.01419d2ce7257p-6"),
+    ],
+    "(x^2 + y^2)^2 + x^2*y^2": [
+        ("0x1.4000000000000p+3", "0x1.0b24f5bab0b41p-1", "0x1.f7be8c4a41d6cp-3"),
+        ("0x1.b24e8baad9d29p+4", "0x1.5d494e88ef800p-2", "0x1.c1919b3f67ad1p-3"),
+        ("0x1.26b8f710478bep+6", "0x1.b440653239c3ap-3", "0x1.4ed5a3b220de3p-3"),
+        ("0x1.9000000000000p+7", "0x1.0babec6ef58dap-3", "0x1.c8250157b6fb1p-4"),
+    ],
+    "x^2 + y^2 + 10^(-30)*x^4": [
+        ("0x1.4000000000000p+3", "0x1.73d6ffe3eeb23p-4", "0x1.2d58d9f73bb27p-2"),
+        ("0x1.b24e8baad9d29p+4", "0x1.a1867acd46c4fp-7", "0x1.d653fc98d6588p-4"),
+        ("0x1.26b8f710478bep+6", "0x1.c6e7be87d3600p-10", "0x1.5ce627e754a9ap-5"),
         ("0x1.9000000000000p+7", "0x1.ee1dfc29cf9c0p-13", "0x1.01520c239cfb5p-6"),
     ],
     "y^2 - x^3 + x^2*y": [
