@@ -6,16 +6,18 @@ Phase expressions follow a small grammar, parsed by recursive descent:
     term     := factor ('*'? factor)*
     factor   := base ('^' exponent)?
     base     := 'x' | 'y' | rational | '(' expr ')'
-    exponent := '-'? rational | '(' '-'? rational ')'
+    exponent := '-'? INT | '(' '-'? rational ')'
     rational := INT ('/' INT)?
 
 Coefficient arithmetic is exact; x may carry nonnegative rational powers,
-y only nonnegative integer ones.  Subcommands write JSON/CSV reports under
---out.  Each subcommand takes only the flags it reads (the _COMMANDS table);
-any other flag is a usage error.  --config FILE gives "key = value" defaults
-for the chosen subcommand's flags: explicit flags win, a key naming a flag of
-another subcommand is ignored, an unknown key is an error, and a value goes
-through the same converter as the flag's own.
+y only nonnegative integer ones.  A fractional exponent needs parentheses,
+x^(3/2), as format_poly prints it: x^3/2 is a parse error at the '/'.
+Subcommands write JSON/CSV reports under --out.  Each subcommand takes only
+the flags it reads (the _COMMANDS table); any other flag is a usage error.
+--config FILE gives "key = value" defaults for the chosen subcommand's
+flags: explicit flags win, a key naming a flag of another subcommand is
+ignored, an unknown key is an error, and a value goes through the same
+converter as the flag's own.
 
 Exit codes: 0 on success; 1 on usage or parse errors and on input outside
 the model (a ValueError); 2 when a construction or proof step fails (a
@@ -237,15 +239,27 @@ class _Parser:
             return factors[0]
         return Prod(tuple(factors))
 
-    # factor := base ('^' exponent)?
+    # factor := base ('^' exponent)?  -- the exponent must suit the base
     def factor(self) -> Node:
         b = self.base()
         t = self.peek()
-        if t.kind == "OP" and t.text == "^":
-            self.advance()
-            e = self.exponent()
-            return Pow(b, e)
-        return b
+        if not (t.kind == "OP" and t.text == "^"):
+            return b
+        self.advance()
+        e = self.exponent()
+        neg, frac = e < 0, e.denominator != 1
+        if b == Var("x"):
+            bad = neg and "negative x-power"
+        elif b == Var("y"):
+            bad = (neg or frac) and "negative or fractional y-power"
+        elif isinstance(b, Lit):
+            bad = (frac and "fractional power of a rational literal"
+                   or neg and b.value == 0 and "zero raised to a negative power")
+        else:
+            bad = (neg or frac) and "compound bases take nonnegative integer powers only"
+        if bad:
+            raise ParseError(bad, t.line, t.col)
+        return Pow(b, e)
 
     def base(self) -> Node:
         t = self.peek()
@@ -263,7 +277,8 @@ class _Parser:
             f"expected 'x', 'y', a rational, or '(', found {t.text or 'end of input'!r}",
             t.line, t.col)
 
-    def rational(self) -> Fraction:
+    def rational(self, slash: bool = True) -> Fraction:
+        """INT ('/' INT)?, or INT alone when slash is False."""
         t = self.peek()
         if t.kind != "INT":
             raise ParseError(f"expected an integer, found {t.text or 'end of input'!r}",
@@ -271,7 +286,7 @@ class _Parser:
         self.advance()
         num = int(t.text)
         nxt = self.peek()
-        if nxt.kind == "OP" and nxt.text == "/":
+        if slash and nxt.kind == "OP" and nxt.text == "/":
             self.advance()
             d = self.peek()
             if d.kind != "INT":
@@ -284,7 +299,8 @@ class _Parser:
             return Fraction(num, int(d.text))
         return Fraction(num)
 
-    # exponent := '-'? rational | '(' '-'? rational ')'
+    # exponent := '-'? INT | '(' '-'? rational ')'  -- a '/' after a bare
+    # exponent is not part of it, so x^3/2 is an error, never x^(3/2)
     def exponent(self) -> Fraction:
         t = self.peek()
         parens = t.kind == "OP" and t.text == "("
@@ -295,7 +311,7 @@ class _Parser:
         if t.kind == "OP" and t.text == "-":
             self.advance()
             sign = -1
-        q = sign * self.rational()
+        q = sign * self.rational(slash=parens)
         if parens:
             self.expect_op(")")
         return q
@@ -350,24 +366,14 @@ def _expand(node: Node) -> PuiseuxPoly:
             return PuiseuxPoly.monomial(1, Fraction(1), 0)
         return PuiseuxPoly.monomial(1, Fraction(0), 1)
     if isinstance(node, Pow):
+        # _Parser.factor has checked the exponent against the base
         e = node.exp
-        if isinstance(node.base, Var):
-            if node.base.name == "x":
-                if e < 0:
-                    raise ParseError("negative x-power", 1, 1)
-                return PuiseuxPoly.monomial(1, e, 0)
-            if e < 0 or e.denominator != 1:
-                raise ParseError("negative or fractional y-power", 1, 1)
+        if node.base == Var("x"):
+            return PuiseuxPoly.monomial(1, e, 0)
+        if node.base == Var("y"):
             return PuiseuxPoly.monomial(1, Fraction(0), int(e))
         if isinstance(node.base, Lit):
-            if e.denominator != 1:
-                raise ParseError("fractional power of a rational literal", 1, 1)
-            if node.base.value == 0 and e < 0:
-                raise ParseError("zero raised to a negative power", 1, 1)
             return PuiseuxPoly.constant(node.base.value ** int(e))
-        if e < 0 or e.denominator != 1:
-            raise ParseError(
-                "compound bases take nonnegative integer powers only", 1, 1)
         return _expand(node.base) ** int(e)
     if isinstance(node, Prod):
         out = PuiseuxPoly.constant(1)

@@ -4,8 +4,9 @@ For a phase S and perturbation f the growth index of S + t*f can only change
 at finitely many strengths t: where a Newton-polygon vertex coefficient
 cancels, or where an edge polynomial of S + t*f acquires a real nonzero root
 of high multiplicity.  This module computes those candidate strengths exactly
-(vertex ratios; discriminants in t via interpolated Sylvester determinants)
-and sweeps t-grids comparing indices lexicographically.  A two-phase mixture
+(vertex ratios; on each edge of the polygon of the union support of S and f,
+a Sylvester discriminant in t by Bareiss elimination over Z[t]) and sweeps
+t-grids comparing indices lexicographically.  A two-phase mixture
 S1 + rho*S2 is the same sweep with f = S2, plus the S2-alone endpoint
 rho = inf.
 
@@ -20,13 +21,14 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adapt import GrowthIndex, to_superadapted
-from .exact_poly import PuiseuxPoly, poly_add, poly_scale
+from .exact_poly import PuiseuxPoly, _min_trunc, poly_add, poly_scale
 from .newton import (NewtonPolygon, edge_polynomial, newton_distance, newton_polygon_of,
                      polygon_subset)
-from .roots import IsolatedRoot, isolate_real_roots
+from .roots import IntCoeffs, IsolatedRoot, _exquo, _trim, isolate_real_roots
 
 ExceptionalT = Union[Fraction, IsolatedRoot]
 
@@ -74,73 +76,63 @@ def _cancel_ts(S: PuiseuxPoly, f: PuiseuxPoly, vertices) -> List[Fraction]:
 
 
 def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
-    """Polygon of S + tau*f for tau avoiding every coefficient cancellation."""
-    support = set(S.terms) | set(f.terms)
-    k = 1
-    while True:
-        tau = Fraction(k, 7919)
-        if all(S.coeff(a, int(b)) + tau * f.coeff(a, int(b)) != 0
-               for (a, b) in support):
-            return newton_polygon_of(poly_add(S, poly_scale(f, tau)))
-        k += 1
+    """Polygon of S + tau*f for every tau that cancels no coefficient: that of
+    the union of the supports, cut at the sum's truncation order."""
+    return newton_polygon_of(PuiseuxPoly(dict.fromkeys([*S.terms, *f.terms], 1),
+                                         _min_trunc(S.truncation_order, f.truncation_order)))
 
 
 def _edge_line_coeffs(S, f, edge, x_sign: int):
     """[(A_k, B_k)] for R(t, y) = sum (A_k + B_k t) y^k on the edge line, from
     the edge polynomials of S and f at x = x_sign with y^kmin divided out;
-    (None, 0) when x = -1 meets a fractional x-exponent there."""
+    None when x = -1 meets a fractional x-exponent there."""
     try:
         qs, qf = edge_polynomial(S, edge, x_sign), edge_polynomial(f, edge, x_sign)
     except ValueError:
-        return None, 0
+        return None
     ks = sorted({b for (_a, b) in qs.terms} | {b for (_a, b) in qf.terms})
-    coeffs = [(qs.coeff(0, k), qf.coeff(0, k)) for k in range(ks[0], ks[-1] + 1)]
-    return coeffs, len(coeffs) - 1
+    return [(qs.coeff(0, k), qf.coeff(0, k)) for k in range(ks[0], ks[-1] + 1)]
 
 
-def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [m[r][c] - factor * m[col][c] for c in range(n)]
-    return det
+def _pmul(a: IntCoeffs, b: IntCoeffs) -> IntCoeffs:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return tuple(out)
 
 
-def _sylvester_det_at(coeffs: List[Tuple[Fraction, Fraction]], t: Fraction) -> Fraction:
-    """det Syl(q, q') for q(y) = sum (A_k + B_k t) y^k at a concrete t."""
-    q = [A + B * t for A, B in coeffs]
+def _sylvester_disc(coeffs: List[Tuple[Fraction, Fraction]]) -> IntCoeffs:
+    """det Syl(q, dq/dy) for q(y) = sum (A_k + B_k t) y^k, in t (ascending, trimmed).
+
+    The (A_k, B_k) are cleared over their common denominator L, so the matrix
+    has entries in Z[t] and its determinant is L^(2n-1) times the rational one.
+    Bareiss elimination divides each step exactly by the previous pivot.
+    """
+    den = math.lcm(*[c.denominator for ab in coeffs for c in ab])
+    q = [_trim([c.numerator * (den // c.denominator) for c in ab]) for ab in coeffs]
     n = len(q) - 1
-    dq = [q[i] * i for i in range(1, len(q))]
+    qd = q[::-1]                  # degree-descending
+    dqd = [tuple(k * c for c in q[k]) for k in range(n, 0, -1)]
     size = 2 * n - 1
-    rows = []
-    qd = list(reversed(q))           # degree-descending
-    dqd = list(reversed(dq))
-    for i in range(n - 1):
-        rows.append([Fraction(0)] * i + qd + [Fraction(0)] * (size - i - len(qd)))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + dqd + [Fraction(0)] * (size - i - len(dqd)))
-    return _det_fraction(rows)
-
-
-def _mul_linear(poly: List[Fraction], root: Fraction) -> List[Fraction]:
-    """poly(t) * (t - root), ascending coefficients."""
-    out = [Fraction(0)] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] += c
-        out[i] -= root * c
-    return out
+    m = ([[()] * i + qd + [()] * (size - i - n - 1) for i in range(n - 1)]
+         + [[()] * i + dqd + [()] * (size - i - n) for i in range(n)])
+    sign, prev = 1, (1,)
+    for k in range(size - 1):
+        piv = next((r for r in range(k, size) if m[r][k]), None)
+        if piv is None:
+            return ()
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for r in range(k + 1, size):
+            for c in range(k + 1, size):
+                ad, bc = _pmul(m[k][k], m[r][c]), _pmul(m[r][k], m[k][c])
+                m[r][c] = _exquo(_trim([u - v for u, v in zip_longest(ad, bc, fillvalue=0)]),
+                                 prev)
+        prev = m[k][k]
+    return tuple(sign * c for c in m[-1][-1])
 
 
 def _edge_degenerate_ts(S, f, k0: int) -> List[ExceptionalT]:
@@ -149,16 +141,13 @@ def _edge_degenerate_ts(S, f, k0: int) -> List[ExceptionalT]:
     generic = _generic_polygon(S, f)
     for edge in generic.edges:
         for x_sign in (1, -1):
-            coeffs, n = _edge_line_coeffs(S, f, edge, x_sign)
-            if coeffs is None or n < 2:
+            coeffs = _edge_line_coeffs(S, f, edge, x_sign)
+            if coeffs is None or len(coeffs) < 3:
                 continue
-            npts = 2 * n          # det degree <= 2n - 1
-            pts = [(Fraction(i - n), _sylvester_det_at(coeffs, Fraction(i - n)))
-                   for i in range(npts)]
-            disc = _poly_through(pts)
-            if len(disc) <= 1 or all(c == 0 for c in disc):
+            disc = _sylvester_disc(coeffs)
+            if len(disc) <= 1:
                 continue          # structurally degenerate for every t; no finite set
-            for r in isolate_real_roots(tuple(disc), domain="all"):
+            for r in isolate_real_roots(disc, domain="all"):
                 if r.exact_value is not None:
                     t0 = r.exact_value
                     if t0 in seen_rational:
@@ -179,29 +168,6 @@ def _edge_degenerate_ts(S, f, k0: int) -> List[ExceptionalT]:
     return rationals + sorted(others, key=lambda r: float(r.midpoint()))
 
 
-def _poly_through(pts: List[Tuple[Fraction, Fraction]]) -> List[Fraction]:
-    """Exact interpolating polynomial, ascending coefficients, trailing-trimmed."""
-    n = len(pts)
-    # Newton divided differences
-    xs = [p[0] for p in pts]
-    dd = [p[1] for p in pts]
-    table = [dd[:]]
-    for lvl in range(1, n):
-        prev = table[-1]
-        table.append([(prev[i + 1] - prev[i]) / (xs[i + lvl] - xs[i])
-                      for i in range(n - lvl)])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for lvl in range(n):
-        c = table[lvl][0]
-        for k, bc in enumerate(basis):
-            coeffs[k] += c * bc
-        basis = _mul_linear(basis, xs[lvl])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _edge_multiplicity_at(coeffs, t0: Fraction) -> int:
     """Largest multiplicity of a real nonzero root of R(t0, y)."""
     q = [A + B * t0 for A, B in coeffs]
@@ -218,16 +184,17 @@ def exceptional_candidates(S: PuiseuxPoly, f: PuiseuxPoly) -> ExceptionalSet:
     vertex_ts: exact cancellation ratios -s_v/f_v at the vertices of N(S).
     edge_ts: t where some edge polynomial of S + t*f (both x-signs) acquires
     a real nonzero root of multiplicity >= max(2, ceil(d(S))), found as real
-    roots of the interpolated Sylvester discriminant in t; rational roots are
+    roots of the Sylvester discriminant in t, one Bareiss determinant over
+    Z[t] per edge of the union-support polygon; rational roots are
     verified by exact multiplicity, irrational ones are kept as isolating
     intervals.  The set is a conservative superset: sweep rows landing on a
     candidate are flagged, never judged.
     """
     if S.is_zero():
         raise ValueError("the base phase must be nonzero")
-    d = newton_distance(newton_polygon_of(S))
-    k0 = max(2, math.ceil(d))
-    vertex_ts = sorted(set(_cancel_ts(S, f, newton_polygon_of(S).vertices)))
+    base = newton_polygon_of(S)
+    k0 = max(2, math.ceil(newton_distance(base)))
+    vertex_ts = sorted(set(_cancel_ts(S, f, base.vertices)))
     return ExceptionalSet(tuple(vertex_ts), tuple(_edge_degenerate_ts(S, f, k0)))
 
 

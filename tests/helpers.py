@@ -1,6 +1,8 @@
 """Shared test utilities: terse phase constructors, catalog data, the
 Fraction reference of the chart proof's arithmetic, the linear search of the
-vertex cut, and the boolean-mask reference of the Monte Carlo block kernel."""
+vertex cut, the boolean-mask reference of the Monte Carlo block kernel, and
+the Fraction references of the exceptional-strength discriminant and the
+generic polygon."""
 
 import math
 from fractions import Fraction
@@ -11,7 +13,9 @@ from typing import List, Tuple
 import numpy as np
 
 from newton_sublevel import CompactEdge, PuiseuxPoly, parse_expression
+from newton_sublevel.exact_poly import poly_add, poly_scale
 from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms
+from newton_sublevel.newton import NewtonPolygon, newton_polygon_of
 from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
 
 
@@ -235,3 +239,99 @@ def _mc_block(args):
         return 0, [0] * len(eps)
     A = np.abs(_eval_phase(terms, X[inside], Y[inside]))
     return k_in, [int(np.count_nonzero(A < e)) for e in eps]
+
+
+# ---------------------------------------------------------------------------
+# The exceptional-strength discriminant as Fraction determinants at 2n integer
+# points, interpolated, and the generic polygon as that of S + tau*f for the
+# first tau = k/7919 that cancels no coefficient: the references that
+# stability.py's Bareiss determinant over Z[t] and its union-support polygon
+# must match.
+
+
+def _det_fraction(rows: List[List[Fraction]]) -> Fraction:
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                factor = m[r][col] * inv
+                m[r] = [m[r][c] - factor * m[col][c] for c in range(n)]
+    return det
+
+
+def _sylvester_det_at(coeffs: List[Tuple[Fraction, Fraction]], t: Fraction) -> Fraction:
+    """det Syl(q, q') for q(y) = sum (A_k + B_k t) y^k at a concrete t."""
+    q = [A + B * t for A, B in coeffs]
+    n = len(q) - 1
+    dq = [q[i] * i for i in range(1, len(q))]
+    size = 2 * n - 1
+    rows = []
+    qd = list(reversed(q))           # degree-descending
+    dqd = list(reversed(dq))
+    for i in range(n - 1):
+        rows.append([Fraction(0)] * i + qd + [Fraction(0)] * (size - i - len(qd)))
+    for i in range(n):
+        rows.append([Fraction(0)] * i + dqd + [Fraction(0)] * (size - i - len(dqd)))
+    return _det_fraction(rows)
+
+
+def _mul_linear(poly: List[Fraction], root: Fraction) -> List[Fraction]:
+    """poly(t) * (t - root), ascending coefficients."""
+    out = [Fraction(0)] * (len(poly) + 1)
+    for i, c in enumerate(poly):
+        out[i + 1] += c
+        out[i] -= root * c
+    return out
+
+
+def _poly_through(pts: List[Tuple[Fraction, Fraction]]) -> List[Fraction]:
+    """Exact interpolating polynomial, ascending coefficients, trailing-trimmed
+    (Newton divided differences)."""
+    n = len(pts)
+    xs = [p[0] for p in pts]
+    table = [[p[1] for p in pts]]
+    for lvl in range(1, n):
+        prev = table[-1]
+        table.append([(prev[i + 1] - prev[i]) / (xs[i + lvl] - xs[i])
+                      for i in range(n - lvl)])
+    coeffs = [Fraction(0)] * n
+    basis = [Fraction(1)]
+    for lvl in range(n):
+        c = table[lvl][0]
+        for k, bc in enumerate(basis):
+            coeffs[k] += c * bc
+        basis = _mul_linear(basis, xs[lvl])
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _interpolated_disc(coeffs: List[Tuple[Fraction, Fraction]]) -> List[Fraction]:
+    """det Syl(q, q') in t through its values at the 2n integers -n..n-1
+    (its degree is at most 2n - 1); [] when it vanishes identically."""
+    n = len(coeffs) - 1
+    return _poly_through([(Fraction(t), _sylvester_det_at(coeffs, Fraction(t)))
+                          for t in range(-n, n)])
+
+
+def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
+    """Polygon of S + tau*f for the first tau = k/7919 avoiding every coefficient
+    cancellation."""
+    support = set(S.terms) | set(f.terms)
+    k = 1
+    while True:
+        tau = Fraction(k, 7919)
+        if all(S.coeff(a, int(b)) + tau * f.coeff(a, int(b)) != 0
+               for (a, b) in support):
+            return newton_polygon_of(poly_add(S, poly_scale(f, tau)))
+        k += 1

@@ -97,6 +97,7 @@ def test_parse_expands_squares():
 def test_parse_fractional_x_power():
     p = parse_expression("x^(1/2) + y").poly
     assert p.coeff(F(1, 2), 0) == 1 and p.coeff(F(0), 1) == 1
+    assert parse_expression("x^(3/2)").poly.coeff(F(3, 2), 0) == 1
 
 
 def test_parse_rational_coefficients():
@@ -126,16 +127,37 @@ def test_parse_rejects_syntax(bad):
         parse_expression(bad)
 
 
-@pytest.mark.parametrize("bad,needle", [
-    ("y^(1/2)", "y-power"),
-    ("y^(-1)", "y-power"),
-    ("x^(-2)", "x-power"),
-    ("2^(1/2)", "fractional power"),
-    ("(x + y)^(1/2)", "nonnegative integer"),
-])
-def test_parse_rejects_semantics(bad, needle):
-    with pytest.raises(ParseError, match=needle):
+_SEMANTIC_ERRORS = [  # (input, message, (line, column) of its '^')
+    ("y^(1/2)", "y-power", (1, 2)),
+    ("y^(-1)", "y-power", (1, 2)),
+    ("x^(-2)", "x-power", (1, 2)),
+    ("2^(1/2)", "fractional power", (1, 2)),
+    ("(x + y)^(1/2)", "nonnegative integer", (1, 8)),
+    ("x + y^(1/2)", "y-power", (1, 6)),
+    ("x +\n 0^(-1)", "zero raised", (2, 3)),
+]
+
+
+@pytest.mark.parametrize("bad,needle,pos", _SEMANTIC_ERRORS,
+                         ids=[f"{bad}-{needle}" for bad, needle, _ in _SEMANTIC_ERRORS])
+def test_parse_rejects_semantics(bad, needle, pos):
+    with pytest.raises(ParseError, match=needle) as err:
         parse_expression(bad)
+    assert (err.value.line, err.value.col) == pos
+
+
+# a '/' after a bare exponent is not part of it: each of these once parsed as a
+# different phase (x^(3/2), x^(2/3)*y, x) or failed further on (x^4/10^30)
+@pytest.mark.parametrize("bad,col", [
+    ("y^2 + x^3/2", 10), ("x^2/3*y", 4), ("x^2 / 2", 5), ("x^4/10^30", 4),
+])
+def test_parse_rejects_a_slash_after_a_bare_exponent(bad, col, tmp_path):
+    with pytest.raises(ParseError, match="trailing input starting at '/'") as err:
+        parse_expression(bad)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert run(["analyze", bad, "--out", str(tmp_path)]) == 1
+    assert not any(tmp_path.iterdir())
+
 
 
 def test_parse_error_positions():

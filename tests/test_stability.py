@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from newton_sublevel import (
+    PuiseuxPoly,
     exceptional_candidates,
     growth_index,
     mixture_sweep,
@@ -15,7 +19,8 @@ from newton_sublevel import (
     sweep_csv,
     to_superadapted,
 )
-from helpers import phase
+from newton_sublevel import stability
+from helpers import _generic_polygon, _interpolated_disc, phase
 
 
 F = Fraction
@@ -60,6 +65,86 @@ def test_candidates_vertex_coefficient_vanishes_exactly():
         perturbed = phase((1 + 2 * t, 2, 2), (3, 5, 0), (t, 6, 1))
         vertex_coeffs = [perturbed.coeff(F(2), 2), perturbed.coeff(F(5), 0)]
         assert F(0) in vertex_coeffs
+
+
+# ---------------------------------------------------------------------------
+# the discriminant and the generic polygon against their Fraction references
+
+
+_RAT = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_ENTRY = st.one_of(st.just(F(0)), _RAT)
+
+
+def _times(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def edge_line_coeffs(draw):
+    """[(A_k, B_k)], k = 0..n, n in 2..7: free entries (zeros included), or a
+    leading coefficient that vanishes at some t or for every t, or
+    q = (a + b t)·s(y)^2·r(y), whose discriminant vanishes identically."""
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["free", "lead", "square"]))
+    if kind == "square":
+        d = draw(st.integers(1, n // 2))
+        s = draw(st.lists(_ENTRY, min_size=d, max_size=d)) + [draw(_RAT.filter(bool))]
+        r = draw(st.lists(_ENTRY, min_size=n - 2 * d + 1, max_size=n - 2 * d + 1))
+        a, b = draw(_ENTRY), draw(_ENTRY)
+        return [(a * c, b * c) for c in _times(_times(s, s), r)]
+    coeffs = draw(st.lists(st.tuples(_ENTRY, _ENTRY), min_size=n + 1, max_size=n + 1))
+    if kind == "lead":
+        root, b = draw(_RAT), draw(_ENTRY)
+        coeffs[-1] = (-root * b, b)
+    return coeffs
+
+
+@given(edge_line_coeffs())
+@example([(F(1), F(1)), (F(-2), F(-2)), (F(1), F(1))])     # (1 + t)(y - 1)^2
+@example([(F(1), F(0)), (F(0), F(1)), (F(0), F(0))])       # leading coefficient 0
+@example([(F(1, 2), F(0)), (F(0), F(1, 3)), (F(-1), F(0))])
+def test_bareiss_disc_is_the_interpolated_determinant(coeffs):
+    # L^(2n-1) times the Fraction determinant, L the common denominator: the
+    # same polynomial up to a positive factor, so the same roots and signs
+    n = len(coeffs) - 1
+    den = math.lcm(*[c.denominator for ab in coeffs for c in ab])
+    assert list(stability._sylvester_disc(coeffs)) == [den ** (2 * n - 1) * c
+                                                       for c in _interpolated_disc(coeffs)]
+
+
+_TERM = st.tuples(st.fractions(min_value=0, max_value=6, max_denominator=3),
+                  st.integers(0, 5), _RAT.filter(bool))
+_TRUNC = st.one_of(st.none(), st.integers(2, 9))
+
+
+@st.composite
+def perturbed_pairs(draw):
+    """(S, f) with fractional x-exponents and optional truncation orders; f
+    shares some of S's support, with coefficients that may cancel S's."""
+    S = PuiseuxPoly({(a, b): c for a, b, c in draw(st.lists(_TERM, min_size=1, max_size=5))},
+                    draw(_TRUNC))
+    f_terms = {(a, b): c for a, b, c in draw(st.lists(_TERM, max_size=4))}
+    if S.terms:
+        for key in draw(st.lists(st.sampled_from(sorted(S.terms)), max_size=3)):
+            f_terms[key] = S.terms[key] * draw(st.sampled_from([-1, 2, F(-1, 2)]))
+    return S, PuiseuxPoly(f_terms, draw(_TRUNC))
+
+
+def _polygon_or_error(build, S, f):
+    try:
+        return build(S, f)
+    except ValueError as e:     # everything truncated away
+        return str(e)
+
+
+@given(perturbed_pairs())
+def test_union_support_polygon_is_the_generic_polygon(pair):
+    assert (_polygon_or_error(stability._generic_polygon, *pair)
+            == _polygon_or_error(_generic_polygon, *pair))
 
 
 # ---------------------------------------------------------------------------
