@@ -79,7 +79,7 @@ def is_superadapted(p: PuiseuxPoly) -> SuperadaptedCheck:
     if cls.tag == "EdgeInterior":
         for x_sign in (1, -1):
             q = edge_polynomial(p, cls.edge, x_sign)
-            if len(q.terms) <= 1:
+            if len(q._lat) <= 1:
                 continue  # a single monomial has only the root at 0
             for r in isolate_real_roots(q, domain="all"):
                 if r.exact_value == 0:
@@ -113,10 +113,11 @@ class AdaptReport:
 
 def _require_critical(p: PuiseuxPoly) -> None:
     """Reject a phase whose value or gradient at the origin is nonzero."""
-    order = min((a + b for (a, b) in p.terms), default=None)
-    if order is not None and order <= 1:
-        raise ValueError("the phase must have a critical point at the origin "
-                         f"(no constant or linear term); its lowest order is {order}")
+    n = p.ramification
+    order = min((A + n * b for (A, b) in p._lat), default=None)     # (a + b)·n
+    if order is not None and order <= n:
+        raise ValueError("the phase must have a critical point at the origin (no constant "
+                         f"or linear term); its lowest order is {Fraction(order, n)}")
 
 
 def _index_from_check(chk: SuperadaptedCheck) -> GrowthIndex:

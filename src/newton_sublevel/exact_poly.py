@@ -1,12 +1,16 @@
 """Exact arithmetic for bivariate phases with fractional x-exponents.
 
-A phase is stored as a finite sum  sum_{(a,b)} c_ab * x^a * y^b  where the
+A phase is a finite sum  sum_{(a,b)} c_ab * x^a * y^b  where the
 coefficients c_ab are rationals, the y-exponents b are nonnegative integers
 and the x-exponents a are nonnegative rationals with a common denominator
 (the ramification index).  Only x is allowed to ramify: every coordinate
 change used downstream (shears along branch curves, monomial scalings,
 reflections) keeps y-exponents integral, and fractional y-powers would not
 survive the sector reflections y -> -y.
+
+It is stored as one integer lattice (n, den, {(A, b): C}), A = a·n and
+C = c·den, in a canonical form (see PuiseuxPoly): equality and hashing read
+it, and every algebraic operation here computes on it.
 
 All operations are pure: they return new polynomials and never mutate.
 An optional truncation order M means "terms with a + b >= M were discarded";
@@ -17,7 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 Rational = Fraction
 
@@ -35,15 +40,17 @@ def _as_fraction(v) -> Fraction:
 
 
 class PuiseuxPoly:
-    """Finite sum of terms c * x^a * y^b in canonical (a, b) order.
+    """Finite sum of terms c * x^a * y^b, stored as (n, den, {(A, b): C}).
 
-    terms map (a, b) -> coefficient with no zero coefficients stored.
-    ramification is the least positive integer N with N*a integral for
-    every stored a; it is recomputed on construction, so products like
-    x^(1/2) * x^(1/2) collapse back to ramification 1.
+    A = a·n and C = c·den are integers, no C is zero, n (the ramification) is
+    the least positive integer with every a·n integral and den the least with
+    every c·den integral, so gcd(den, every C) = 1 and x^(1/2) * x^(1/2)
+    stores the same triple as x.  terms, the read-only Fraction view
+    {(a, b): c} in the lattice's order, is built on first read and kept, as
+    is the Newton polygon (newton.newton_polygon_of) in _polygon.
     """
 
-    __slots__ = ("terms", "ramification", "truncation_order")
+    __slots__ = ("ramification", "truncation_order", "_den", "_lat", "_terms", "_polygon")
 
     def __init__(self, terms: Dict[ExpPair, Fraction] | Iterable,
                  truncation_order: Optional[Fraction] = None):
@@ -68,25 +75,45 @@ class PuiseuxPoly:
         if truncation_order is not None:
             truncation_order = _as_fraction(truncation_order)
             clean = {k: v for k, v in clean.items() if k[0] + k[1] < truncation_order}
-        self.terms = clean
-        self.truncation_order = truncation_order
-        self.ramification = math.lcm(*[a.denominator for a, _b in clean])
+        n = math.lcm(*[a.denominator for a, _b in clean])
+        den = math.lcm(*[c.denominator for c in clean.values()])
+        self.ramification, self.truncation_order, self._den = n, truncation_order, den
+        self._lat = {(a.numerator * (n // a.denominator), b): c.numerator * (den // c.denominator)
+                     for (a, b), c in clean.items()}
+        self._terms, self._polygon = MappingProxyType(clean), None
 
     @classmethod
-    def _trusted(cls, terms, truncation_order, ramification: int) -> "PuiseuxPoly":
-        """Wrap terms unchecked.  The caller guarantees what __init__ would
-        establish: keys (a, b) with a nonnegative Fraction a and int b >= 0,
-        nonzero Fraction coefficients, every a + b below truncation_order (a
-        Fraction, or None), and ramification the least N with every N·a integral."""
+    def _reduced(cls, n: int, den: int, lat: Dict[Tuple[int, int], int],
+                 truncation_order: Optional[Fraction]) -> "PuiseuxPoly":
+        """Wrap an operation's lattice, reducing n and den to canonical form.  The caller
+        guarantees A, b >= 0, nonzero C, den > 0 and every a + b below truncation_order."""
+        g = math.gcd(n, *[A for A, _b in lat])
+        if g > 1:
+            n //= g
+            lat = {(A // g, b): C for (A, b), C in lat.items()}
+        g = math.gcd(den, *lat.values())
+        if g > 1:
+            den //= g
+            lat = {k: C // g for k, C in lat.items()}
         self = object.__new__(cls)
-        self.terms, self.truncation_order, self.ramification = terms, truncation_order, ramification
+        self.ramification, self.truncation_order = n, truncation_order
+        self._den, self._lat, self._terms, self._polygon = den, lat, None, None
         return self
+
+    @property
+    def terms(self) -> Mapping[ExpPair, Fraction]:
+        if self._terms is None:
+            n, den = self.ramification, self._den
+            exps = {A: Fraction(A, n) for A, _b in self._lat}     # one per distinct exponent
+            self._terms = MappingProxyType({(exps[A], b): Fraction(C, den)
+                                            for (A, b), C in self._lat.items()})
+        return self._terms
 
     # ---- constructors ----
 
     @classmethod
     def zero(cls) -> "PuiseuxPoly":
-        return cls._trusted({}, None, 1)
+        return cls._reduced(1, 1, {}, None)
 
     @classmethod
     def constant(cls, c) -> "PuiseuxPoly":
@@ -97,36 +124,37 @@ class PuiseuxPoly:
         c, a = _as_fraction(c), _as_fraction(a)
         if not isinstance(b, int) or a < 0 or b < 0:
             return cls({(a, b): c})        # __init__ converts or rejects the exponents
-        return cls._trusted({(a, b): c} if c else {}, None, a.denominator if c else 1)
+        return cls._reduced(a.denominator, c.denominator,
+                            {(a.numerator, b): c.numerator} if c else {}, None)
 
     @classmethod
     def from_terms(cls, pairs: Iterable[Tuple] , truncation_order=None) -> "PuiseuxPoly":
         """Build from an iterable of (coeff, a, b) triples."""
         d: Dict[ExpPair, Fraction] = {}
         for c, a, b in pairs:
-            key = (_as_fraction(a), int(b))
+            key = (_as_fraction(a), b)
             d[key] = d.get(key, Fraction(0)) + _as_fraction(c)
         return cls(d, truncation_order)
 
     # ---- queries ----
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._lat
 
     def support(self):
         """Exponent pairs in canonical order."""
         return sorted(self.terms.keys())
 
     def coeff(self, a, b: int) -> Fraction:
-        return self.terms.get((_as_fraction(a), b), Fraction(0))
+        A, off_lattice = divmod(_as_fraction(a) * self.ramification, 1)
+        return Fraction(0 if off_lattice else self._lat.get((A, b), 0), self._den)
 
     def items(self):
         """(exponent pair, coefficient) in canonical order."""
-        for key in sorted(self.terms.keys()):
-            yield key, self.terms[key]
+        return iter(sorted(self.terms.items()))
 
     def y_degree(self) -> int:
-        return max((b for (_a, b) in self.terms), default=0)
+        return max((b for (_A, b) in self._lat), default=0)
 
     # ---- operator sugar (thin wrappers over the module-level ops) ----
 
@@ -162,10 +190,11 @@ class PuiseuxPoly:
     def __eq__(self, other):
         if not isinstance(other, PuiseuxPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.ramification == other.ramification and self._den == other._den
+                and self._lat == other._lat)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.ramification, self._den, frozenset(self._lat.items())))
 
     def __repr__(self):
         return f"PuiseuxPoly({format_poly(self)!r})"
@@ -182,25 +211,34 @@ def _min_trunc(*orders: Optional[Fraction]) -> Optional[Fraction]:
 
 
 # ---- arithmetic ----
-# poly_add, poly_mul and subst_y key each term c·x^a·y^b by the integers
-# (a·n, b), with c an integer over one common denominator.
+# Every operation computes on the lattices of its inputs: keys (A, b), A = a·n,
+# and integer coefficients over one common denominator.
 
 
-def _lattices(p: PuiseuxPoly, q: PuiseuxPoly):
-    """(M, n, lim, p's _lattice, q's _lattice): the min truncation order M,
-    the lcm n of the ramifications, and lim = ceil(M·n), the least a·n + b·n
-    that M cuts (inf if M is None)."""
+def _limit(trunc: Optional[Fraction], n: int):
+    """ceil(trunc·n), the least A + n·b that the truncation order trunc cuts on
+    the lattice of ramification n (inf if trunc is None)."""
+    return math.inf if trunc is None else -(-trunc.numerator * n // trunc.denominator)
+
+
+def _aligned(p: PuiseuxPoly, q: PuiseuxPoly):
+    """(M, n, lim, lp, lq): the min truncation order M, the lcm n of the
+    ramifications, lim = _limit(M, n), and p's and q's lattices rekeyed to n."""
     trunc = _min_trunc(p.truncation_order, q.truncation_order)
     n = math.lcm(p.ramification, q.ramification)
-    lim = math.inf if trunc is None else -(-trunc.numerator * n // trunc.denominator)
-    return trunc, n, lim, _lattice(p, n), _lattice(q, n)
+    lp, lq = (r._lat if r.ramification == n
+              else {(A * (n // r.ramification), b): C for (A, b), C in r._lat.items()}
+              for r in (p, q))
+    return trunc, n, _limit(trunc, n), lp, lq
 
 
-def _lattice(p: PuiseuxPoly, n: int):
-    """({(a·n, b): c·den} in p's term order, den = lcm of the denominators)."""
-    den = math.lcm(*[c.denominator for c in p.terms.values()])
-    return {(a.numerator * (n // a.denominator), b): c.numerator * (den // c.denominator)
-            for (a, b), c in p.terms.items()}, den
+def _with_order(p: PuiseuxPoly, order: Optional[Fraction], sort: bool = False) -> PuiseuxPoly:
+    """p's terms below order, declared truncated at order (None: untruncated),
+    in p's term order, or sorted by exponent."""
+    n, lim = p.ramification, _limit(order, p.ramification)
+    items = sorted(p._lat.items()) if sort else p._lat.items()
+    return PuiseuxPoly._reduced(n, p._den, {k: C for k, C in items if k[0] + n * k[1] < lim},
+                                order)
 
 
 def _lattice_add(acc: dict, items, scale: int, n: int, lim) -> dict:
@@ -223,49 +261,36 @@ def _lattice_mul(p: dict, q: dict, n: int, lim) -> dict:
     return {k: c for k, c in acc.items() if c}
 
 
-def _from_lattice(acc: dict, n: int, den: int, trunc: Optional[Fraction]) -> PuiseuxPoly:
-    exps = {a: Fraction(a, n) for a in {a for a, _b in acc}}   # one per distinct exponent
-    return PuiseuxPoly._trusted({(exps[a], b): Fraction(c, den) for (a, b), c in acc.items()},
-                                trunc, n // math.gcd(n, *exps))
-
-
 def poly_add(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
     """Sum with exact cancellation; truncation order is the min of the inputs."""
-    trunc, n, lim, (lp, dp), (lq, dq) = _lattices(p, q)
-    den = math.lcm(dp, dq)
-    acc = _lattice_add({}, lp.items(), den // dp, n, lim)
-    acc = _lattice_add(acc, lq.items(), den // dq, n, lim)
-    return _from_lattice(acc, n, den, trunc)
+    trunc, n, lim, lp, lq = _aligned(p, q)
+    den = math.lcm(p._den, q._den)
+    acc = _lattice_add({}, lp.items(), den // p._den, n, lim)
+    acc = _lattice_add(acc, lq.items(), den // q._den, n, lim)
+    return PuiseuxPoly._reduced(n, den, acc, trunc)
 
 
 def poly_scale(p: PuiseuxPoly, c) -> PuiseuxPoly:
     c = _as_fraction(c)
     if not c:
-        return PuiseuxPoly._trusted({}, p.truncation_order, 1)
-    return PuiseuxPoly._trusted({k: c * v for k, v in p.terms.items()}, p.truncation_order,
-                                p.ramification)
+        return PuiseuxPoly._reduced(1, 1, {}, p.truncation_order)
+    return PuiseuxPoly._reduced(p.ramification, p._den * c.denominator,
+                                {k: C * c.numerator for k, C in p._lat.items()}, p.truncation_order)
 
 
 def poly_mul(p: PuiseuxPoly, q: PuiseuxPoly) -> PuiseuxPoly:
     """Product, discarding terms at or beyond the min input truncation order."""
-    trunc, n, lim, (lp, dp), (lq, dq) = _lattices(p, q)
-    return _from_lattice(_lattice_mul(lp, lq, n, lim), n, dp * dq, trunc)
+    trunc, n, lim, lp, lq = _aligned(p, q)
+    return PuiseuxPoly._reduced(n, p._den * q._den, _lattice_mul(lp, lq, n, lim), trunc)
 
 
 def deriv_y(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
     """k-th partial derivative in y (exact; kills terms with b < k)."""
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    terms: Dict[ExpPair, Fraction] = {}
-    for (a, b), c in p.terms.items():
-        if b < k:
-            continue
-        fall = 1
-        for i in range(k):
-            fall *= b - i
-        terms[(a, b - k)] = c * fall
+    lat = {(A, b - k): C * math.perm(b, k) for (A, b), C in p._lat.items() if b >= k}
     trunc = None if p.truncation_order is None else p.truncation_order - k
-    return PuiseuxPoly._trusted(terms, trunc, math.lcm(*[a.denominator for a, _b in terms]))
+    return PuiseuxPoly._reduced(p.ramification, p._den, lat, trunc)
 
 
 def deriv_x(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
@@ -276,34 +301,30 @@ def deriv_x(p: PuiseuxPoly, k: int = 1) -> PuiseuxPoly:
     polynomials whose small-exponent structure survives k differentiations;
     terms that reach exponent 0 are killed at the next step like constants.
     """
-    out = p
+    n, den, lat = p.ramification, p._den, p._lat
     for _ in range(k):
-        terms: Dict[ExpPair, Fraction] = {}
-        for (a, b), c in out.terms.items():
-            if a == 0:
-                continue
-            na = a - 1
-            if na < 0:
-                raise ValueError(f"x-derivative would create exponent {na} < 0")
-            terms[(na, b)] = c * a
-        trunc = None if out.truncation_order is None else out.truncation_order - 1
-        out = PuiseuxPoly(terms, trunc)
-    return out
+        low = next((A for A, _b in lat if 0 < A < n), None)
+        if low is not None:
+            raise ValueError(f"x-derivative would create exponent {Fraction(low - n, n)} < 0")
+        # x^0 terms die, and c·a = (C/den)·(A/n)
+        lat, den = {(A - n, b): C * A for (A, b), C in lat.items() if A}, den * n
+    trunc = None if p.truncation_order is None else p.truncation_order - k
+    return PuiseuxPoly._reduced(n, den, lat, trunc)
 
 
 def subst_y(p: PuiseuxPoly, h: PuiseuxPoly) -> PuiseuxPoly:
     """p(x, h(x, y)) by Horner's rule over the y-coefficients of p: each step
     is poly_mul by h, then poly_add of the next y-coefficient, kept over the
     common denominator den_p·den_h^k after k products."""
-    if not p.terms:
-        return PuiseuxPoly({}, p.truncation_order)
-    trunc, n, lim, (lp, dp), (lh, dh) = _lattices(p, h)
+    if p.is_zero():
+        return PuiseuxPoly._reduced(1, 1, {}, p.truncation_order)
+    trunc, n, lim, lp, lh = _aligned(p, h)
     acc, scale = {}, 1
-    for b in range(max(b for _a, b in lp), -1, -1):
-        scale *= dh
+    for b in range(p.y_degree(), -1, -1):
+        scale *= h._den
         coeff_b = [((a, 0), c) for (a, bb), c in lp.items() if bb == b]
         acc = _lattice_add(_lattice_mul(acc, lh, n, lim), coeff_b, scale, n, lim)
-    return _from_lattice(acc, n, dp * scale, trunc)
+    return PuiseuxPoly._reduced(n, p._den * scale, acc, trunc)
 
 
 def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
@@ -317,23 +338,19 @@ def subst_shear(p: PuiseuxPoly, sign_y: int, g: PuiseuxPoly) -> PuiseuxPoly:
     """
     if sign_y not in (1, -1):
         raise ValueError("sign_y must be +1 or -1")
-    if any(b != 0 for (_a, b) in g.terms):
+    if any(b != 0 for (_A, b) in g._lat):
         raise ValueError("not a curve substitution: g contains y")
-    if any(a <= 0 for (a, _b) in g.terms):
+    if any(A <= 0 for (A, _b) in g._lat):
         raise ValueError("not a curve substitution: g has a term with x-exponent <= 0")
 
-    g_ord = min((a for (a, _b) in g.terms), default=Fraction(1))
+    g_ord = Fraction(min((A for (A, _b) in g._lat), default=g.ramification), g.ramification)
     # a hidden term x^a y^b with a + b >= M lands at order >= a + b*min(1, ord g),
     # and a hidden tail of g enters linearly through each y-power
     trunc = _min_trunc(None if p.truncation_order is None
                        else p.truncation_order * min(Fraction(1), g_ord), g.truncation_order)
 
-    shear = PuiseuxPoly({(Fraction(0), 1): sign_y, **g.terms}, g.truncation_order)
-    out = subst_y(p, shear)
-    if trunc == out.truncation_order:
-        return out
-    terms = {k: c for k, c in out.terms.items() if k[0] + k[1] < trunc}
-    return PuiseuxPoly._trusted(terms, trunc, math.lcm(*[a.denominator for a, _b in terms]))
+    out = subst_y(p, poly_add(PuiseuxPoly.monomial(sign_y, 0, 1), g))
+    return out if trunc == out.truncation_order else _with_order(out, trunc)
 
 
 def subst_scale(p: PuiseuxPoly, m) -> PuiseuxPoly:
@@ -341,20 +358,26 @@ def subst_scale(p: PuiseuxPoly, m) -> PuiseuxPoly:
     m = _as_fraction(m)
     if m <= 0:
         raise ValueError("scaling exponent m must be positive")
-    terms = {(a + m * b, b): c for (a, b), c in p.terms.items()}
-    return PuiseuxPoly(terms, p.truncation_order)
+    n = math.lcm(p.ramification, m.denominator)
+    f, mn = n // p.ramification, m.numerator * (n // m.denominator)
+    lim = _limit(p.truncation_order, n)
+    lat = {(A * f + mn * b, b): C for (A, b), C in p._lat.items() if A * f + (mn + n) * b < lim}
+    return PuiseuxPoly._reduced(n, p._den, lat, p.truncation_order)
 
 
 def divide_out_x(p: PuiseuxPoly, alpha) -> PuiseuxPoly:
     """Exact division by x^alpha; error if any term has a < alpha."""
     alpha = _as_fraction(alpha)
-    terms = {}
-    for (a, b), c in p.terms.items():
-        if a < alpha:
-            raise ValueError(f"term x^{a} y^{b} is not divisible by x^{alpha}")
-        terms[(a - alpha, b)] = c
+    n = math.lcm(p.ramification, alpha.denominator)
+    f, s = n // p.ramification, alpha.numerator * (n // alpha.denominator)
+    lat = {}
+    for (A, b), C in p._lat.items():
+        if A * f < s:
+            raise ValueError(f"term x^{Fraction(A, p.ramification)} y^{b} "
+                             f"is not divisible by x^{alpha}")
+        lat[(A * f - s, b)] = C
     trunc = None if p.truncation_order is None else p.truncation_order - alpha
-    return PuiseuxPoly(terms, trunc)
+    return PuiseuxPoly._reduced(n, p._den, lat, trunc)
 
 
 def reflect_axes(p: PuiseuxPoly, sx: int, sy: int, swap: bool = False) -> PuiseuxPoly:
@@ -365,22 +388,16 @@ def reflect_axes(p: PuiseuxPoly, sx: int, sy: int, swap: bool = False) -> Puiseu
     """
     if sx not in (1, -1) or sy not in (1, -1):
         raise ValueError("axis signs must be +1 or -1")
-    terms: Dict[ExpPair, Fraction] = {}
-    src = p.terms
+    n, lat = p.ramification, p._lat
     if swap:
-        if p.ramification != 1:
+        if n != 1:
             raise ValueError("axis swap refused: fractional x-exponents present")
-        src = {(Fraction(b), int(a)): c for (a, b), c in p.terms.items()}
-    for (a, b), c in src.items():
-        if sx == -1 and a.denominator != 1:
-            raise ValueError(f"x -> -x undefined on fractional exponent {a}")
-        sign = Fraction(1)
-        if sx == -1 and int(a) % 2 == 1:
-            sign = -sign
-        if sy == -1 and b % 2 == 1:
-            sign = -sign
-        terms[(a, b)] = sign * c
-    return PuiseuxPoly(terms, p.truncation_order)
+        lat = {(b, A): C for (A, b), C in lat.items()}
+    elif sx == -1 and n != 1:
+        a = next(Fraction(A, n) for A, _b in lat if A % n)
+        raise ValueError(f"x -> -x undefined on fractional exponent {a}")
+    return PuiseuxPoly._reduced(n, p._den, {(A, b): C * sx ** A * sy ** b
+                                            for (A, b), C in lat.items()}, p.truncation_order)
 
 
 def eval_real(p: PuiseuxPoly, x: float, y: float) -> float:
@@ -390,14 +407,10 @@ def eval_real(p: PuiseuxPoly, x: float, y: float) -> float:
     """
     if x < 0 and p.ramification != 1:
         raise ValueError("x < 0 with fractional ramification")
-    parts = []
-    for (a, b), c in p.items():
-        if x < 0:
-            xa = float(x) ** int(a)
-        else:
-            xa = float(x) ** float(a)
-        parts.append(float(c) * xa * float(y) ** b)
-    return math.fsum(parts)
+    # C / den and A / n round as float(c) and float(a) do; A / n is integral if x < 0
+    n, den = p.ramification, p._den
+    return math.fsum(C / den * float(x) ** (A / n) * float(y) ** b
+                     for (A, b), C in sorted(p._lat.items()))
 
 
 def eval_rational(p: PuiseuxPoly, x: Fraction, y: Fraction) -> Fraction:
@@ -406,16 +419,13 @@ def eval_rational(p: PuiseuxPoly, x: Fraction, y: Fraction) -> Fraction:
     y = _as_fraction(y)
     if x < 0:
         raise ValueError("exact evaluation requires x >= 0")
-    total = Fraction(0)
-    for (a, b), c in p.terms.items():
-        if x == 0:
-            if a == 0:
-                total += c * y ** b
-            continue
-        if a.denominator != 1:
-            raise ValueError("exact evaluation with fractional exponents needs x to be an exact power; use eval_real")
-        total += c * x ** int(a) * y ** b
-    return total
+    if x == 0:
+        total = sum(C * y ** b for (A, b), C in p._lat.items() if A == 0)
+    elif p.ramification != 1:
+        raise ValueError("exact evaluation with fractional exponents needs x to be an exact power; use eval_real")
+    else:
+        total = sum(C * x ** A * y ** b for (A, b), C in p._lat.items())
+    return Fraction(total) / p._den
 
 
 def format_poly(p: PuiseuxPoly) -> str:

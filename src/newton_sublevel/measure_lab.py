@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
-from .exact_poly import PuiseuxPoly, deriv_x, deriv_y, poly_add, poly_mul
+from .exact_poly import PuiseuxPoly, _with_order, deriv_x, deriv_y, poly_add, poly_mul
 from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
                     isolate_real_roots, poly_value, refine_root)
 
@@ -644,7 +644,7 @@ def _rotation_invariant(p: PuiseuxPoly) -> bool:
     coordinates, is exactly zero: S is constant on every circle about the
     origin.  Decided on the exact terms of p, its truncation order dropped,
     since the quadrature evaluates every stored term."""
-    p = PuiseuxPoly(p.terms)
+    p = _with_order(p, None)
     x, minus_y = PuiseuxPoly.monomial(1, 1, 0), PuiseuxPoly.monomial(-1, 0, 1)
     return poly_add(poly_mul(x, deriv_y(p)), poly_mul(minus_y, deriv_x(p))).is_zero()
 

@@ -76,39 +76,43 @@ class BisectrixClass:
 
 
 def newton_polygon_of(p: PuiseuxPoly) -> NewtonPolygon:
-    """Polygon of a nonzero phase via a staircase sweep plus a convex chain."""
-    if p.is_zero():
-        raise ValueError("the zero phase has no Newton polygon")
-    pts = [(a, Fraction(b)) for (a, b) in p.terms.keys()]
+    """Polygon of a nonzero phase, built on first call and kept on p."""
+    if p._polygon is None:
+        if p.is_zero():
+            raise ValueError("the zero phase has no Newton polygon")
+        p._polygon = _hull(p)
+    return p._polygon
 
-    # staircase sweep: in (a, b) order a kept point dominates everything after
+
+def _hull(p: PuiseuxPoly) -> NewtonPolygon:
+    """A staircase sweep plus a convex chain over p's lattice points (A, b),
+    A = a·n: scaling a by n > 0 keeps every comparison and turn the same."""
+    # staircase sweep: in (A, b) order a kept point dominates everything after
     # it with b at least as large, so the survivors have strictly decreasing b
-    pts.sort()
-    frontier: List[Point] = []
-    for a, b in pts:
+    frontier: List[Tuple[int, int]] = []
+    for A, b in sorted(p._lat):
         if frontier and frontier[-1][1] <= b:
             continue
-        frontier.append((a, b))
+        frontier.append((A, b))
 
     # lower-left convex chain over the frontier; the hull region sits above-right,
     # so the boundary must turn left at every vertex (collinear points dropped)
-    chain: List[Point] = []
-    for q in frontier:
+    chain: List[Tuple[int, int]] = []
+    for A, b in frontier:
         while len(chain) >= 2:
-            (a1, b1), (a2, b2) = chain[-2], chain[-1]
-            cross = (a2 - a1) * (q[1] - b1) - (b2 - b1) * (q[0] - a1)
-            if cross <= 0:
+            (A1, b1), (A2, b2) = chain[-2], chain[-1]
+            if (A2 - A1) * (b - b1) - (b2 - b1) * (A - A1) <= 0:
                 chain.pop()
             else:
                 break
-        chain.append(q)
+        chain.append((A, b))
 
+    vertices = tuple((Fraction(A, p.ramification), Fraction(b)) for A, b in chain)
     edges = []
-    for (a1, b1), (a2, b2) in zip(chain, chain[1:]):
+    for (a1, b1), (a2, b2) in zip(vertices, vertices[1:]):
         m = (a2 - a1) / (b1 - b2)  # b strictly decreases along the chain
-        alpha = a1 + m * b1
-        edges.append(CompactEdge(lo=(a1, b1), hi=(a2, b2), m=m, alpha=alpha))
-    return NewtonPolygon(vertices=tuple(chain), edges=tuple(edges))
+        edges.append(CompactEdge(lo=(a1, b1), hi=(a2, b2), m=m, alpha=a1 + m * b1))
+    return NewtonPolygon(vertices=vertices, edges=tuple(edges))
 
 
 def newton_distance(np_: NewtonPolygon) -> Fraction:
@@ -143,17 +147,20 @@ def edge_polynomial(p: PuiseuxPoly, e: CompactEdge, x_sign: int = 1) -> PuiseuxP
     """
     if x_sign not in (1, -1):
         raise ValueError("x_sign must be +1 or -1")
-    terms = {}
-    for (a, b), c in p.terms.items():
-        if a + e.m * b != e.alpha:
+    n = p.ramification
+    on_line = [(e.alpha - e.m * b) * n for b in range(p.y_degree() + 1)]   # A at each b
+    lat = {}
+    for (A, b), C in p._lat.items():
+        if A != on_line[b]:
             continue
         if x_sign == -1:
-            if a.denominator != 1:
-                raise ValueError(f"edge term x^{a} has fractional exponent; x = -1 undefined")
-            if int(a) % 2 == 1:
-                c = -c
-        terms[(Fraction(0), b)] = c
-    return PuiseuxPoly._trusted(terms, None, 1)
+            if A % n:
+                raise ValueError(f"edge term x^{Fraction(A, n)} has fractional exponent; "
+                                 "x = -1 undefined")
+            if A // n % 2 == 1:
+                C = -C
+        lat[(0, b)] = C
+    return PuiseuxPoly._reduced(1, p._den, lat, None)
 
 
 def polygon_subset(np1: NewtonPolygon, np2: NewtonPolygon) -> bool:

@@ -36,6 +36,8 @@ from .adapt import _require_critical
 from .exact_poly import (
     PuiseuxPoly,
     Rational,
+    _min_trunc,
+    _with_order,
     deriv_y,
     divide_out_x,
     eval_rational,
@@ -215,14 +217,10 @@ class _Wall:
     zero wall has s = 0 and gives zeros."""
 
     def __init__(self, w: PuiseuxPoly, exps: _Exps):
-        terms = sorted((a, d) for (a, _b), d in w.terms.items()) or [(Fraction(0), Fraction(0))]
-        self.s = terms[0][0]
-        self.den = math.lcm(*[d.denominator for _, d in terms])
-        self.d0 = terms[0][1].numerator * (self.den // terms[0][1].denominator)
-        sn, sd = self.s.numerator, self.s.denominator
-        self.rest = [(abs(d.numerator) * (self.den // d.denominator),
-                      exps.add(a.numerator * sd - sn * a.denominator, a.denominator * sd))
-                     for a, d in terms[1:]]
+        n = w.ramification
+        (a0, self.d0), *rest = sorted((A, C) for (A, _b), C in w._lat.items()) or [(0, 0)]
+        self.s, self.den = Fraction(a0, n), w._den
+        self.rest = [(abs(C), exps.add(A - a0, n)) for A, C in rest]
 
     def bounds(self, pw: _PowersUp) -> Tuple[int, int]:
         r = sum(k * pw[i] for k, i in self.rest)
@@ -260,15 +258,13 @@ def _vertex_cut(q: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
     so the sum rises with v and _radius finds the least k."""
     av, bv = edge.upper_vertex if upper else edge.lower_vertex
     bv = int(bv)
-    others = [(b, abs(cf)) for (_a, b), cf in q.terms.items() if b != bv]
-    headroom = max((_headroom(edge.alpha - edge.m * b, b, (av, bv)) for b, _ in others),
-                   default=1)
-    target = delta * abs(q.coeff(0, bv)) / (4 * headroom)
-    # on integers: v = vn/vd and |cf| = k/f, both sides times f·vd^top
-    f = math.lcm(*[cf.denominator for _, cf in others])
-    ks = [(cf.numerator * (f // cf.denominator), abs(b - bv)) for b, cf in others]
+    # on q's lattice: v = vn/vd and |cf| = k/den, both sides times den·vd^top
+    ks = [(abs(C), abs(b - bv)) for (_A, b), C in q._lat.items() if b != bv]
+    headroom = max((_headroom(edge.alpha - edge.m * b, b, (av, bv))
+                    for (_A, b) in q._lat if b != bv), default=1)
+    target = delta * abs(q._lat[(0, bv)]) / (4 * headroom)      # times den
     top = max([0, *(j for _, j in ks)])
-    tn, td = target.numerator * f, target.denominator
+    tn, td = target.numerator, target.denominator
 
     def fits(v: Fraction) -> bool:
         vn, vd = v.numerator, v.denominator
@@ -333,18 +329,16 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> Puise
     """
     m, alpha = edge.m, edge.alpha
     o = root.multiplicity
-    cap = Fraction(TRUNCATION_ORDER)
     s = divide_out_x(subst_scale(p, m), alpha)
-    if s.truncation_order is not None and s.truncation_order < cap:
-        cap = s.truncation_order
+    cap = _min_trunc(Fraction(TRUNCATION_ORDER), s.truncation_order)
     h = deriv_y(s, o - 1)
     r = root.exact_value
     if r is None:
         raise ValueError(_IRRATIONAL_ROOT)
     # t has valuation 0, so every cut is by x-order and goes on t; h and h_y are
     # used whole (a total-order cut would drop x^a·y^b with a < end <= a + b)
-    end = cap if h.truncation_order is None else min(cap, h.truncation_order)
-    h = PuiseuxPoly(h.terms)
+    end = _min_trunc(cap, h.truncation_order)
+    h = _with_order(h, None)
     hy = deriv_y(h, 1)
     a_coef = eval_rational(hy, Fraction(0), r)
     if a_coef == 0:
@@ -352,15 +346,15 @@ def branch_curve(p: PuiseuxPoly, edge: CompactEdge, root: IsolatedRoot) -> Puise
     t = PuiseuxPoly.constant(r)
     u = PuiseuxPoly.constant(1 / a_coef)   # 1/h_y(x, t), exact below x^k
     k = Fraction(1, h.ramification)         # t is exact below x^k
-    while not (e := subst_y(h, PuiseuxPoly(t.terms, end))).is_zero():
+    while not (e := subst_y(h, _with_order(t, end))).is_zero():
         k = min(2 * k, end)
-        t = PuiseuxPoly(t.terms, k) - poly_mul(PuiseuxPoly(e.terms, k), u)
+        t = _with_order(t, k) - poly_mul(_with_order(e, k), u)
         if k == end:
             break
-        u = PuiseuxPoly(poly_mul(u, 2 - poly_mul(subst_y(hy, t), u)).terms)
-    if len(t.terms) > 500:
+        u = _with_order(poly_mul(u, 2 - poly_mul(subst_y(hy, t), u)), None)
+    if len(t._lat) > 500:
         raise RuntimeError("branch lifting did not terminate within 500 corrections")
-    t = PuiseuxPoly(dict(sorted(t.terms.items())), cap)
+    t = _with_order(t, cap, sort=True)
     return poly_mul(PuiseuxPoly.monomial(1, m, 0), t)
 
 
@@ -411,7 +405,7 @@ def _compose_half(charts: List[Chart], s: int, g_v: PuiseuxPoly,
 
 def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
     """The positive roots of an edge polynomial, largest first; all rational."""
-    if len(q.terms) <= 1:
+    if len(q._lat) <= 1:
         return []
     roots = isolate_real_roots(q, domain="positive")
     if any(r.exact_value is None for r in roots):
@@ -420,10 +414,8 @@ def _positive_roots(q: PuiseuxPoly) -> List[IsolatedRoot]:
 
 
 def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
-                    depth: int, params: ResolveParams, poly=None
-                    ) -> Tuple[List[Chart], List[TraceNode]]:
-    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame),
-    whose Newton polygon poly is built here unless the caller has it.
+                    depth: int, params: ResolveParams) -> Tuple[List[Chart], List[TraceNode]]:
+    """Tile {0 < y < roof_coeff·x^roof_exp} for the phase p (its own frame).
 
     Invariant: the strip at the edge root r has half-width xi at most 1/4 of
     r, of the gap to each neighbouring root and of the gap from the largest
@@ -436,7 +428,7 @@ def _resolve_sector(p: PuiseuxPoly, roof_coeff: Fraction, roof_exp: Fraction,
     if depth > MAX_DEPTH:
         raise RuntimeError("resolution recursion exceeded max_depth "
                            "(order decrease violated)")
-    poly = poly or newton_polygon_of(p)
+    poly = newton_polygon_of(p)
     edges = [e for e in poly.edges if e.m >= roof_exp]
     roof = PuiseuxPoly.monomial(roof_coeff, roof_exp, 0)
     if not edges:
@@ -527,7 +519,7 @@ def resolve(p: PuiseuxPoly, params: Optional[ResolveParams] = None) -> Decomposi
         eta = min(Fraction(1, 2), min(slopes) / 2) if slopes else Fraction(1, 2)
     eta = Fraction(eta)
 
-    charts, traces = _resolve_sector(p, Fraction(1), eta, 0, params, poly)
+    charts, traces = _resolve_sector(p, Fraction(1), eta, 0, params)
 
     bs = [b for (_, b) in p.support()]
     span = max(1, max(bs) - min(bs))
@@ -563,20 +555,20 @@ def _radius(ok, cap: Fraction, never: str) -> Fraction:
 def _split(phase: PuiseuxPoly, b0: Fraction, alpha: Fraction, s: Fraction):
     """phase/(b0·x^alpha) in u = y/x^s as E(u) + sum x^w·u^j·c, on integers:
     (e, rest, den, g) with e/den the dense coefficients of its weight-0 part E,
-    and rest [(j, |c|·den, w·g)] for the other terms."""
+    and rest [(j, |c|·den, w·g)] for the other terms, read off phase's lattice."""
     g = math.lcm(phase.ramification, s.denominator, alpha.denominator)
-    ell = math.lcm(*[cf.denominator for cf in phase.terms.values()])
+    f = g // phase.ramification
     sg, ag = s.numerator * (g // s.denominator), alpha.numerator * (g // alpha.denominator)
     sign = 1 if b0 > 0 else -1
     e, rest = [0] * (phase.y_degree() + 1), []
-    for (a, j), cf in phase.terms.items():
-        w = a.numerator * (g // a.denominator) + sg * j - ag
-        k = cf.numerator * (ell // cf.denominator) * b0.denominator
+    for (A, j), C in phase._lat.items():
+        w = A * f + sg * j - ag
+        k = C * b0.denominator
         if w:
             rest.append((j, abs(k), w))
         else:
             e[j] += sign * k
-    return e, rest, ell * abs(b0.numerator), g
+    return e, rest, phase._den * abs(b0.numerator), g
 
 
 def _obligation(c: Chart, phase: PuiseuxPoly):
@@ -622,27 +614,25 @@ def _obligation(c: Chart, phase: PuiseuxPoly):
         return ok
 
     lower, gap = _Wall(c.lower, exps), _Wall(c.upper - c.lower, exps)
-    g = math.lcm(phase.ramification, alpha.denominator, upper.s.denominator,
-                 lower.s.denominator)
+    n = phase.ramification
+    g = math.lcm(n, alpha.denominator, upper.s.denominator, lower.s.denominator)
     ag = alpha.numerator * (g // alpha.denominator)
     su = upper.s.numerator * (g // upper.s.denominator)
     sl = lower.s.numerator * (g // lower.s.denominator)
-    ell = math.lcm(*[cf.denominator for cf in phase.terms.values()])
     raw = []                        # (|c/b|·_headroom as k/h, d = b - beta, x exponent·g)
-    for (a, b), cf in phase.terms.items():
-        x_exp = a.numerator * (g // a.denominator) - ag
+    for (A, b), C in phase._lat.items():
+        x_exp = A * (g // n) - ag
         if x_exp == 0 and b == beta:
             continue
         x_exp += (su if b >= beta else sl) * (b - beta)
         if x_exp < 0:
             return lambda X: False
-        h = _headroom(a, b, (alpha, beta))
-        raw.append((abs(cf.numerator) * (ell // cf.denominator) * h.numerator, h.denominator,
-                    b - beta, x_exp))
+        h = _headroom(Fraction(A, n), b, (alpha, beta))
+        raw.append((abs(C) * h.numerator, h.denominator, b - beta, x_exp))
     # the term k·w^d·X^e over kd·D·ud^dmax·vn^m, w the upper wall's bound un/ud for
     # d >= 0 and the lower wall's vn/vd for d < 0; slack = sn/sd
     hd = math.lcm(*[h for _, h, _, _ in raw])
-    kd = ell * abs(b0.numerator) * hd
+    kd = phase._den * abs(b0.numerator) * hd
     sn, sd = slack.numerator, slack.denominator
     terms = [(k * b0.denominator * (hd // h) * sd, d, exps.add(x_exp, g))
              for k, h, d, x_exp in sorted(raw, key=lambda t: t[3])]  # lowest x exponent first

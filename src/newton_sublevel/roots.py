@@ -60,13 +60,9 @@ def _trim(cs: Sequence[Fraction]) -> Coeffs:
 def coeffs_of(q) -> Coeffs:
     """Dense [c0, c1, ...] from a y-only PuiseuxPoly or a sequence."""
     if isinstance(q, PuiseuxPoly):
-        if any(a != 0 for (a, _b) in q.terms):
+        if any(A for A, _b in q._lat):
             raise ValueError("expected a polynomial in y alone")
-        deg = q.y_degree()
-        out = [Fraction(0)] * (deg + 1)
-        for (_a, b), c in q.terms.items():
-            out[b] = c
-        return _trim(out)
+        return _trim([Fraction(q._lat.get((0, b), 0), q._den) for b in range(q.y_degree() + 1)])
     return _trim([_as_fraction(c) for c in q])
 
 

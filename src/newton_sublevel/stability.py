@@ -90,7 +90,7 @@ def _edge_line_coeffs(S, f, edge, x_sign: int):
         qs, qf = edge_polynomial(S, edge, x_sign), edge_polynomial(f, edge, x_sign)
     except ValueError:
         return None
-    ks = sorted({b for (_a, b) in qs.terms} | {b for (_a, b) in qf.terms})
+    ks = sorted({b for (_A, b) in qs._lat} | {b for (_A, b) in qf._lat})
     return [(qs.coeff(0, k), qf.coeff(0, k)) for k in range(ks[0], ks[-1] + 1)]
 
 
@@ -202,11 +202,6 @@ def exceptional_candidates(S: PuiseuxPoly, f: PuiseuxPoly) -> ExceptionalSet:
 # sweeps
 
 
-def _index_of(p: PuiseuxPoly):
-    rep = to_superadapted(p)
-    return rep.index
-
-
 def _sweep(S: PuiseuxPoly, f: PuiseuxPoly, grid: Sequence[Optional[Fraction]],
            bound: Tuple[Fraction, int], f_index: Optional[GrowthIndex] = None,
            ) -> Tuple[List[SweepRow], List[str], ExceptionalSet]:
@@ -233,7 +228,7 @@ def _sweep(S: PuiseuxPoly, f: PuiseuxPoly, grid: Sequence[Optional[Fraction]],
             continue
         contains = polygon_subset(base_np, newton_polygon_of(P))
         try:
-            idx, ok, note = _index_of(P), True, ""
+            idx, ok, note = to_superadapted(P).index, True, ""
         except ValueError as e:
             idx, ok, note = None, False, str(e)
             flags.add("undecided")
@@ -258,7 +253,7 @@ def stability_sweep(S: PuiseuxPoly, f: PuiseuxPoly, t_grid: Sequence,
     the verdict's inequality lex(-j_t, p_t) <= lex(-j, p) quantifies only over
     unflagged rows.
     """
-    idx0 = _index_of(S)
+    idx0 = to_superadapted(S).index
     rows, violations, exc = _sweep(S, f, [Fraction(t) for t in t_grid], idx0.key())
     max_coeff = max((abs(c) for c in f.terms.values()), default=Fraction(0))
     max_deg = max((a + b for (a, b) in f.terms), default=Fraction(0))
@@ -284,7 +279,7 @@ def mixture_sweep(S1: PuiseuxPoly, S2: PuiseuxPoly, ratio_grid: Sequence,
     log multiplicity osc_p = 0 (both Morse types share oscillatory indices
     even though the hyperbolic sublevel growth carries a log).
     """
-    idx1, idx2 = _index_of(S1), _index_of(S2)
+    idx1, idx2 = to_superadapted(S1).index, to_superadapted(S2).index
     grid = [None if raw is None or raw == "inf"
             or (isinstance(raw, float) and math.isinf(raw)) else Fraction(raw)
             for raw in ratio_grid]

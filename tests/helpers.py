@@ -1,8 +1,8 @@
 """Shared test utilities: terse phase constructors, catalog data, the
-Fraction reference of the chart proof's arithmetic, the linear search of the
-vertex cut, the boolean-mask reference of the Monte Carlo block kernel, and
-the Fraction references of the exceptional-strength discriminant and the
-generic polygon."""
+Fraction reference of the Newton polygon's hull, the Fraction reference of
+the chart proof's arithmetic, the linear search of the vertex cut, the
+boolean-mask reference of the Monte Carlo block kernel, and the Fraction
+references of the exceptional-strength discriminant and the generic polygon."""
 
 import math
 from fractions import Fraction
@@ -22,6 +22,29 @@ from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
 def phase(*terms):
     """phase((c, a, b), ...) -> PuiseuxPoly sum of c * x^a * y^b."""
     return PuiseuxPoly.from_terms(terms)
+
+
+def _fraction_hull(p: PuiseuxPoly) -> NewtonPolygon:
+    """The reference of newton_polygon_of: the staircase sweep and convex chain
+    over the Fraction points (a, b) of p.terms."""
+    pts = sorted((a, Fraction(b)) for (a, b) in p.terms)
+    frontier = []
+    for a, b in pts:
+        if not frontier or frontier[-1][1] > b:
+            frontier.append((a, b))
+    chain = []
+    for q in frontier:
+        while len(chain) >= 2:
+            (a1, b1), (a2, b2) = chain[-2], chain[-1]
+            if (a2 - a1) * (q[1] - b1) - (b2 - b1) * (q[0] - a1) > 0:
+                break
+            chain.pop()
+        chain.append(q)
+    edges = []
+    for (a1, b1), (a2, b2) in zip(chain, chain[1:]):
+        m = (a2 - a1) / (b1 - b2)
+        edges.append(CompactEdge(lo=(a1, b1), hi=(a2, b2), m=m, alpha=a1 + m * b1))
+    return NewtonPolygon(vertices=tuple(chain), edges=tuple(edges))
 
 
 # The one catalog: (name, CLI expression, growth index (j, p), morse_hyperbolic).

@@ -313,6 +313,85 @@ def test_subst_shear_matches_the_fraction_reference(p, sign_y, g):
     _same(subst_shear(p, sign_y, g), _ref_subst_shear(_ref_of(p), sign_y, _ref_of(g)))
 
 
+def _ref_scale(p, c):
+    return _ref({k: c * v for k, v in p[0].items()}, p[1])
+
+
+def _ref_deriv_y(p, k):
+    terms = {(a, b - k): c * math.prod(range(b - k + 1, b + 1))
+             for (a, b), c in p[0].items() if b >= k}
+    return _ref(terms, None if p[1] is None else p[1] - k)
+
+
+def _ref_deriv_x(p, k):
+    terms, trunc = p[0], p[1]
+    for _ in range(k):
+        if any(0 < a < 1 for a, _b in terms):
+            raise ValueError("negative exponent")
+        terms = {(a - 1, b): c * a for (a, b), c in terms.items() if a != 0}
+        trunc = None if trunc is None else trunc - 1
+    return _ref(terms, trunc)
+
+
+def _ref_subst_scale(p, m):
+    return _ref({(a + m * b, b): c for (a, b), c in p[0].items()}, p[1])
+
+
+def _ref_divide_out_x(p, alpha):
+    if any(a < alpha for a, _b in p[0]):
+        raise ValueError("not divisible")
+    return _ref({(a - alpha, b): c for (a, b), c in p[0].items()},
+                None if p[1] is None else p[1] - alpha)
+
+
+def _ref_reflect_axes(p, sx, sy, swap):
+    terms = p[0]
+    if swap:
+        if p[2] != 1:
+            raise ValueError("fractional swap")
+        terms = {(Fraction(b), int(a)): c for (a, b), c in terms.items()}
+    if sx == -1 and any(a.denominator != 1 for a, _b in terms):
+        raise ValueError("fractional reflection")
+    return _ref({(a, b): c * (sx ** int(a) if sx == -1 else 1) * sy ** b
+                 for (a, b), c in terms.items()}, p[1])
+
+
+def _ref_edge_polynomial(p, e, x_sign):
+    on_edge = {(a, b): c for (a, b), c in p[0].items() if a + e.m * b == e.alpha}
+    if x_sign == -1 and any(a.denominator != 1 for a, _b in on_edge):
+        raise ValueError("fractional edge term")
+    return _ref({(Fraction(0), b): c * (x_sign ** int(a) if x_sign == -1 else 1)
+                 for (a, b), c in on_edge.items()}, None)
+
+
+def _same_or_both_raise(op, ref, *args):
+    try:
+        want = ref(_ref_of(args[0]), *args[1:])
+    except ValueError:
+        with pytest.raises(ValueError):
+            op(*args)
+    else:
+        _same(op(*args), want)
+
+
+@given(truncated_polys(), rationals, st.integers(0, 3),
+       st.fractions(Fraction(1, 3), 3, max_denominator=3), x_exps)
+def test_lattice_ops_match_the_fraction_reference(p, c, k, m, alpha):
+    _same(poly_scale(p, c), _ref_scale(_ref_of(p), c))
+    _same(deriv_y(p, k), _ref_deriv_y(_ref_of(p), k))
+    _same(subst_scale(p, m), _ref_subst_scale(_ref_of(p), m))
+    _same_or_both_raise(deriv_x, _ref_deriv_x, p, k)
+    _same_or_both_raise(divide_out_x, _ref_divide_out_x, p, alpha)
+    for sx in (1, -1):
+        for sy in (1, -1):
+            for swap in (False, True):
+                _same_or_both_raise(reflect_axes, _ref_reflect_axes, p, sx, sy, swap)
+    if not p.is_zero():
+        for e in newton_polygon_of(p).edges:
+            for x_sign in (1, -1):
+                _same_or_both_raise(edge_polynomial, _ref_edge_polynomial, p, e, x_sign)
+
+
 # ---- built unchecked: the same polynomial that __init__ would build ----
 
 
@@ -321,13 +400,17 @@ def _as_init_builds(r):
     assert r.terms == want.terms
     assert r.truncation_order == want.truncation_order
     assert r.ramification == want.ramification
+    # the same canonical lattice, in the same order
+    assert r._den == want._den and list(r._lat.items()) == list(want._lat.items())
 
 
 @given(truncated_polys(), rationals, st.integers(0, 3), st.sampled_from((1, -1)), curves(),
        x_exps, y_exps)
 def test_trusted_results_equal_their_init_rebuild(p, c, k, sign_y, g, a, b):
     made = [poly_scale(p, c), poly_scale(p, 0), deriv_y(p, k), subst_shear(p, sign_y, g),
-            PuiseuxPoly.monomial(c, a, b), PuiseuxPoly.constant(c), PuiseuxPoly.zero()]
+            PuiseuxPoly.monomial(c, a, b), PuiseuxPoly.constant(c), PuiseuxPoly.zero(),
+            poly_mul(p, g), poly_add(p, g), p - p, subst_y(p, g), subst_scale(p, a + 1),
+            reflect_axes(p, 1, -1)]
     if not p.is_zero():
         made += [edge_polynomial(p, e, 1) for e in newton_polygon_of(p).edges]
     for r in made:
@@ -335,3 +418,36 @@ def test_trusted_results_equal_their_init_rebuild(p, c, k, sign_y, g, a, b):
     zero = poly_scale(p, 0)
     assert zero.is_zero() and zero.ramification == 1
     assert zero.truncation_order == p.truncation_order
+
+
+# ---- the canonical lattice ----
+
+
+def test_equal_polynomials_built_by_different_routes_are_equal():
+    x, y = PuiseuxPoly.monomial(1, 1, 0), PuiseuxPoly.monomial(1, 0, 1)
+    root_x = PuiseuxPoly.monomial(1, Fraction(1, 2), 0)
+    pairs = [(poly_mul(root_x, root_x), x),
+             (poly_mul(poly_scale(x, Fraction(1, 2)), poly_scale(y, 2)), poly_mul(x, y)),
+             (poly_add(phase((Fraction(1, 2), 1, 0)), phase((Fraction(1, 2), 1, 0))), x)]
+    for got, want in pairs:
+        assert got == want and hash(got) == hash(want)
+        assert (got.ramification, got._den, got._lat) == (1, 1, want._lat)
+    assert poly_mul(root_x, root_x).terms == {(Fraction(1), 0): Fraction(1)}
+
+
+def test_terms_is_a_read_only_view():
+    p = phase((Fraction(3, 2), Fraction(1, 2), 1))
+    assert p.terms == {(Fraction(1, 2), 1): Fraction(3, 2)}
+    assert p.terms is p.terms
+    with pytest.raises(TypeError):
+        p.terms[(Fraction(0), 0)] = Fraction(1)
+
+
+def test_from_terms_rejects_a_fractional_y_exponent():
+    # from_terms used to floor the exponent: (1, 0, 1.5) built y
+    for b in (1.5, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="y-exponent must be an integer"):
+            PuiseuxPoly.from_terms([(1, 0, b)])
+        with pytest.raises(ValueError, match="y-exponent must be an integer"):
+            PuiseuxPoly({(1, b): 1})
+    assert PuiseuxPoly.from_terms([(1, 0, Fraction(2))]) == PuiseuxPoly.monomial(1, 0, 2)

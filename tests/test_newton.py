@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -14,7 +14,7 @@ from newton_sublevel import (
     newton_polygon_of,
     polygon_subset,
 )
-from helpers import phase, CATALOG
+from helpers import _fraction_hull, phase, CATALOG
 
 
 def test_polygon_of_parabola_square():
@@ -118,3 +118,30 @@ def test_distance_is_diagonal_entry_time(p):
     eps = Fraction(1, 1000)
     if d > 0:
         assert not np_.contains(d - eps, d - eps)
+
+
+@st.composite
+def ramified_polys(draw):
+    """Up to eight terms, maybe truncated, with x-exponents a/d (d up to 4) on a
+    coarse grid, so that collinear and dominated points are common."""
+    terms, d = {}, draw(st.integers(1, 4))
+    for _ in range(draw(st.integers(1, 8))):
+        a = Fraction(draw(st.integers(0, 3 * d)), draw(st.sampled_from([1, d])))
+        terms[(a, draw(st.integers(0, 4)))] = draw(st.sampled_from([-2, -1, Fraction(1, 3), 1, 5]))
+    trunc = draw(st.none() | st.fractions(min_value=1, max_value=12, max_denominator=3))
+    return PuiseuxPoly(terms, trunc)
+
+
+@given(ramified_polys())
+@example(phase((1, 0, 2), (-2, 2, 1), (1, 4, 0)))                    # a collinear edge point
+@example(phase((1, 0, 4), (1, Fraction(1, 2), 3), (1, Fraction(3, 2), 1), (1, 2, 0)))
+def test_integer_hull_matches_the_fraction_hull(p):
+    assume(not p.is_zero())
+    assert newton_polygon_of(p) == _fraction_hull(p)
+
+
+def test_polygon_is_built_once_per_polynomial():
+    p = phase((1, 0, 2), (-2, 2, 1), (1, 4, 0))
+    assert newton_polygon_of(p) is newton_polygon_of(p)
+    with pytest.raises(ValueError, match="zero phase"):
+        newton_polygon_of(PuiseuxPoly.zero())

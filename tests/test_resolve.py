@@ -39,6 +39,7 @@ from helpers import phase, CATALOG, RESOLVE_EXTRAS
 
 ALL_PHASES = [(n, p) for n, p, *_ in CATALOG] + RESOLVE_EXTRAS
 RESOLVE = importlib.import_module("newton_sublevel.resolve")
+NEWTON = importlib.import_module("newton_sublevel.newton")
 # the slowest resolve known: one branch curve of 73 terms below order 40
 SLOW_PHASE = "3*x^6*y^3 - 3/2*x^5*y^4 - 3*x^5 + 3*x^4*y^2"
 
@@ -376,13 +377,13 @@ def test_strip_half_width_is_never_a_child_edge_root(case):
 
 
 def test_resolve_builds_one_polygon_plus_two_per_strip(monkeypatch):
-    calls = []
+    calls, hull = [], NEWTON._hull
 
     def counted(p):
         calls.append(p)
-        return newton_polygon_of(p)
+        return hull(p)
 
-    monkeypatch.setattr(RESOLVE, "newton_polygon_of", counted)
+    monkeypatch.setattr(NEWTON, "_hull", counted)
     dec = resolve(parse_expression("(y - x)^2*(y - 2*x) + x^4").poly)
 
     def nodes(trace):
@@ -583,7 +584,7 @@ def _assert_same_cuts(p, delta):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RESOLVE, "_vertex_cut", recorded)
         try:
-            RESOLVE._resolve_sector(p, Fraction(1), eta, 0, ResolveParams(delta=delta), poly)
+            RESOLVE._resolve_sector(p, Fraction(1), eta, 0, ResolveParams(delta=delta))
         except ValueError as e:         # a deeper root is irrational: the cuts before it
             assert "irrational" in str(e)
     assert calls

@@ -1,6 +1,7 @@
 """Perturbation sweeps: exceptional parameters, index jumps, mixtures."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -167,6 +168,17 @@ def test_sweep_vertex_cancellation_example():
     assert (crit.index.j, crit.index.p) == (F(1, 5), 0)
     assert "vertex_cancel" in crit.flags
     assert not crit.polygon_contains_NS
+
+
+def test_one_sweep_hulls_S_once(monkeypatch):
+    # the reduction of S, the base polygon of the rows and the candidates all
+    # read the polygon kept on S
+    newton = importlib.import_module("newton_sublevel.newton")
+    S = phase((1, 0, 2), (-2, 2, 1), (1, 4, 0), (1, 5, 0))       # (y - x^2)^2 + x^5
+    hulled, hull = [], newton._hull
+    monkeypatch.setattr(newton, "_hull", lambda p: hulled.append(p) or hull(p))
+    stability_sweep(S, phase((1, 3, 1)), [F(-1), F(1, 2), F(2)])
+    assert sum(p is S for p in hulled) == 1
 
 
 def test_sweep_flat_family():
