@@ -104,7 +104,6 @@ from .cli import (
     ParseError,
     PhaseExpr,
     parse_expression,
-    print_expression,
     run,
 )
 

@@ -9,9 +9,11 @@ Phase expressions follow a small grammar, parsed by recursive descent:
     exponent := '-'? INT | '(' '-'? rational ')'
     rational := INT ('/' INT)?
 
-Coefficient arithmetic is exact; x may carry nonnegative rational powers,
-y only nonnegative integer ones.  A fractional exponent needs parentheses,
-x^(3/2), as format_poly prints it: x^3/2 is a parse error at the '/'.
+INT is ASCII digits only.  Coefficient arithmetic is exact; x may carry
+nonnegative rational powers, y only nonnegative integer ones.  A fractional
+exponent needs parentheses, x^(3/2), as format_poly prints it: x^3/2 is a
+parse error at the '/'.  One pass over the tokens gives both the exact
+polynomial and its canonical text, the expression that analyze echoes.
 Subcommands write JSON/CSV reports under --out.  Each subcommand takes only
 the flags it reads (the _COMMANDS table); any other flag is a usage error.
 --config FILE gives "key = value" defaults for the chosen subcommand's
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__
 from .adapt import _require_critical, to_superadapted
@@ -78,7 +80,6 @@ __all__ = [
     "ParseError",
     "PhaseExpr",
     "parse_expression",
-    "print_expression",
     "run",
     "main",
 ]
@@ -97,8 +98,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # INT | NAME | OP | END
     text: str
     line: int
@@ -106,6 +106,9 @@ class _Token:
 
 
 _OPS = set("+-*/^()")
+
+# what a grammar rule read: (exact polynomial, canonical text, kind of that text)
+_Read = Tuple[PuiseuxPoly, str, str]
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -123,9 +126,9 @@ def _tokenize(text: str) -> List[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Token("INT", text[i:j], line, col))
             col += j - i
@@ -146,41 +149,13 @@ def _tokenize(text: str) -> List[_Token]:
     return toks
 
 
-# ---------------------------------------------------------------------------
-# AST
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # "x" | "y"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exp: Fraction
-
-
-@dataclass(frozen=True)
-class Prod:
-    factors: Tuple["Node", ...]
-
-
-@dataclass(frozen=True)
-class Sum:
-    signs: Tuple[int, ...]
-    terms: Tuple["Node", ...]
-
-
-Node = Union[Lit, Var, Pow, Prod, Sum]
-
-
 class _Parser:
+    """Recursive descent that evaluates as it reads.  Each rule returns what it
+    read as (poly, text, kind): the exact polynomial, its canonical text, and
+    the kind of that text -- 'x', 'y', 'int', 'frac', 'pow', 'prod' or 'sum' --
+    from which the rule above decides the parentheses.  Products fold from 1
+    and sums from 0, in the order read."""
+
     def __init__(self, toks: List[_Token]):
         self.toks = toks
         self.i = 0
@@ -201,30 +176,33 @@ class _Parser:
                          t.line, t.col)
 
     # expr := ('+'|'-')? term (('+'|'-') term)*
-    def expr(self) -> Node:
-        signs: List[int] = []
-        terms: List[Node] = []
+    def expr(self) -> _Read:
+        signed: List[Tuple[int, _Read]] = []
+        sign = 1
         t = self.peek()
-        if t.kind == "OP" and t.text in "+-":
-            self.advance()
-            signs.append(1 if t.text == "+" else -1)
-        else:
-            signs.append(1)
-        terms.append(self.term())
         while True:
-            t = self.peek()
             if t.kind == "OP" and t.text in "+-":
                 self.advance()
-                signs.append(1 if t.text == "+" else -1)
-                terms.append(self.term())
-            else:
+                sign = 1 if t.text == "+" else -1
+            signed.append((sign, self.term()))
+            t = self.peek()
+            if not (t.kind == "OP" and t.text in "+-"):
                 break
-        if len(terms) == 1 and signs[0] == 1:
-            return terms[0]
-        return Sum(tuple(signs), tuple(terms))
+        if len(signed) == 1 and signed[0][0] == 1:
+            return signed[0][1]
+        out, parts = PuiseuxPoly.zero(), []
+        for sg, (poly, s, kind) in signed:
+            out = poly_add(out, poly if sg == 1 else poly_scale(poly, -1))
+            if kind == "sum":
+                s = f"({s})"
+            if parts:
+                parts.append(f" + {s}" if sg == 1 else f" - {s}")
+            else:
+                parts.append(s if sg == 1 else f"-{s}")
+        return out, "".join(parts), "sum"
 
     # term := factor ('*'? factor)*  -- adjacency multiplies
-    def term(self) -> Node:
+    def term(self) -> _Read:
         factors = [self.factor()]
         while True:
             t = self.peek()
@@ -237,37 +215,54 @@ class _Parser:
                 break
         if len(factors) == 1:
             return factors[0]
-        return Prod(tuple(factors))
+        out = PuiseuxPoly.constant(1)
+        for poly, _s, _kind in factors:
+            out = poly_mul(out, poly)
+        return out, "*".join(f"({s})" if kind == "sum" else s
+                             for _p, s, kind in factors), "prod"
 
     # factor := base ('^' exponent)?  -- the exponent must suit the base
-    def factor(self) -> Node:
+    def factor(self) -> _Read:
         b = self.base()
         t = self.peek()
         if not (t.kind == "OP" and t.text == "^"):
             return b
         self.advance()
         e = self.exponent()
+        poly, s, kind = b
         neg, frac = e < 0, e.denominator != 1
-        if b == Var("x"):
+        if kind == "x":
             bad = neg and "negative x-power"
-        elif b == Var("y"):
+        elif kind == "y":
             bad = (neg or frac) and "negative or fractional y-power"
-        elif isinstance(b, Lit):
+        elif kind in ("int", "frac"):
             bad = (frac and "fractional power of a rational literal"
-                   or neg and b.value == 0 and "zero raised to a negative power")
+                   or neg and poly.is_zero() and "zero raised to a negative power")
         else:
             bad = (neg or frac) and "compound bases take nonnegative integer powers only"
         if bad:
             raise ParseError(bad, t.line, t.col)
-        return Pow(b, e)
+        if kind == "x":
+            poly = PuiseuxPoly.monomial(1, e, 0)
+        elif kind == "y":
+            poly = PuiseuxPoly.monomial(1, 0, int(e))
+        elif kind in ("int", "frac"):
+            poly = PuiseuxPoly.constant(poly.coeff(0, 0) ** int(e))
+        else:
+            poly = poly ** int(e)
+        if kind in ("frac", "pow", "prod", "sum"):
+            s = f"({s})"
+        return poly, f"{s}^{e}" if e >= 0 and not frac else f"{s}^({e})", "pow"
 
-    def base(self) -> Node:
+    def base(self) -> _Read:
         t = self.peek()
         if t.kind == "NAME":
             self.advance()
-            return Var(t.text)
+            a, b = (1, 0) if t.text == "x" else (0, 1)
+            return PuiseuxPoly.monomial(1, a, b), t.text, t.text
         if t.kind == "INT":
-            return Lit(self.rational())
+            q = self.rational()
+            return PuiseuxPoly.constant(q), str(q), "int" if q.denominator == 1 else "frac"
         if t.kind == "OP" and t.text == "(":
             self.advance()
             inner = self.expr()
@@ -317,95 +312,25 @@ class _Parser:
         return q
 
 
-def _needs_parens_in_prod(n: Node) -> bool:
-    return isinstance(n, Sum)
-
-
-def _needs_parens_in_pow(n: Node) -> bool:
-    return isinstance(n, (Sum, Prod)) or (isinstance(n, Lit) and n.value.denominator != 1)
-
-
-def print_expression(node: Node) -> str:
-    """Canonical text form; reparsing it reproduces the same AST."""
-    if isinstance(node, Lit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Pow):
-        b = print_expression(node.base)
-        if _needs_parens_in_pow(node.base):
-            b = f"({b})"
-        e = node.exp
-        etxt = str(e) if e.denominator == 1 and e >= 0 else f"({e})"
-        return f"{b}^{etxt}"
-    if isinstance(node, Prod):
-        parts = []
-        for f in node.factors:
-            s = print_expression(f)
-            parts.append(f"({s})" if _needs_parens_in_prod(f) else s)
-        return "*".join(parts)
-    if isinstance(node, Sum):
-        parts = []
-        for k, (sg, t) in enumerate(zip(node.signs, node.terms)):
-            s = print_expression(t)
-            if isinstance(t, Sum):
-                s = f"({s})"
-            if k == 0:
-                parts.append(s if sg == 1 else f"-{s}")
-            else:
-                parts.append(f" + {s}" if sg == 1 else f" - {s}")
-        return "".join(parts)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _expand(node: Node) -> PuiseuxPoly:
-    if isinstance(node, Lit):
-        return PuiseuxPoly.constant(node.value)
-    if isinstance(node, Var):
-        if node.name == "x":
-            return PuiseuxPoly.monomial(1, Fraction(1), 0)
-        return PuiseuxPoly.monomial(1, Fraction(0), 1)
-    if isinstance(node, Pow):
-        # _Parser.factor has checked the exponent against the base
-        e = node.exp
-        if node.base == Var("x"):
-            return PuiseuxPoly.monomial(1, e, 0)
-        if node.base == Var("y"):
-            return PuiseuxPoly.monomial(1, Fraction(0), int(e))
-        if isinstance(node.base, Lit):
-            return PuiseuxPoly.constant(node.base.value ** int(e))
-        return _expand(node.base) ** int(e)
-    if isinstance(node, Prod):
-        out = PuiseuxPoly.constant(1)
-        for f in node.factors:
-            out = poly_mul(out, _expand(f))
-        return out
-    if isinstance(node, Sum):
-        out = PuiseuxPoly.zero()
-        for sg, t in zip(node.signs, node.terms):
-            out = poly_add(out, poly_scale(_expand(t), sg))
-        return out
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 @dataclass(frozen=True)
 class PhaseExpr:
     source: str
-    ast: Node
+    canonical: str
     poly: PuiseuxPoly
 
 
 def parse_expression(text: str) -> PhaseExpr:
-    """Parse a phase expression to an AST and its exact polynomial expansion."""
+    """Parse a phase expression, in one pass, to its exact polynomial and its
+    canonical text, which parses back to the same polynomial and text."""
     toks = _tokenize(text)
     if toks[0].kind == "END":
         raise ParseError("empty expression", toks[0].line, toks[0].col)
     p = _Parser(toks)
-    ast = p.expr()
+    poly, canonical, _kind = p.expr()
     t = p.peek()
     if t.kind != "END":
         raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
-    return PhaseExpr(source=text, ast=ast, poly=_expand(ast))
+    return PhaseExpr(source=text, canonical=canonical, poly=poly)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +549,7 @@ def _cmd_analyze(args) -> _Report:
     cls = bisectrix_classify(np_)
     rep = to_superadapted(expr.poly)
     results = {
-        "expression": print_expression(expr.ast),
+        "expression": expr.canonical,
         "polynomial": format_poly(expr.poly),
         "polygon": _polygon_json(np_),
         "newton_distance": _fstr(d),

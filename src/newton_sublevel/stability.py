@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .adapt import GrowthIndex, to_superadapted
-from .exact_poly import PuiseuxPoly, _min_trunc, poly_add, poly_scale
+from .exact_poly import PuiseuxPoly, _aligned, poly_add, poly_scale
 from .newton import (NewtonPolygon, edge_polynomial, newton_distance, newton_polygon_of,
                      polygon_subset)
 from .roots import IntCoeffs, IsolatedRoot, _exquo, _trim, isolate_real_roots
@@ -78,8 +78,9 @@ def _cancel_ts(S: PuiseuxPoly, f: PuiseuxPoly, vertices) -> List[Fraction]:
 def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
     """Polygon of S + tau*f for every tau that cancels no coefficient: that of
     the union of the supports, cut at the sum's truncation order."""
-    return newton_polygon_of(PuiseuxPoly(dict.fromkeys([*S.terms, *f.terms], 1),
-                                         _min_trunc(S.truncation_order, f.truncation_order)))
+    trunc, n, lim, ls, lf = _aligned(S, f)
+    return newton_polygon_of(PuiseuxPoly._reduced(
+        n, 1, {k: 1 for k in (*ls, *lf) if k[0] + n * k[1] < lim}, trunc))
 
 
 def _edge_line_coeffs(S, f, edge, x_sign: int):

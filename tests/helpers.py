@@ -1,19 +1,22 @@
 """Shared test utilities: terse phase constructors, catalog data, the
 Fraction reference of the Newton polygon's hull, the Fraction reference of
 the chart proof's arithmetic, the linear search of the vertex cut, the
-boolean-mask reference of the Monte Carlo block kernel, and the Fraction
-references of the exceptional-strength discriminant and the generic polygon."""
+boolean-mask reference of the Monte Carlo block kernel, the Fraction
+references of the exceptional-strength discriminant and the generic polygon,
+and the AST reference of the phase parser."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 import numpy as np
 
 from newton_sublevel import CompactEdge, PuiseuxPoly, parse_expression
-from newton_sublevel.exact_poly import poly_add, poly_scale
+from newton_sublevel.cli import ParseError, _Token, _tokenize
+from newton_sublevel.exact_poly import poly_add, poly_mul, poly_scale
 from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms
 from newton_sublevel.newton import NewtonPolygon, newton_polygon_of
 from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
@@ -358,3 +361,261 @@ def _generic_polygon(S: PuiseuxPoly, f: PuiseuxPoly) -> NewtonPolygon:
                for (a, b) in support):
             return newton_polygon_of(poly_add(S, poly_scale(f, tau)))
         k += 1
+
+
+# ---------------------------------------------------------------------------
+# The phase parser as it was before it read in one pass: an AST of five node
+# classes, expanded by _expand and printed by print_expression.  It is the
+# reference that cli's fused parser must match, on cli's tokenizer, with the
+# same lattice in the same order, the same errors and the same canonical text.
+
+
+@dataclass(frozen=True)
+class Lit:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str  # "x" | "y"
+
+
+@dataclass(frozen=True)
+class Pow:
+    base: "Node"
+    exp: Fraction
+
+
+@dataclass(frozen=True)
+class Prod:
+    factors: Tuple["Node", ...]
+
+
+@dataclass(frozen=True)
+class Sum:
+    signs: Tuple[int, ...]
+    terms: Tuple["Node", ...]
+
+
+Node = Union[Lit, Var, Pow, Prod, Sum]
+
+
+class _Parser:
+    def __init__(self, toks: List[_Token]):
+        self.toks = toks
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.toks[self.i]
+
+    def advance(self) -> _Token:
+        t = self.toks[self.i]
+        self.i += 1
+        return t
+
+    def expect_op(self, ch: str) -> _Token:
+        t = self.peek()
+        if t.kind == "OP" and t.text == ch:
+            return self.advance()
+        raise ParseError(f"expected {ch!r}, found {t.text or 'end of input'!r}",
+                         t.line, t.col)
+
+    # expr := ('+'|'-')? term (('+'|'-') term)*
+    def expr(self) -> Node:
+        signs: List[int] = []
+        terms: List[Node] = []
+        t = self.peek()
+        if t.kind == "OP" and t.text in "+-":
+            self.advance()
+            signs.append(1 if t.text == "+" else -1)
+        else:
+            signs.append(1)
+        terms.append(self.term())
+        while True:
+            t = self.peek()
+            if t.kind == "OP" and t.text in "+-":
+                self.advance()
+                signs.append(1 if t.text == "+" else -1)
+                terms.append(self.term())
+            else:
+                break
+        if len(terms) == 1 and signs[0] == 1:
+            return terms[0]
+        return Sum(tuple(signs), tuple(terms))
+
+    # term := factor ('*'? factor)*  -- adjacency multiplies
+    def term(self) -> Node:
+        factors = [self.factor()]
+        while True:
+            t = self.peek()
+            if t.kind == "OP" and t.text == "*":
+                self.advance()
+                factors.append(self.factor())
+            elif t.kind in ("NAME", "INT") or (t.kind == "OP" and t.text == "("):
+                factors.append(self.factor())
+            else:
+                break
+        if len(factors) == 1:
+            return factors[0]
+        return Prod(tuple(factors))
+
+    # factor := base ('^' exponent)?  -- the exponent must suit the base
+    def factor(self) -> Node:
+        b = self.base()
+        t = self.peek()
+        if not (t.kind == "OP" and t.text == "^"):
+            return b
+        self.advance()
+        e = self.exponent()
+        neg, frac = e < 0, e.denominator != 1
+        if b == Var("x"):
+            bad = neg and "negative x-power"
+        elif b == Var("y"):
+            bad = (neg or frac) and "negative or fractional y-power"
+        elif isinstance(b, Lit):
+            bad = (frac and "fractional power of a rational literal"
+                   or neg and b.value == 0 and "zero raised to a negative power")
+        else:
+            bad = (neg or frac) and "compound bases take nonnegative integer powers only"
+        if bad:
+            raise ParseError(bad, t.line, t.col)
+        return Pow(b, e)
+
+    def base(self) -> Node:
+        t = self.peek()
+        if t.kind == "NAME":
+            self.advance()
+            return Var(t.text)
+        if t.kind == "INT":
+            return Lit(self.rational())
+        if t.kind == "OP" and t.text == "(":
+            self.advance()
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError(
+            f"expected 'x', 'y', a rational, or '(', found {t.text or 'end of input'!r}",
+            t.line, t.col)
+
+    def rational(self, slash: bool = True) -> Fraction:
+        """INT ('/' INT)?, or INT alone when slash is False."""
+        t = self.peek()
+        if t.kind != "INT":
+            raise ParseError(f"expected an integer, found {t.text or 'end of input'!r}",
+                             t.line, t.col)
+        self.advance()
+        num = int(t.text)
+        nxt = self.peek()
+        if slash and nxt.kind == "OP" and nxt.text == "/":
+            self.advance()
+            d = self.peek()
+            if d.kind != "INT":
+                raise ParseError(
+                    f"expected a denominator, found {d.text or 'end of input'!r}",
+                    d.line, d.col)
+            self.advance()
+            if int(d.text) == 0:
+                raise ParseError("zero denominator", d.line, d.col)
+            return Fraction(num, int(d.text))
+        return Fraction(num)
+
+    # exponent := '-'? INT | '(' '-'? rational ')'  -- a '/' after a bare
+    # exponent is not part of it, so x^3/2 is an error, never x^(3/2)
+    def exponent(self) -> Fraction:
+        t = self.peek()
+        parens = t.kind == "OP" and t.text == "("
+        if parens:
+            self.advance()
+            t = self.peek()
+        sign = 1
+        if t.kind == "OP" and t.text == "-":
+            self.advance()
+            sign = -1
+        q = sign * self.rational(slash=parens)
+        if parens:
+            self.expect_op(")")
+        return q
+
+
+def _needs_parens_in_prod(n: Node) -> bool:
+    return isinstance(n, Sum)
+
+
+def _needs_parens_in_pow(n: Node) -> bool:
+    return isinstance(n, (Sum, Prod)) or (isinstance(n, Lit) and n.value.denominator != 1)
+
+
+def print_expression(node: Node) -> str:
+    """Canonical text form; reparsing it reproduces the same AST."""
+    if isinstance(node, Lit):
+        return str(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Pow):
+        b = print_expression(node.base)
+        if _needs_parens_in_pow(node.base):
+            b = f"({b})"
+        e = node.exp
+        etxt = str(e) if e.denominator == 1 and e >= 0 else f"({e})"
+        return f"{b}^{etxt}"
+    if isinstance(node, Prod):
+        parts = []
+        for f in node.factors:
+            s = print_expression(f)
+            parts.append(f"({s})" if _needs_parens_in_prod(f) else s)
+        return "*".join(parts)
+    if isinstance(node, Sum):
+        parts = []
+        for k, (sg, t) in enumerate(zip(node.signs, node.terms)):
+            s = print_expression(t)
+            if isinstance(t, Sum):
+                s = f"({s})"
+            if k == 0:
+                parts.append(s if sg == 1 else f"-{s}")
+            else:
+                parts.append(f" + {s}" if sg == 1 else f" - {s}")
+        return "".join(parts)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _expand(node: Node) -> PuiseuxPoly:
+    if isinstance(node, Lit):
+        return PuiseuxPoly.constant(node.value)
+    if isinstance(node, Var):
+        if node.name == "x":
+            return PuiseuxPoly.monomial(1, Fraction(1), 0)
+        return PuiseuxPoly.monomial(1, Fraction(0), 1)
+    if isinstance(node, Pow):
+        # _Parser.factor has checked the exponent against the base
+        e = node.exp
+        if node.base == Var("x"):
+            return PuiseuxPoly.monomial(1, e, 0)
+        if node.base == Var("y"):
+            return PuiseuxPoly.monomial(1, Fraction(0), int(e))
+        if isinstance(node.base, Lit):
+            return PuiseuxPoly.constant(node.base.value ** int(e))
+        return _expand(node.base) ** int(e)
+    if isinstance(node, Prod):
+        out = PuiseuxPoly.constant(1)
+        for f in node.factors:
+            out = poly_mul(out, _expand(f))
+        return out
+    if isinstance(node, Sum):
+        out = PuiseuxPoly.zero()
+        for sg, t in zip(node.signs, node.terms):
+            out = poly_add(out, poly_scale(_expand(t), sg))
+        return out
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def ref_parse(text: str) -> Tuple[Node, PuiseuxPoly]:
+    """The AST of text and its expansion, or the ParseError of the reference."""
+    toks = _tokenize(text)
+    if toks[0].kind == "END":
+        raise ParseError("empty expression", toks[0].line, toks[0].col)
+    p = _Parser(toks)
+    ast = p.expr()
+    t = p.peek()
+    if t.kind != "END":
+        raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
+    return ast, _expand(ast)

@@ -31,6 +31,7 @@ FIELDS = {
     "Chart": ["sign_x", "sign_y", "g", "lower", "upper", "monomial", "mode", "x_max",
               "delta", "phase", "band"],
     "VerifyReport": ["passed", "max_ratio_violation", "derivative_check", "sign_ok", "x_max"],
+    "PhaseExpr": ["source", "canonical", "poly"],
 }
 
 
@@ -55,6 +56,9 @@ def test_removed_names_stay_removed():
     assert not hasattr(ns, "slice_domination_check")
     assert not hasattr(ns.measure_lab, "slice_domination_check")
     assert not hasattr(ns.PuiseuxPoly, "as_y_coefficients")
+    assert not hasattr(ns, "print_expression")
+    assert not hasattr(ns.cli, "print_expression")
+    assert not hasattr(ns.parse_expression("x"), "ast")
     for name in ("_certify", "CERTIFY_RETRIES", "VERIFY_SAMPLES", "VERIFY_SEED",
                  "_separation_radius", "_rational_below"):
         assert not hasattr(importlib.import_module("newton_sublevel.resolve"), name)

@@ -14,17 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_sublevel import (ParseError, parse_expression, print_expression, resolve, run,
-                             verify_chart)
+from newton_sublevel import ParseError, parse_expression, resolve, run, verify_chart
 from newton_sublevel import cli
 from newton_sublevel.cli import _tokenize
+from helpers import print_expression, ref_parse
 
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# round-trip corpus: parse -> print -> parse must reproduce the AST
+# round-trip corpus: the canonical text parses back to itself and the same polynomial
 
 
 _TERMS = ["x", "y", "x^2", "y^3", "2*x", "3/4*y", "x*y", "x^2*y^3",
@@ -69,12 +69,95 @@ def test_corpus_is_large_enough():
 @pytest.mark.parametrize("text", _corpus())
 def test_parse_print_parse_identity(text):
     first = parse_expression(text)
-    printed = print_expression(first.ast)
-    second = parse_expression(printed)
-    assert second.ast == first.ast
+    second = parse_expression(first.canonical)
     # canonical form is a fixed point
-    assert print_expression(second.ast) == printed
+    assert second.canonical == first.canonical
     assert second.poly == first.poly
+
+
+def test_power_of_a_power_echoes_text_that_parses(tmp_path):
+    # the power base of a power is parenthesised: x^2^3 is a parse error
+    assert run(["analyze", "(x^2)^3 + y^2", "--out", str(tmp_path)]) == 0
+    echo = json.loads((tmp_path / "analyze.json").read_text())["results"]["expression"]
+    assert echo == "(x^2)^3 + y^2"
+    assert parse_expression(echo).poly == parse_expression("x^6 + y^2").poly
+
+
+# ---------------------------------------------------------------------------
+# the one-pass parser against the AST reference (tests/helpers.py)
+
+_INT = st.integers(0, 12).map(str)
+_LIT = st.one_of(_INT, st.builds("{}/{}".format, _INT, st.sampled_from("2314")))
+_POW = st.integers(0, 3).map(str)          # an exponent that every base takes
+_EXP = st.one_of(_INT, _INT.map("-{}".format),
+                 st.builds("({}{})".format, st.sampled_from(["", "-"]), _LIT))
+_GAP = st.sampled_from(["", " ", "\n"])
+
+
+def _sums(depth, min_terms=1):
+    """Phase expressions with parentheses nested at most depth deep: signed sums
+    of at least min_terms implicit and explicit products of powers (of powers)
+    of x, y, rationals and parenthesised sums; the last kind of power often has
+    an exponent that its base does not take."""
+    atoms = st.one_of(st.sampled_from(["x", "y"]), _LIT)
+    if depth:
+        atoms = st.one_of(_sums(depth - 1, 2).map("({})".format), atoms,
+                          _sums(depth - 1).map("({})".format))
+    factor = st.one_of(atoms, st.builds("{}^{}".format, atoms, _POW),
+                       st.builds("x^({}/{})".format, _INT, st.sampled_from("2351")),
+                       st.builds("({}^{})^{}".format, atoms, _POW, _POW),
+                       st.builds("{}^{}".format, atoms, _EXP))
+    term = st.builds(lambda fs, seps: "".join(f + s for f, s in zip(fs[:-1], seps)) + fs[-1],
+                     st.lists(factor, min_size=1, max_size=3),
+                     st.lists(st.sampled_from(["*", "", " ", " * "]), min_size=2, max_size=2))
+    return st.builds(lambda lead, ts, ops: lead + ts[0] + "".join(o + t for o, t in zip(ops, ts[1:])),
+                     st.sampled_from(["", "-", "+", " -"]),
+                     st.lists(term, min_size=min_terms, max_size=3),
+                     st.lists(st.builds("{}{}{}".format, _GAP, st.sampled_from("+-"), _GAP),
+                              min_size=2, max_size=2))
+
+
+_PHASE_TEXTS = _sums(2)
+
+
+@st.composite
+def _maybe_malformed(draw):
+    """A phase expression, or one with a character inserted, replaced or removed."""
+    text = draw(_PHASE_TEXTS)
+    if draw(st.booleans()):
+        return text
+    i = draw(st.integers(0, len(text)))
+    ch = draw(st.sampled_from(list("xy09+-*/^() \n&.\u00b2\u0663")))
+    return draw(st.sampled_from([text[:i] + ch + text[i:], text[:i] + ch + text[i + 1:],
+                                 text[:i] + text[i + 1:]]))
+
+
+def _error(parse, text):
+    """The ParseError of parse(text) as (message, line, column), or None."""
+    try:
+        parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+    return None
+
+
+@given(_maybe_malformed())
+def test_one_pass_parser_matches_the_ast_reference(text):
+    err = _error(ref_parse, text)
+    if err:
+        assert _error(parse_expression, text) == err
+        return
+    got, (ast, poly) = parse_expression(text), ref_parse(text)
+    # the same lattice in the same insertion order
+    assert list(got.poly._lat.items()) == list(poly._lat.items())
+    assert (got.poly.ramification, got.poly._den, got.poly.truncation_order) == (
+        poly.ramification, poly._den, poly.truncation_order)
+    # the same text, except where the reference's does not parse (x^2^3)
+    printed = print_expression(ast)
+    if not _error(ref_parse, printed):
+        assert got.canonical == printed
+    again = parse_expression(got.canonical)
+    assert (again.canonical, again.poly) == (got.canonical, got.poly)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +250,19 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_expression("x +\n* y")
     assert err.value.line == 2 and err.value.col == 1
+
+
+# only ASCII digits are digits: '²' once raised a bare ValueError from int(),
+# and '٣' once read as 3
+@pytest.mark.parametrize("bad,ch,col", [("x^\u00b2", "\u00b2", 3), ("\u0663*x", "\u0663", 1),
+                                        ("y +\n x^2\u0663", "\u0663", 5)])
+def test_parse_rejects_non_ascii_digits(bad, ch, col, tmp_path, capsys):
+    with pytest.raises(ParseError, match=f"unexpected character {ch!r}") as err:
+        parse_expression(bad)
+    assert (err.value.line, err.value.col) == (bad.count("\n") + 1, col)
+    assert run(["analyze", bad, "--out", str(tmp_path)]) == 1
+    err_text = capsys.readouterr().err
+    assert f"unexpected character {ch!r}" in err_text and "_phase" not in err_text
 
 
 def test_tokenizer_tracks_columns():
