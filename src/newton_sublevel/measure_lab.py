@@ -32,14 +32,14 @@ import csv
 import functools
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .exact_poly import PuiseuxPoly, _with_order, deriv_x, deriv_y, poly_add, poly_mul
-from .roots import (IsolatedRoot, coeffs_of, count_roots_halfopen, derivative,
-                    isolate_real_roots, poly_value, refine_root)
+from .roots import _count_roots, _hom, _primitive, _roots_in_window, coeffs_of, derivative
 
 _BLOCK = 1 << 16          # Monte Carlo block size; fixed so threading cannot reorder sums
 _CHUNK = 1 << 18          # elements per quadrature array
@@ -516,45 +516,48 @@ def fit_decay(pairs: Sequence[Tuple[float, float]]) -> FitResult:
 
 def vdc_sublevel_bound(k: int, c, epsilon, interval_length) -> float:
     """min(|I|, 4 c^{-1/k} eps^{1/k}) for |f^(k)| > c k! on I."""
+    k = _integer_k(k)
     if k <= 0:
         raise ValueError("k must be a positive integer")
-    c, epsilon, L = float(c), float(epsilon), float(interval_length)
-    if c <= 0 or epsilon <= 0 or L <= 0:
-        raise ValueError("c, epsilon, interval_length must be positive")
-    return min(L, 4.0 * c ** (-1.0 / k) * epsilon ** (1.0 / k))
+    for name, v in (("c", c), ("epsilon", epsilon), ("interval_length", interval_length)):
+        if not 0 < float(v) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return min(float(interval_length),
+               4.0 * float(c) ** (-1.0 / k) * float(epsilon) ** (1.0 / k))
 
 
-def _roots_in_interval(cs, lo: Fraction, hi: Fraction) -> List[Fraction]:
-    """Refined positions of the real roots of cs inside [lo, hi]."""
-    cs = tuple(cs)
-    if len(cs) <= 1:
-        return []
-    out = []
-    for r in isolate_real_roots(cs, domain="all"):
-        if r.hi < lo or r.lo >= hi:
-            continue  # the refined midpoint would lie outside [lo, hi] too
-        if r.exact_value is None:
-            r = refine_root(r, _ROOT_WIDTH)
-        pos = r.midpoint()
-        if lo <= pos <= hi:
-            out.append(pos)
-    return out
+def _integer_k(k) -> int:
+    """k as an int; a ValueError unless it is an integer (not 1.9, not 2.0)."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
 
 
-def _sublevel_length(cs: Tuple[Fraction, ...], lo: Fraction, hi: Fraction,
-                     eps_q: Fraction) -> Fraction:
-    """|{t in [lo, hi]: |f(t)| < eps}|: cut at the roots of f -+ eps, then sum
-    the sub-intervals whose midpoint lies in the sublevel set."""
+def _finite(name: str, v) -> Fraction:
+    """v as an exact Fraction; a ValueError naming it when v is inf or nan."""
+    try:
+        return Fraction(v)
+    except (OverflowError, ValueError):
+        if isinstance(v, str):
+            raise  # a malformed literal, not a non-finite number
+        raise ValueError(f"{name} must be finite, got {v!r}") from None
+
+
+def _sublevel_length(F: Tuple[int, ...], E: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """|{t in [lo, hi]: |F(t)| < E}| for integer F of degree >= 1 and E > 0: cut
+    at the roots of F -+ E, then sum the sub-intervals whose midpoint lies in
+    the sublevel set, on integer numerators over the cuts' common denominator."""
     cuts = {lo, hi}
-    for sign in (eps_q, -eps_q):
-        shifted = (cs[0] + sign,) + cs[1:] if cs else (sign,)
-        cuts.update(_roots_in_interval(shifted, lo, hi))
+    for shift in (E, -E):
+        cuts.update(_roots_in_window((F[0] + shift,) + F[1:], lo, hi, _ROOT_WIDTH))
     pts = sorted(cuts)
-    measured = Fraction(0)
-    for t0, t1 in zip(pts, pts[1:]):
-        if abs(poly_value(cs, (t0 + t1) / 2)) < eps_q:
-            measured += t1 - t0
-    return measured
+    den = math.lcm(*(t.denominator for t in pts))
+    nums = [t.numerator * (den // t.denominator) for t in pts]
+    # |F(m/(2 den))| < E  <=>  |hom(F, m, 2 den)| < E (2 den)^n
+    top = E * (2 * den) ** (len(F) - 1)
+    return Fraction(sum(b - a for a, b in zip(nums, nums[1:])
+                        if abs(_hom(F, a + b, 2 * den)) < top), den)
 
 
 def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
@@ -564,44 +567,52 @@ def vdc_check(f, interval, k: int, c, epsilon) -> Dict[str, object]:
     isolation of f^(k) -+ c k! (no roots inside I, correct magnitude at the
     midpoint); a failing hypothesis raises rather than returning a vacuous ok.
     The sublevel measure is the sum of the subintervals where |f| < eps,
-    cut at the roots of f -+ eps: a rational root exactly, any other at the
-    midpoint of its isolating interval refined to width 2^-60, so within
-    2^-61 of the root.
+    cut at the roots of f -+ eps: a rational root exactly (up to the divisor
+    search's guard on the cleared constant and leading terms), any other at
+    the midpoint of its isolating interval refined to width 2^-60, so within
+    2^-61 of the root.  f, c k! and eps are cleared to integers over one
+    common denominator once; every later step runs on integers.  k must be
+    an integer and the interval, c and eps finite.
     """
-    cs = tuple(coeffs_of(f))
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    cs = coeffs_of(f)
+    lo, hi = _finite("interval", interval[0]), _finite("interval", interval[1])
     if not lo < hi:
         raise ValueError("empty interval")
-    k = int(k)
-    c_q, eps_q = Fraction(c), Fraction(epsilon)
+    k = _integer_k(k)
+    c_q, eps_q = _finite("c", c), _finite("epsilon", epsilon)
     if k <= 0 or c_q <= 0 or eps_q <= 0:
         raise ValueError("k, c, epsilon must be positive")
 
-    dk = cs
+    gate_q = c_q * math.factorial(k)
+    den = math.lcm(*(x.denominator for x in cs), gate_q.denominator, eps_q.denominator)
+    F = tuple(x.numerator * (den // x.denominator) for x in cs)
+    gate = gate_q.numerator * (den // gate_q.denominator)
+    eps = eps_q.numerator * (den // eps_q.denominator)
+    dk = F
     for _ in range(k):
         dk = derivative(dk)
-    gate = c_q * math.factorial(k)
-    mid = (lo + hi) / 2
-    hyp_ok = bool(dk) and abs(poly_value(dk, mid)) >= gate
+    p, q = (lo + hi).numerator, 2 * (lo + hi).denominator  # the midpoint p/q
+    hyp_ok = bool(dk) and abs(_hom(dk, p, q)) >= gate * q ** (len(dk) - 1)
     if hyp_ok:
         # |f^(k)| >= c k! on the closed interval: each of f^(k) -+ c k! is
         # identically zero or root-free there (touching minima are rejected
         # as uncertifiable rather than silently accepted)
-        for sign in (Fraction(1), Fraction(-1)):
-            shifted = (dk[0] + sign * gate,) + tuple(dk[1:])
-            if all(cc == 0 for cc in shifted):
+        for shift in (gate, -gate):
+            shifted = (dk[0] + shift,) + dk[1:]
+            if not any(shifted):
                 continue
-            if poly_value(shifted, lo) == 0 or poly_value(shifted, hi) == 0:
+            if (_hom(shifted, lo.numerator, lo.denominator) == 0
+                    or _hom(shifted, hi.numerator, hi.denominator) == 0):
                 hyp_ok = False
                 break
-            if len(shifted) > 1 and count_roots_halfopen(shifted, lo, hi) > 0:
+            if len(shifted) > 1 and _count_roots(_primitive(shifted), lo, hi) > 0:
                 hyp_ok = False
                 break
     if not hyp_ok:
         raise ValueError(
             f"derivative hypothesis violated: |f^({k})| >= c*{k}! fails on the interval")
 
-    measured = _sublevel_length(cs, lo, hi, eps_q)
+    measured = _sublevel_length(F, eps, lo, hi)
     bound = vdc_sublevel_bound(k, c_q, eps_q, hi - lo)
     measured_f = float(measured)
     return {"measured": measured_f, "bound": bound, "ok": measured_f <= bound}

@@ -3,8 +3,11 @@
 Pipeline: squarefree decomposition (Yun), rational-root extraction, then
 Sturm-sequence bisection for whatever is left.  Every root comes back as a
 half-open rational interval (lo, hi] containing exactly one distinct real
-root of the input, together with its multiplicity and, when the root is
-rational, its exact value.
+root of the input, together with its multiplicity and, when the divisor
+search finds the root, its exact value.  The search runs only while the
+constant and leading coefficients of the factor's integer form are at most
+_DIVISOR_GUARD (10^12) in size; past it a rational root is isolated and
+refined like an irrational one (exact_value None).
 
 Everything after input runs on integers.  A polynomial is cleared of
 denominators and content once (_integer_form, a positive scale, so signs
@@ -16,17 +19,23 @@ PRS of (f, prim f') is built once a polynomial: its last entry is Yun's
 first gcd, and when that is a constant, f is squarefree and the same
 entries, with Sturm's signs, are f's Sturm sequence.  Quotients by a
 primitive divisor are integral (Gauss's lemma).  Signs and values at p/q
-come from the homogeneous form sum c_i p^i q^(n-i) (_hom).  Refinement to a
-width w returns what k bisection steps return, k the least with
-(hi - lo)/2^k <= w: a float Newton seed, then integer Newton steps over the
-common denominator D*2^k, snap to a cell of the 2^k-cell dyadic partition,
-and integer signs at the cell's two ends prove it holds the root; when they
-cannot (a root on a cut point, a zero at lo, numbers past a float's range)
-the integer numerators are bisected.  The rational-root search tries coprime
-divisor pairs p/q that pass the f(1), f(-1) divisibility tests, and for a
-squarefree input only of the signs where the Sturm count finds a real root.
-poly_value is the exact evaluator for callers that need a value rather than
-a sign: one integer pass and a single Fraction.
+come from the homogeneous form sum c_i p^i q^(n-i) (_hom).  Bisection of
+(-B, B], B the Cauchy bound, cuts at midpoints on integer numerators over
+one common denominator.  One isolation core (_isolate) serves the whole line
+(isolate_real_roots) and a window (_roots_in_window, for vdc_check): there
+it stops at every cell that misses the window, so only the roots that can
+land in it are isolated and refined, in the cells the whole line gives them.
+Refinement to a width w returns what k bisection steps return, k the least
+with (hi - lo)/2^k <= w: a float Newton seed, then integer Newton steps over
+the common denominator D*2^k, snap to a cell of the 2^k-cell dyadic
+partition, and integer signs at the cell's two ends prove it holds the root;
+when they cannot (a root on a cut point, a zero at lo, numbers past a
+float's range) the integer numerators are bisected.  The rational-root
+search tries coprime divisor pairs p/q inside the Cauchy bound that pass the
+f(1), f(-1) divisibility tests, and for a squarefree input only of the signs
+where the Sturm count finds a real root.  poly_value is the exact evaluator
+for callers that need a value rather than a sign: one integer pass and a
+single Fraction.
 
 Polynomials enter either as y-only PuiseuxPoly values (the edge polynomials
 produced upstream) or as dense coefficient sequences [c0, c1, ...].
@@ -35,6 +44,7 @@ produced upstream) or as dense coefficient sequences [c0, c1, ...].
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -250,11 +260,22 @@ def sturm_sequence(cs) -> List[IntCoeffs]:
     return _sturm_signs(_prs(f, _primitive(derivative(f)))) if f else []
 
 
-def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
-    """Sign changes of the integer-form Sturm sequence seq at t."""
-    p, q = t.numerator, t.denominator
+def _variations_at(seq: List[IntCoeffs], p: int, q: int) -> int:
+    """Sign changes of the integer-form Sturm sequence seq at p/q (q > 0)."""
     signs = [v > 0 for v in (_hom(ics, p, q) for ics in seq) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _variations(seq: List[IntCoeffs], t: Fraction) -> int:
+    return _variations_at(seq, t.numerator, t.denominator)
+
+
+def _count_roots(f: IntCoeffs, lo: Fraction, hi: Fraction) -> int:
+    """count_roots_halfopen for an integer f of degree >= 1 and lo < hi."""
+    prs = _prs(f, _primitive(derivative(f)))
+    seq = (_sturm_signs(prs) if len(prs[-1]) == 1
+           else sturm_sequence(_exquo(f, _normal(prs[-1]))))
+    return _variations(seq, lo) - _variations(seq, hi)
 
 
 def count_roots_halfopen(cs, lo, hi) -> int:
@@ -267,10 +288,7 @@ def count_roots_halfopen(cs, lo, hi) -> int:
     f = _integer_form(coeffs_of(cs))
     if lo >= hi or len(f) < 2:
         return 0
-    prs = _prs(f, _primitive(derivative(f)))
-    seq = (_sturm_signs(prs) if len(prs[-1]) == 1
-           else sturm_sequence(_exquo(f, _normal(prs[-1]))))
-    return _variations(seq, lo) - _variations(seq, hi)
+    return _count_roots(f, lo, hi)
 
 
 def cauchy_bound(cs) -> Fraction:
@@ -300,7 +318,7 @@ def _rational_roots(cs, signs: Tuple[int, ...] = (1, -1)) -> List[Fraction]:
     """Rational roots of a squarefree polynomial (without multiplicity).
 
     A root 0 is always found; the divisor search tries only nonzero roots
-    of the given signs.
+    of the given signs, and only the pairs p/q inside the Cauchy bound.
     """
     found: List[Fraction] = []
     work = cs
@@ -321,9 +339,15 @@ def _rational_roots(cs, signs: Tuple[int, ...] = (1, -1)) -> List[Fraction]:
     f_one = sum(ics)
     f_minus_one = sum(ics[0::2]) - sum(ics[1::2])
     qs = _divisors(ics[-1])
+    # every root has |p/q| < 1 + max|c_i|/|c_n| = top/lc, so q > p*lc/top
+    lc = abs(ics[-1])
+    top = lc + max(abs(c) for c in ics[:-1])
     for p in _divisors(ics[0]):
+        start = bisect_right(qs, p * lc // top)
+        if start == len(qs):
+            break  # and for every larger p
         sps = [s * p for s in signs]
-        for q in qs:
+        for q in qs[start:]:
             for sp in sps:
                 # the divisibility tests first, then lowest terms (a pair
                 # with a common factor was tried reduced), then the value
@@ -374,39 +398,61 @@ def _safe_cut(ics: IntCoeffs, lo: Fraction, hi: Fraction) -> Fraction:
     return mid
 
 
-def _isolate_squarefree(ics: IntCoeffs, lo: Fraction, hi: Fraction,
-                        seq: List[IntCoeffs], v_lo: int,
-                        v_hi: int) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint (lo, hi] intervals isolating every root of squarefree ics in (lo, hi].
+Window = Optional[Tuple[Fraction, Fraction]]
 
-    v_lo and v_hi are the Sturm variations of seq at lo and hi.
+
+def _isolate_squarefree(ics: IntCoeffs, a: int, b: int, d: int, seq: List[IntCoeffs],
+                        v_a: int, v_b: int,
+                        window: Window) -> List[Tuple[Fraction, Fraction]]:
+    """Disjoint (lo, hi] intervals isolating every root of squarefree ics in (a/d, b/d].
+
+    v_a and v_b are the Sturm variations of seq at a/d and b/d (d > 0).  A
+    cell is cut at its midpoint, on integer numerators over the common
+    denominator 2d, or at _safe_cut's stepped point when the midpoint is a
+    root.  With a window [L, H], only the roots in it are isolated: a cell
+    that misses the window is dropped, and a one-root cell that straddles an
+    end of it is kept when the signs of ics at the ends of its part inside
+    the window show its root there.  Every cell kept is the whole-line cell.
     """
-    n = v_lo - v_hi
+    n = v_a - v_b
     if n == 0:
         return []
+    if window is not None:
+        lo, hi = window
+        if b * lo.denominator < lo.numerator * d or a * hi.denominator >= hi.numerator * d:
+            return []
+        left_out = a * lo.denominator < lo.numerator * d
+        right_out = b * hi.denominator > hi.numerator * d
+        if n == 1 and (left_out or right_out):
+            # ics changes sign once across its root, and the cell's ends are not roots
+            s_x = _sign(ics, lo) if left_out else _sign_at(ics, a, d)
+            s_y = _sign(ics, hi) if right_out else _sign_at(ics, b, d)
+            if s_x * s_y > 0:
+                return []
     if n == 1:
-        return [(lo, hi)]
-    cut = _safe_cut(ics, lo, hi)
-    v_cut = _variations(seq, cut)
-    return (_isolate_squarefree(ics, lo, cut, seq, v_lo, v_cut)
-            + _isolate_squarefree(ics, cut, hi, seq, v_cut, v_hi))
+        return [(Fraction(a, d), Fraction(b, d))]
+    m = a + b
+    if _hom(ics, m, 2 * d):
+        a, b, d = 2 * a, 2 * b, 2 * d
+    else:
+        cut = _safe_cut(ics, Fraction(a, d), Fraction(b, d))
+        e = math.lcm(d, cut.denominator)
+        a, b, m, d = a * (e // d), b * (e // d), cut.numerator * (e // cut.denominator), e
+    v_m = _variations_at(seq, m, d)
+    return (_isolate_squarefree(ics, a, m, d, seq, v_a, v_m, window)
+            + _isolate_squarefree(ics, m, b, d, seq, v_m, v_b, window))
 
 
-def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
-    """Distinct real roots of q with multiplicities, sorted by position.
+def _isolate(f: IntCoeffs, window: Window) -> List[IsolatedRoot]:
+    """Isolating intervals of the distinct real roots of primitive f (degree >= 1).
 
-    domain 'all' keeps every real root (including 0); 'positive' keeps roots > 0.
+    Yun's factors, the rational roots of each found by the divisor search
+    (all of them, exact, whatever the window), then Sturm bisection of the
+    deflated factor on (-B, B], B its Cauchy bound, kept to the window's
+    roots (_isolate_squarefree).  Not yet disjoint across factors.
     """
-    if domain not in ("all", "positive"):
-        raise ValueError("domain must be 'all' or 'positive'")
-    cs = coeffs_of(q)
-    if not cs:
-        raise ValueError("cannot isolate the roots of the zero polynomial")
-    if len(cs) == 1:
-        return []
-
     roots: List[IsolatedRoot] = []
-    factors, shared = _yun(_integer_form(cs))
+    factors, shared = _yun(f)
     for f, mult in factors:
         if shared is None:
             rationals = _rational_roots(f)
@@ -431,9 +477,27 @@ def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
                 b = cauchy_bound(g)
                 seq = sturm_sequence(g)
                 v_neg, v_pos = _variations(seq, -b), _variations(seq, b)
-            for ilo, ihi in _isolate_squarefree(g, -b, b, seq, v_neg, v_pos):
+            cells = _isolate_squarefree(g, -b.numerator, b.numerator, b.denominator,
+                                        seq, v_neg, v_pos, window)
+            for ilo, ihi in cells:
                 roots.append(IsolatedRoot(lo=ilo, hi=ihi, multiplicity=mult,
                                           exact_value=None, factor=g))
+    return roots
+
+
+def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
+    """Distinct real roots of q with multiplicities, sorted by position.
+
+    domain 'all' keeps every real root (including 0); 'positive' keeps roots > 0.
+    """
+    if domain not in ("all", "positive"):
+        raise ValueError("domain must be 'all' or 'positive'")
+    cs = coeffs_of(q)
+    if not cs:
+        raise ValueError("cannot isolate the roots of the zero polynomial")
+    if len(cs) == 1:
+        return []
+    roots = _isolate(_integer_form(cs), None)
 
     # refine until intervals are pairwise disjoint and sign-decided at 0
     changed = True
@@ -455,6 +519,29 @@ def isolate_real_roots(q, domain: str = "all") -> List[IsolatedRoot]:
         roots = [r for r in roots if (r.exact_value is not None and r.exact_value > 0)
                  or (r.exact_value is None and r.lo >= 0)]
     return roots
+
+
+def _roots_in_window(f: Sequence[int], lo: Fraction, hi: Fraction,
+                     width: Fraction) -> List[Fraction]:
+    """Sorted positions in [lo, hi] of the distinct real roots of the integer f.
+
+    A rational root found by the divisor search is exact; any other root is
+    the midpoint of its isolating interval refined to width, so within
+    width/2 of it.  That is what isolate_real_roots, refine_root and a filter
+    on [lo, hi] give, computed for the roots in [lo - width, hi + width]
+    only.  A refined cell is the same dyadic cell whether or not the
+    whole-line path halved it first to separate it from other roots; the
+    two differ only for distinct roots of f closer than 2*width.
+    """
+    f = _primitive(_trim(f))
+    if len(f) < 2:
+        return []
+    out = []
+    for r in _isolate(f, (lo - width, hi + width)):
+        pos = r.exact_value if r.exact_value is not None else refine_root(r, width).midpoint()
+        if lo <= pos <= hi:
+            out.append(pos)
+    return sorted(out)
 
 
 def _halve(r: IsolatedRoot) -> IsolatedRoot:

@@ -3,7 +3,9 @@ Fraction reference of the Newton polygon's hull, the Fraction reference of
 the chart proof's arithmetic, the linear search of the vertex cut, the
 boolean-mask reference of the Monte Carlo block kernel, the Fraction
 references of the exceptional-strength discriminant and the generic polygon,
-and the AST reference of the phase parser."""
+the AST reference of the phase parser, and the whole-line root filter and
+the Fraction vdc_check that the windowed, integer van der Corput path
+replaced."""
 
 import math
 from dataclasses import dataclass
@@ -17,9 +19,11 @@ import numpy as np
 from newton_sublevel import CompactEdge, PuiseuxPoly, parse_expression
 from newton_sublevel.cli import ParseError, _Token, _tokenize
 from newton_sublevel.exact_poly import poly_add, poly_mul, poly_scale
-from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms
+from newton_sublevel.measure_lab import Disk, SectorProduct, _curve_terms, vdc_sublevel_bound
 from newton_sublevel.newton import NewtonPolygon, newton_polygon_of
 from newton_sublevel.resolve import PROOF_SLACK, Chart, _headroom
+from newton_sublevel.roots import (coeffs_of, count_roots_halfopen, derivative,
+                                   isolate_real_roots, poly_value, refine_root)
 
 
 def phase(*terms):
@@ -619,3 +623,76 @@ def ref_parse(text: str) -> Tuple[Node, PuiseuxPoly]:
     if t.kind != "END":
         raise ParseError(f"trailing input starting at {t.text!r}", t.line, t.col)
     return ast, _expand(ast)
+
+
+# ---------------------------------------------------------------------------
+# the van der Corput path on Fractions, isolating every real root: the
+# reference of roots._roots_in_window and of the integer vdc_check
+
+
+def ref_roots_in_interval(cs, lo: Fraction, hi: Fraction, width: Fraction) -> List[Fraction]:
+    """Refined positions of the real roots of cs inside [lo, hi]."""
+    cs = tuple(cs)
+    if len(cs) <= 1:
+        return []
+    out = []
+    for r in isolate_real_roots(cs, domain="all"):
+        if r.hi < lo or r.lo >= hi:
+            continue  # the refined midpoint would lie outside [lo, hi] too
+        if r.exact_value is None:
+            r = refine_root(r, width)
+        pos = r.midpoint()
+        if lo <= pos <= hi:
+            out.append(pos)
+    return out
+
+
+def _ref_sublevel_length(cs, lo: Fraction, hi: Fraction, eps_q: Fraction) -> Fraction:
+    cuts = {lo, hi}
+    for sign in (eps_q, -eps_q):
+        shifted = (cs[0] + sign,) + cs[1:] if cs else (sign,)
+        cuts.update(ref_roots_in_interval(shifted, lo, hi, Fraction(1, 2 ** 60)))
+    pts = sorted(cuts)
+    measured = Fraction(0)
+    for t0, t1 in zip(pts, pts[1:]):
+        if abs(poly_value(cs, (t0 + t1) / 2)) < eps_q:
+            measured += t1 - t0
+    return measured
+
+
+def ref_vdc_check(f, interval, k: int, c, epsilon):
+    """vdc_check on Fraction polynomials, for integer k and finite values."""
+    cs = tuple(coeffs_of(f))
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if not lo < hi:
+        raise ValueError("empty interval")
+    k = int(k)
+    c_q, eps_q = Fraction(c), Fraction(epsilon)
+    if k <= 0 or c_q <= 0 or eps_q <= 0:
+        raise ValueError("k, c, epsilon must be positive")
+
+    dk = cs
+    for _ in range(k):
+        dk = derivative(dk)
+    gate = c_q * math.factorial(k)
+    mid = (lo + hi) / 2
+    hyp_ok = bool(dk) and abs(poly_value(dk, mid)) >= gate
+    if hyp_ok:
+        for sign in (Fraction(1), Fraction(-1)):
+            shifted = (dk[0] + sign * gate,) + tuple(dk[1:])
+            if all(cc == 0 for cc in shifted):
+                continue
+            if poly_value(shifted, lo) == 0 or poly_value(shifted, hi) == 0:
+                hyp_ok = False
+                break
+            if len(shifted) > 1 and count_roots_halfopen(shifted, lo, hi) > 0:
+                hyp_ok = False
+                break
+    if not hyp_ok:
+        raise ValueError(
+            f"derivative hypothesis violated: |f^({k})| >= c*{k}! fails on the interval")
+
+    measured = _ref_sublevel_length(cs, lo, hi, eps_q)
+    bound = vdc_sublevel_bound(k, c_q, eps_q, hi - lo)
+    measured_f = float(measured)
+    return {"measured": measured_f, "bound": bound, "ok": measured_f <= bound}

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0
@@ -384,6 +384,99 @@ def test_vdc_measured_respects_bound_on_shifted_cubics():
         eps = Fraction(1, 10 ** int(rng.integers(1, 5)))
         chk = vdc_check(f, (Fraction(0), Fraction(1)), k, c, eps)
         assert chk["ok"], (f, eps, chk)
+
+
+def test_vdc_check_rejects_a_fractional_k():
+    # int(1.9) would check k = 1, which f = 4t passes
+    with pytest.raises(ValueError, match="k must be an integer, got 1.9"):
+        vdc_check([0, 4], (0, 1), 1.9, 4, Fraction(1, 100))
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        vdc_sublevel_bound(1.5, 1, Fraction(1, 100), 1)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        vdc_check([0, 0, 1], (0, 1), Fraction(2), 1, Fraction(1, 100))
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        vdc_sublevel_bound(0, 1, Fraction(1, 100), 1)
+
+
+@pytest.mark.parametrize("interval, c, eps, name", [
+    ((0, math.inf), 1, Fraction(1, 100), "interval"),
+    ((-math.inf, 1), 1, Fraction(1, 100), "interval"),
+    ((0, math.nan), 1, Fraction(1, 100), "interval"),
+    ((0, 1), math.nan, Fraction(1, 100), "c"),
+    ((0, 1), math.inf, Fraction(1, 100), "c"),
+    ((0, 1), 1, math.nan, "epsilon"),
+    ((0, 1), 1, math.inf, "epsilon"),
+])
+def test_vdc_check_rejects_non_finite_values(interval, c, eps, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got (inf|-inf|nan)$"):
+        vdc_check([0, 4], interval, 1, c, eps)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((1, math.nan, 0.01, 1), "c"),
+    ((1, 1, math.inf, 1), "epsilon"),
+    ((1, 1, 0.01, math.nan), "interval_length"),
+    ((1, 1, 0.0, 1), "epsilon"),
+])
+def test_vdc_sublevel_bound_rejects_non_positive_or_non_finite_values(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        vdc_sublevel_bound(*args)
+
+
+_vdc_q = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+
+
+@st.composite
+def _vdc_cases(draw):
+    """(k, f, c, eps, interval): often vdc_instance-shaped on [0, 1], whose
+    k-th coefficient dominates so that the gate holds; else any f, c and
+    interval, which often fail the gate, and now and then a k or c that is
+    not positive."""
+    k = draw(st.sampled_from((1, 2, 3) * 4 + (0, -1)))
+    degree = draw(st.integers(max(k, 1), max(k, 1) + 3))
+    a = draw(st.lists(_vdc_q, min_size=degree + 1, max_size=degree + 1))
+    if draw(st.booleans()) and k >= 1:
+        slack = sum((abs(Fraction(a[i])) * math.factorial(i) / math.factorial(i - k)
+                     for i in range(k + 1, degree + 1)), Fraction(0))
+        lead = slack / math.factorial(k) + draw(st.integers(1, 40))
+        a[k] = lead * draw(st.sampled_from((1, -1)))
+        floor = abs(a[k]) * math.factorial(k) - slack
+        c = floor / math.factorial(k) * draw(st.sampled_from(
+            (Fraction(1023, 1024), Fraction(1, 2), Fraction(1), Fraction(2))))
+        interval = (Fraction(0), Fraction(1))
+    else:
+        c = (draw(st.fractions(Fraction(1, 100), 20, max_denominator=100))
+             * draw(st.sampled_from((1,) * 9 + (-1,))))
+        lo = draw(st.fractions(-3, 3, max_denominator=16))
+        interval = (lo, lo + draw(st.fractions(Fraction(1, 16), 4, max_denominator=16)))
+    eps = draw(st.one_of(st.integers(1, 6).map(lambda e: Fraction(1, 10 ** e)),
+                         st.sampled_from((1e-3, 1e-5, 0.25)),
+                         st.fractions(Fraction(1, 10 ** 6), 2, max_denominator=10 ** 6)))
+    return k, a, c, eps, interval
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the same type and message
+        return type(e), str(e)
+
+
+@given(_vdc_cases())
+@example((2, [Fraction(-26, 100), 0, 1], Fraction(1, 2), 1e-3, (Fraction(0), Fraction(1))))
+@example((1, [0, 4], 4, Fraction(1, 100), (Fraction(1), Fraction(1))))
+# f'' = 2 = c*2! on the whole interval: the gate holds with equality
+@example((2, [0, 0, 1], 1, Fraction(1, 10 ** 4), (Fraction(0), Fraction(1))))
+# f' = t < 3/4 on [1/4, 1/2], and f' -+ 3/4 has no root there: only the
+# value at the midpoint 3/8 fails the gate (at lo + hi = 3/4 it would hold)
+@example((1, [0, 0, Fraction(1, 2)], Fraction(3, 4), Fraction(1, 100),
+          (Fraction(1, 4), Fraction(1, 2))))
+def test_integer_vdc_check_matches_the_reference(case):
+    # the same dict, or the same exception and message, as the Fraction
+    # path that isolated every real root of f -+ eps (helpers.ref_vdc_check)
+    k, f, c, eps, interval = case
+    assert _outcome(vdc_check, f, interval, k, c, eps) \
+        == _outcome(helpers.ref_vdc_check, f, interval, k, c, eps)
 
 
 # ---------------------------------------------------------------------------

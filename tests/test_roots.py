@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newton_sublevel import (
@@ -14,6 +14,7 @@ from newton_sublevel import (
     refine_root,
     squarefree_factor,
 )
+from newton_sublevel import roots as roots_module
 from newton_sublevel.roots import (
     _DIVISOR_GUARD,
     IsolatedRoot,
@@ -24,6 +25,7 @@ from newton_sublevel.roots import (
     _prim_rem,
     _primitive,
     _rational_roots,
+    _roots_in_window,
     _snapped_cell,
     _yun,
     coeffs_of,
@@ -31,6 +33,8 @@ from newton_sublevel.roots import (
     poly_value,
     sturm_sequence,
 )
+
+from helpers import ref_roots_in_interval
 
 
 def _poly_from_roots(roots_mults):
@@ -689,6 +693,67 @@ def test_gated_divisor_search_matches_reference_on_vdc_shaped_polys(cs, widths):
     for signs in ((1, -1), (1,), (-1,), ()):
         assert _rational_roots(f, signs) == [r for r in want if r == 0
                                              or (1 if r > 0 else -1) in signs]
+
+
+# ---------------------------------------------------------------------------
+# the windowed entry of vdc_check against the whole-line path it replaced:
+# isolate_real_roots, refine_root, then a filter on [lo, hi] (helpers.py)
+
+# a window end at a root, or within 2^-59 inside or outside it: a position
+# within width/2 of a root outside an end can lie inside
+_offsets = st.one_of(
+    st.just(Fraction(0)),
+    st.tuples(st.sampled_from((1, -1)), st.integers(59, 62)).map(
+        lambda sk: Fraction(sk[0], 2 ** sk[1])),
+    st.integers(-2 ** 20, 2 ** 20).map(lambda n: Fraction(n, 2 ** 80)),
+    _small_q)
+
+
+@st.composite
+def _polys_with_window(draw):
+    """Rational roots in and out of the window, repeated factors, constants
+    past the divisor guard, vdc-shaped f -+ 10^-e, and ends near the roots."""
+    cs = _ref_trim(draw(st.one_of(_factored_polys(), _vdc_polys())))
+    assume(len(cs) > 1)
+    anchors = [refine_root(r, Fraction(1, 2 ** 90)).midpoint() for r in isolate_real_roots(cs)]
+    ends = [_small_q, _big_q]
+    if anchors:
+        ends.append(st.tuples(st.sampled_from(anchors), _offsets).map(sum))
+    lo, hi = sorted((draw(st.one_of(*ends)), draw(st.one_of(*ends))))
+    return cs, lo, hi
+
+
+_big = Fraction(10 ** 13 + 7, 3)  # the root of 3t - (10^13 + 7), past the guard
+
+
+@given(_polys_with_window(), st.sampled_from((Fraction(1, 2 ** 60), Fraction(1, 2 ** 30))))
+@example(((-_big, Fraction(1)), Fraction(0), _big - Fraction(1, 2 ** 62)), Fraction(1, 2 ** 60))
+@example(((-_big, Fraction(1)), _big + Fraction(1, 2 ** 62), 2 * _big), Fraction(1, 2 ** 60))
+@example((tuple(_expand([(Fraction(1, 2), 2)], [(0, -2)], 1)), Fraction(1, 2), Fraction(3, 2)),
+         Fraction(1, 2 ** 60))
+def test_windowed_roots_match_the_whole_line_path(case, width):
+    cs, lo, hi = case
+    assert _roots_in_window(_ref_integer_form(cs), lo, hi, width) \
+        == ref_roots_in_interval(cs, lo, hi, width)
+
+
+def test_windowed_roots_refine_only_the_roots_in_the_window(monkeypatch):
+    # (t^2 - 2)(t^2 - 3)(t^2 - 5)(t^2 - 7): eight irrational roots, one in [1, 3/2]
+    cs = _expand([], [(0, -2), (0, -3), (0, -5), (0, -7)], 1)
+    calls = []
+    monkeypatch.setattr(roots_module, "refine_root",
+                        lambda r, w: calls.append(r) or refine_root(r, w))
+    got = _roots_in_window(_ref_integer_form(cs), Fraction(1), Fraction(3, 2), Fraction(1, 2 ** 60))
+    assert len(got) == len(calls) == 1
+    assert abs(got[0] - Fraction(math.isqrt(2 * 10 ** 40), 10 ** 20)) < Fraction(1, 10 ** 18)
+
+
+def test_a_rational_root_past_the_divisor_guard_is_isolated_not_exact():
+    # the constant 10^13 + 7 of the integer form is past _DIVISOR_GUARD
+    (r,) = isolate_real_roots([-_big, 1])
+    assert r.exact_value is None
+    assert (r.lo, r.hi) == (0, _big + 1)  # (0, B], B the Cauchy bound
+    assert r.contains(_big)
 
 
 _rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
