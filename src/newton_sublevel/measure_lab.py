@@ -15,11 +15,13 @@ reflections that map S to +-S.
 Determinism contract: estimates depend only on (seed, budget).  Monte Carlo
 uses one PCG64 stream per fixed-size block (jumped streams, integer counts),
 so results are bit-identical for any thread count.  A block takes the indices
-of its inside points and evaluates only those; the factors it skips (1.0, x^0,
-y^0, a leading 0.0 +) are exact up to the sign of a zero, which |S| < eps does
-not see.  A grid call (a sequence of epsilon to sublevel_measure, a lambda grid
-to decay_pairs) is bit-identical to one call per value: the values share the
-sample points, grids and quadrature nodes, and each keeps its own counts and sums.
+of its inside points and evaluates only those.  An integer power of x or y is
+a product of repeated squares in a fixed order, so S rounds the same for
+either sign of a coordinate and on every IEEE-754 machine; a fractional power
+(which only meets x > 0) is pow.  A grid call (a sequence of epsilon to
+sublevel_measure, a lambda grid to decay_pairs) is bit-identical to one call
+per value: the values share the sample points, grids and quadrature nodes, and
+each keeps its own counts and sums.
 
 numpy (and concurrent.futures) is imported inside the functions that use it,
 so importing this module, and the package, leaves numpy unloaded until the
@@ -209,15 +211,41 @@ def _phase_terms(p: PuiseuxPoly, needs_negative_x: bool):
     return terms
 
 
+def _powers(V, exps):
+    """{n: V ** n} for the nonzero exponents n.  An integer power is the
+    product of the squares V, V^2, V^4, ... that its bits select, lowest bit
+    first, and the squares are built once for all of them: at most
+    2 * n.bit_length() array products for V ** n, and bit for bit the same on
+    every IEEE-754 machine and for either sign of V.  A fractional power, which
+    only meets V > 0, is V ** n."""
+    squares = [V]
+    out = {}
+    for n in exps:
+        if n == 0 or n in out:
+            continue
+        if not isinstance(n, int):
+            out[n] = V ** n
+            continue
+        while len(squares) < n.bit_length():
+            squares.append(squares[-1] * squares[-1])
+        out[n] = functools.reduce(operator.mul, (sq for i, sq in enumerate(squares)
+                                                 if n >> i & 1))
+    return out
+
+
 def _eval_phase(terms, X, Y):
     """S at the points of X and Y broadcast together.  Given an (n, 1) column
     and a (1, m) row, the powers are taken per axis and only the products
     fill the (n, m) grid; each element sees the same operations either way."""
     import numpy as np
     shape = np.broadcast_shapes(X.shape, Y.shape)
-    vals = (_term(c, *[X ** a] * (a != 0), *[Y ** b] * (b != 0)) for c, a, b in terms)
+    xp, yp = _powers(X, [a for _, a, _ in terms]), _powers(Y, [b for *_, b in terms])
+    vals = (_term(c, *(p[e] for p, e in ((xp, a), (yp, b)) if e != 0)) for c, a, b in terms)
     out = next(vals, 0.0)
-    out = out if np.shape(out) == shape else np.full(shape, out)
+    # the sum runs in place, so it starts in a copy of a bare power (c = 1.0),
+    # which is the table's own array
+    if np.shape(out) != shape or any(out is v for v in (*xp.values(), *yp.values())):
+        out = np.full(shape, out)
     for v in vals:
         out += v
     return out

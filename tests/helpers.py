@@ -1,17 +1,18 @@
 """Shared test utilities: terse phase constructors, catalog data, the
 Fraction reference of the Newton polygon's hull, the Fraction reference of
 the chart proof's arithmetic, the linear search of the vertex cut, the
-boolean-mask reference of the Monte Carlo block kernel, the Fraction
-references of the exceptional-strength discriminant and the generic polygon,
-the AST reference of the phase parser, and the whole-line root filter and
-the Fraction vdc_check that the windowed, integer van der Corput path
-replaced."""
+boolean-mask reference of the Monte Carlo block kernel (with powers by
+repeated squares, or by math.pow), the Fraction references of the
+exceptional-strength discriminant and the generic polygon, the AST reference
+of the phase parser, and the whole-line root filter and the Fraction
+vdc_check that the windowed, integer van der Corput path replaced."""
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from functools import lru_cache, reduce
+from itertools import accumulate, compress, repeat
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -225,6 +226,9 @@ def _vertex_cut(q: PuiseuxPoly, edge: CompactEdge, delta: Fraction, start: Fract
 # index: the reference that measure_lab's kernel must match, with the same
 # (k_in, counts) for every block.  The region test and the curve and phase
 # evaluation are its own copies, so GRID-shaped calls can be compared too.
+# An integer power is the product of repeated squares that measure_lab's power
+# table forms, in the same order; numpy's pow would differ from it in the last
+# bit (and, for a negative base, between SIMD and libm builds).
 
 
 def _eval_curve(terms, X):
@@ -247,17 +251,32 @@ def _member_mask(region, X, Y):
     return ok & (Y > _eval_curve(lo_t, Xs)) & (Y < _eval_curve(up_t, Xs))
 
 
+def _power(V, n):
+    """V ** n: for an integer n, 1.0 times the squares V, V^2, V^4, ... at the
+    set bits of n, lowest first; a fractional n is numpy's pow."""
+    if n != int(n):
+        return V ** n
+    squares = accumulate(repeat(V, n.bit_length() - 1), lambda sq, _: sq * sq, initial=V)
+    return reduce(operator.mul, compress(squares, map(int, reversed(f"{n:b}"))), 1.0)
+
+
 def _eval_phase(terms, X, Y):
     """S at the points of X and Y broadcast together.  Given an (n, 1) column
     and a (1, m) row, the powers are taken per axis and only the products
     fill the (n, m) grid; each element sees the same operations either way."""
     out = np.zeros(np.broadcast_shapes(X.shape, Y.shape))
     for c, a, b in terms:
-        out += c * X ** a * Y ** b
+        out += c * _power(X, a) * _power(Y, b)
     return out
 
 
-def _mc_block(args):
+def eval_phase_pow(terms, X, Y):
+    """S at the points of X and Y (1-D, same length), each power by math.pow."""
+    return np.array([sum(c * math.pow(x, a) * math.pow(y, b) for c, a, b in terms)
+                     for x, y in zip(X.tolist(), Y.tolist())])
+
+
+def _mc_block(args, evaluate=_eval_phase):
     terms, region, box, eps, seed, block, count = args
     rng = np.random.Generator(np.random.PCG64(seed).jumped(block + 1))
     x0, x1, y0, y1 = box
@@ -267,7 +286,7 @@ def _mc_block(args):
     k_in = int(np.count_nonzero(inside))
     if k_in == 0:
         return 0, [0] * len(eps)
-    A = np.abs(_eval_phase(terms, X[inside], Y[inside]))
+    A = np.abs(evaluate(terms, X[inside], Y[inside]))
     return k_in, [int(np.count_nonzero(A < e)) for e in eps]
 
 

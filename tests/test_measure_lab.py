@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import j0
@@ -246,6 +246,112 @@ def test_grid_shaped_evaluation_matches_the_reference(case, dx, dy):
                           helpers._member_mask(region, X, Y))
     assert np.array_equal(np.abs(measure_lab._eval_phase(terms, X, Y)),
                           np.abs(helpers._eval_phase(terms, X, Y)), equal_nan=True)
+
+
+_POWER_EXPS = st.one_of(st.integers(0, 64), st.just(1500))
+_U = 2.0 ** -53            # unit roundoff
+_ETA = 2.0 ** -1074        # least subnormal: the absolute error of a product that underflows
+# bases of every sign, zeros, subnormals and values whose powers underflow; a
+# base above 1 in magnitude only under an exponent whose power stays finite
+_BASES = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1e-300, -1e-160, 5e-324, -0.0]),
+                   st.floats(-2.0, 2.0))
+
+
+def _fits_floats(xs, n):
+    return all(abs(x) <= 1.0 or n <= 64 for x in xs)
+
+
+@given(_POWER_EXPS, st.lists(_BASES, min_size=1, max_size=20))
+@example(1500, [-0.9999, 0.9995, -0.5, 0.0, 1e-300, -1.0, 1.0])
+@example(3, [-1e-108, 1e-103, -2.0 ** -1022, 5e-324])
+def test_integer_powers_are_within_their_product_count_of_pow(n, xs):
+    # V ** n from k = n - 1 rounded products (a shared square counts once per
+    # use) is x^n (1 + theta), |theta| <= gamma_k (Higham, section 3.1); math.pow
+    # adds one rounding of at most 0.52 ulp <= 2 u, and an underflowing
+    # product adds at most one subnormal step
+    assume(_fits_floats(xs, n))
+    got = measure_lab._eval_phase([(1.0, n, 0)], np.array(xs), np.zeros(len(xs)))
+    k = max(n - 1, 0) + 2
+    for x, v in zip(xs, got.tolist()):
+        ref = math.pow(x, n)
+        assert abs(v - ref) <= k * _U / (1 - k * _U) * abs(ref) + k * _ETA, (x, n, v, ref)
+
+
+@st.composite
+def _integer_phases(draw):
+    return [(draw(st.sampled_from([1.0, -1.0, 3.0, -2.0 / 7.0, 0.25])), draw(_POWER_EXPS),
+             draw(_POWER_EXPS)) for _ in range(draw(st.integers(1, 4)))]
+
+
+_UNIT_BASES = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1e-300, -1e-160, 5e-324]))
+
+
+@given(_integer_phases(), st.lists(st.tuples(_UNIT_BASES, _UNIT_BASES), min_size=1,
+                                   max_size=20))
+# a bare power (c = 1.0) first: the sum must not run in the power table's array
+# (or in X itself), which a later term reads
+@example([(1.0, 1, 0), (1.0, 0, 1), (1.0, 1, 1)], [(0.5, 0.25), (-0.75, 1.0)])
+@example([(1.0, 3, 0), (1.0, 0, 1), (1.0, 3, 1)], [(0.5, 0.25), (-0.75, 1.0)])
+def test_phase_is_within_its_rounding_count_of_a_pow_evaluation(terms, pts):
+    # each side: a term's powers and its two products round at most a + b
+    # times here and 2 + 2 + 2 times with math.pow, and the running sum adds
+    # T - 1 roundings, each relative to sum |c x^a y^b|; on |x|, |y| <= 1 an
+    # underflow's subnormal step grows at most by |c| <= 3
+    X, Y = (np.array(v) for v in zip(*pts))
+    got = measure_lab._eval_phase(terms, X, Y)
+    ref = helpers.eval_phase_pow(terms, X, Y)
+    mass = [math.fsum(abs(c * math.pow(x, a) * math.pow(y, b)) for c, a, b in terms)
+            for x, y in zip(X.tolist(), Y.tolist())]
+    k = max(a + b for _, a, b in terms) + 6 + 2 * (len(terms) - 1) + 1
+    for v, r, m in zip(got.tolist(), ref.tolist(), mass):
+        assert abs(v - r) <= k * _U / (1 - k * _U) * m + 3 * k * _ETA, (terms, v, r, m)
+
+
+@given(st.sampled_from([1.0, -1.0, 3.0, -2.0 / 7.0]), _POWER_EXPS, _POWER_EXPS,
+       st.lists(st.tuples(_BASES, _BASES), min_size=1, max_size=20))
+def test_a_negated_axis_flips_the_phase_by_its_parity_bit_for_bit(c, a, b, pts):
+    # products round the same for either sign of the base; numpy's SIMD pow
+    # (positive bases) and libm's (negative ones) need not
+    X, Y = (np.array(v) for v in zip(*pts))
+    assume(_fits_floats(X, a) and _fits_floats(Y, b))
+    term = [(c, a, b)]
+    S = measure_lab._eval_phase(term, X, Y)
+    for got, parity in ((measure_lab._eval_phase(term, -X, Y), a),
+                        (measure_lab._eval_phase(term, X, -Y), b)):
+        assert got.tobytes() == ((-1.0) ** parity * S).tobytes()
+
+
+class _CountedProducts(np.ndarray):
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _CountedProducts.products += ufunc is np.multiply
+        plain = [np.asarray(v) for v in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs).view(_CountedProducts)
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 1000, 1023, 1024, 1500])
+def test_integer_powers_take_logarithmically_many_products(n):
+    V = np.linspace(-1.0, 1.0, 9).view(_CountedProducts)
+    _CountedProducts.products = 0
+    got = measure_lab._powers(V, [n])[n]
+    assert _CountedProducts.products <= 2 * n.bit_length()
+    assert np.asarray(got).tobytes() == np.asarray(helpers._power(np.asarray(V), n)).tobytes()
+
+
+def test_mc_measure_with_x_to_the_1500_matches_the_pow_reference():
+    # one block of x^2*y^2 + x^1500 on the unit disk: x^1500 underflows to 0
+    # inside |x| < 0.6 and sets the count near x = +-1
+    p = phase((1, 2, 2), (1, 1500, 0))
+    eps = [1e-1, 1e-2, 1e-3, 1e-4]
+    region = Disk(1.0)
+    box = measure_lab._bounding_box(region)
+    terms = measure_lab._phase_terms(p, needs_negative_x=True)
+    k_in, counts = helpers._mc_block((terms, region, box, eps, 7, 0, 1 << 16),
+                                     evaluate=helpers.eval_phase_pow)
+    got = sublevel_measure(p, region, eps, budget=1 << 16, seed=7)
+    assert [s.estimate for s in got] == [math.pi * (k / k_in) for k in counts]
+    assert 0 < counts[-1] < counts[0] < k_in
 
 
 def test_mc_seed_sensitivity_and_determinism():
